@@ -162,15 +162,6 @@ def sequential_asymptotics(p_f: float, p_d: float, d: float) -> tuple[float, flo
 # CUSUM operating characteristics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    family: str
-    gamma: float
-    false_alarm_rate: float
-    delay: float
-    approximation: str  # "accurate" or "large_gamma"
-
-
 def false_alarm_rate_accurate(gamma, M: int, delta01: float):
     g = np.asarray(gamma, dtype=float)
     return M * delta01 / (np.exp(g) - g - 1.0)
@@ -187,30 +178,6 @@ def delay_accurate(gamma, M: int, delta10: float):
 
 def delay_large_gamma(gamma, M: int, delta10: float):
     return np.asarray(gamma, dtype=float) / (M * delta10)
-
-
-def page_operating_characteristics(
-    gamma_grid, M: int, delta01: float, delta10: float
-) -> list[OperatingPoint]:
-    """Rate/delay predictions for the fusion detector and a lone sensor."""
-    points: list[OperatingPoint] = []
-    for gamma in np.asarray(gamma_grid, dtype=float):
-        if gamma <= 0.0:
-            raise ValueError(f"threshold must be positive, got {gamma}")
-        for family, m in (("centralized", M), ("single", 1)):
-            points.append(OperatingPoint(
-                family, float(gamma),
-                float(false_alarm_rate_accurate(gamma, m, delta01)),
-                float(delay_accurate(gamma, m, delta10)),
-                "accurate",
-            ))
-            points.append(OperatingPoint(
-                family, float(gamma),
-                float(false_alarm_rate_large_gamma(gamma, m, delta01)),
-                float(delay_large_gamma(gamma, m, delta10)),
-                "large_gamma",
-            ))
-    return points
 
 
 def threshold_for_rate(R: float, M: int, delta01: float) -> float:
@@ -294,6 +261,50 @@ def bank_delay(gamma: float, M: int, delta10: float, var1_of_llr: float) -> Bank
     integral = base * survival_power_integral(z, M)
     castillo = (gamma / delta10) * wald_cdf_inverse(1.0 / (M + 1.0), z)
     return BankDelay(integral=integral, castillo=castillo)
+
+
+CUSUM_FAMILIES = ("centralized", "running", "bank", "single")
+
+
+@dataclass(frozen=True)
+class OperatingPoint:
+    """Predicted false-alarm rate and detection delay, accurate and large-threshold."""
+
+    family: str
+    gamma: float
+    rate_accurate: float
+    rate_large_gamma: float
+    delay_accurate: float
+    delay_large_gamma: float
+
+
+def operating_point(
+    family: str, gamma: float, M: int, delta01: float, delta10: float, var1_of_llr: float
+) -> OperatingPoint:
+    """Rate and delay laws of one CUSUM family of M sensors at threshold gamma.
+
+    The fusion center and running consensus follow the M-sensor laws, a lone
+    sensor the one-sensor laws.  The bank alarms at the rate of M filters; its
+    delay is the survival integral of :func:`bank_delay`, with the Castillo
+    quantile as the large-threshold companion.
+    """
+    if family not in CUSUM_FAMILIES:
+        raise ValueError(f"unknown CUSUM family {family!r}")
+    if gamma <= 0.0:
+        raise ValueError(f"threshold must be positive, got {gamma}")
+    m = 1 if family == "single" else M
+    if family == "bank":
+        delay = bank_delay(gamma, M, delta10, var1_of_llr)
+        d_acc, d_large = delay.integral, delay.castillo
+    else:
+        d_acc = float(delay_accurate(gamma, m, delta10))
+        d_large = float(delay_large_gamma(gamma, m, delta10))
+    return OperatingPoint(
+        family, gamma,
+        float(false_alarm_rate_accurate(gamma, m, delta01)),
+        float(false_alarm_rate_large_gamma(gamma, m, delta01)),
+        d_acc, d_large,
+    )
 
 
 def g_factor(M: int, R: float, delta01: float, delta10: float, var1_of_llr: float) -> float:

@@ -13,13 +13,14 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import analysis, montecarlo, scenario as scn, stats
 from .consensus import ConsensusRun, WeightMode
-from .detectors import sequential_design
+from .detectors import fss_threshold, sequential_design
 from .network import (
     NetworkTopology,
     TopologyError,
@@ -119,12 +120,42 @@ def noise_variance(sc: ScenarioFile) -> float:
     raise ScenarioError(f"noise variance undefined for model family {family!r}")
 
 
-def mc_params(sc: ScenarioFile, args) -> tuple[int, int, int]:
+@dataclass(frozen=True)
+class Setting:
+    """What every simulating subcommand reads first: network, node, Monte Carlo sizes."""
+
+    topology: NetworkTopology
+    v: int  # pairwise exchanges per slot
+    node: int
+    trials: int
+    seed: int
+    threads: int
+
+
+def _setting(sc: ScenarioFile, args) -> Setting:
+    topology = scn.topology_from_scenario(sc)
+    node = int(sc.get("detector", "node", 0))
+    if not 0 <= node < topology.M:
+        raise ScenarioError(f"detector.node must be in 0..{topology.M - 1}, got {node}")
     section = sc.sections.get("montecarlo", {})
     trials = args.trials if args.trials is not None else int(section.get("trials", 10000))
-    seed = args.seed if args.seed is not None else int(section.get("seed", 0))
-    threads = args.threads if args.threads is not None else int(section.get("threads", 1))
-    return trials, seed, threads
+    if trials < 1:
+        raise ScenarioError(f"montecarlo.trials must be >= 1, got {trials}")
+    return Setting(
+        topology=topology, v=int(sc.get("topology", "v", 1)), node=node, trials=trials,
+        seed=args.seed if args.seed is not None else int(section.get("seed", 0)),
+        threads=args.threads if args.threads is not None else int(section.get("threads", 1)),
+    )
+
+
+def _positive_list(sc: ScenarioFile, key: str, kind: str) -> list[float]:
+    values = [float(x) for x in (sc.get("experiment", key) or [])]
+    if not values:
+        raise ScenarioError(f"{kind} experiments need experiment.{key}")
+    for value in values:
+        if not value > 0.0:
+            raise ScenarioError(f"experiment.{key} entries must be positive, got {value:g}")
+    return values
 
 
 def scenario_label(sc: ScenarioFile) -> str:
@@ -137,18 +168,17 @@ def scenario_label(sc: ScenarioFile) -> str:
 
 def dump_trajectory(
     sc: ScenarioFile,
-    topology: NetworkTopology,
+    setting: Setting,
     path: str,
-    seed: int,
     n_slots: int,
     mode: WeightMode,
     include_new_sample: bool,
 ) -> None:
-    model = model_from_scenario(sc) if "model" in sc.sections else None
-    nonlin = nonlinearity_from_scenario(sc, model) if model is not None else stats.Identity()
-    dist = model.null if model is not None else stats.Gaussian(0.0, 1.0)
-    v = int(sc.get("topology", "v", 1))
-    rng = montecarlo.chunk_rng(seed, 10**6)
+    """One trial's states under the null law, every node at every slot."""
+    model = model_from_scenario(sc)
+    nonlin = nonlinearity_from_scenario(sc, model)
+    topology, v, dist = setting.topology, setting.v, model.null
+    rng = montecarlo.chunk_rng(setting.seed, 10**6)
     run = ConsensusRun(topology.M, mode, include_new_sample)
     rows = []
     for _ in range(n_slots):
@@ -179,11 +209,10 @@ def run_spectral(sc: ScenarioFile, args) -> None:
 
 
 def run_bounds(sc: ScenarioFile, args) -> None:
-    topology = scn.topology_from_scenario(sc)
-    v = int(sc.get("topology", "v", 1))
+    setting = _setting(sc, args)
+    topology, v = setting.topology, setting.v
     n_max = int(sc.get("experiment", "n_max", 200))
     include_new = bool(sc.get("experiment", "include_new_sample", False))
-    trials, seed, threads = mc_params(sc, args)
 
     summary = expected_gossip_matrix(topology)
     lam_u, lam_l = effective_eigenvalues(summary, v)
@@ -199,14 +228,14 @@ def run_bounds(sc: ScenarioFile, args) -> None:
         topology,
         v,
         n_max,
-        trials,
-        seed,
+        setting.trials,
+        setting.seed,
         mode=WeightMode.AVERAGING,
         include_new_sample=include_new,
         dist=model.null,
         sigma2=model.null.var,
         known_mean=model.null.mean,
-        threads=threads,
+        threads=setting.threads,
     )
 
     out = resolve_output(str(sc.require("output", "path")), args.out)
@@ -240,50 +269,49 @@ def run_bounds(sc: ScenarioFile, args) -> None:
     )
     if args.dump_trajectory:
         dump_trajectory(
-            sc, topology, resolve_output(args.dump_trajectory, None), seed,
+            sc, setting, resolve_output(args.dump_trajectory, None),
             min(n_max, 200), WeightMode.AVERAGING, include_new,
         )
 
 
-def _fss_point(sc: ScenarioFile, topology, v, n, trials, seed, threads, node):
-    """One fixed-sample-size experiment at slot count n."""
+def _fss_points(sc: ScenarioFile, setting: Setting) -> list[tuple]:
+    """(v, n, threshold, study, p_d_limit) on the (v, n) grid of an fss scenario."""
+    M = setting.topology.M
+    n_list = sc.get("experiment", "n_list") or [int(sc.get("experiment", "n_max", 100))]
+    v_list = sc.get("experiment", "v_list") or [setting.v]
     theta0 = float(sc.get("model", "theta0", 0.0))
     gamma_scale = float(sc.get("experiment", "gamma_scale", 1.0))
     p_f = float(sc.require("detector", "p_f"))
-    theta_n = theta0 + gamma_scale / math.sqrt(n)
-    model = model_from_scenario(sc, theta=theta_n)
-    nonlin = nonlinearity_from_scenario(sc, model)
-    m0 = stats.moments(model, nonlin, theta0, M=1)
-    from .detectors import fss_threshold
-
-    threshold = fss_threshold(p_f, n, m0, topology.M)
-    study = montecarlo.estimate_error_probabilities(
-        model, nonlin, topology, v, n, threshold, trials, seed, node=node, threads=threads
-    )
-    d = stats.efficacy(m0, topology.M)
-    p_d_limit = analysis.fss_asymptotic_pd(p_f, gamma_scale, d)
-    return threshold, study, p_d_limit
+    points = []
+    for v in v_list:
+        for n in n_list:
+            model = model_from_scenario(sc, theta=theta0 + gamma_scale / math.sqrt(n))
+            nonlin = nonlinearity_from_scenario(sc, model)
+            m0 = stats.moments(model, nonlin, theta0, M=1)
+            threshold = fss_threshold(p_f, n, m0, M)
+            study = montecarlo.estimate_error_probabilities(
+                model, nonlin, setting.topology, v, n, threshold, setting.trials, setting.seed,
+                node=setting.node, threads=setting.threads,
+            )
+            p_d_limit = analysis.fss_asymptotic_pd(p_f, gamma_scale, stats.efficacy(m0, M))
+            points.append((v, n, threshold, study, p_d_limit))
+    return points
 
 
 def run_fss(sc: ScenarioFile, args) -> None:
-    topology = scn.topology_from_scenario(sc)
-    trials, seed, threads = mc_params(sc, args)
-    node = int(sc.get("detector", "node", 0))
-    n_list = sc.get("experiment", "n_list") or [int(sc.get("experiment", "n_max", 100))]
-    v_list = sc.get("experiment", "v_list") or [int(sc.get("topology", "v", 1))]
+    setting = _setting(sc, args)
     label = scenario_label(sc)
-
-    rows = []
-    for v in v_list:
-        for n in n_list:
-            threshold, study, _ = _fss_point(sc, topology, int(v), int(n), trials, seed, threads, node)
-            for stat_name, est in (
-                ("p_f_centralized", study.p_f["centralized"]),
-                ("p_f_node", study.p_f["node"]),
-                ("p_d_centralized", study.p_d["centralized"]),
-                ("p_d_node", study.p_d["node"]),
-            ):
-                rows.append([label, v, n, threshold, stat_name, est.value, est.std_err, est.count, est.truncated_count])
+    points = _fss_points(sc, setting)
+    rows = [
+        [label, v, n, threshold, stat_name, est.value, est.std_err, est.count, est.truncated_count]
+        for v, n, threshold, study, _ in points
+        for stat_name, est in (
+            ("p_f_centralized", study.p_f["centralized"]),
+            ("p_f_node", study.p_f["node"]),
+            ("p_d_centralized", study.p_d["centralized"]),
+            ("p_d_node", study.p_d["node"]),
+        )
+    ]
     out = resolve_output(str(sc.require("output", "path")), args.out)
     write_csv(
         out,
@@ -292,89 +320,112 @@ def run_fss(sc: ScenarioFile, args) -> None:
     )
     if args.dump_trajectory:
         dump_trajectory(
-            sc, topology, resolve_output(args.dump_trajectory, None), seed,
-            int(max(n_list)), WeightMode.ACCUMULATING, True,
+            sc, setting, resolve_output(args.dump_trajectory, None),
+            max(point[1] for point in points), WeightMode.ACCUMULATING, True,
         )
 
 
-def _sequential_point(sc: ScenarioFile, topology, v, p_e, snr, trials, seed, threads, node,
-                      track_all_nodes=False):
-    """Design and simulate one sequential experiment at a given SNR."""
+def _sequential_design(sc: ScenarioFile, M: int, p_e: float, r: float):
+    """Model, statistic, symmetric-error test and horizon at error p_e and scale r.
+
+    The horizon is max_n_factor times r times the larger asymptotic expected
+    sample number.  Returns (model, nonlinearity, detector, (asn0, asn1), max_n).
+    """
     theta0 = float(sc.get("model", "theta0", 0.0))
-    V = noise_variance(sc)
-    r = 1.0 / (snr * V)
     theta_r = theta0 + 1.0 / math.sqrt(r)
     model = model_from_scenario(sc, theta=theta_r)
     nonlin = nonlinearity_from_scenario(sc, model)
     m0 = stats.moments(model, nonlin, theta0, M=1)
     mr = stats.moments(model, nonlin, theta_r, M=1)
-    p_f, p_d = p_e, 1.0 - p_e
-    detector = sequential_design(p_f, p_d, r, m0, mr, topology.M)
-    d = stats.efficacy(m0, topology.M)
-    asn0, asn1 = analysis.sequential_asymptotics(p_f, p_d, d)
+    detector = sequential_design(p_e, 1.0 - p_e, r, m0, mr, M)
+    asn = analysis.sequential_asymptotics(p_e, 1.0 - p_e, stats.efficacy(m0, M))
     factor = float(sc.get("experiment", "max_n_factor", 100.0))
-    max_n = max(10, int(math.ceil(factor * r * max(asn0, asn1))))
-    study = montecarlo.estimate_stopping(
-        model, nonlin, topology, v, detector, trials, seed,
-        max_n=max_n, node=node, threads=threads, track_all_nodes=track_all_nodes,
-    )
-    asymptote = 0.5 * (asn0 + asn1) / V  # limit of E[N] * SNR
-    return model, detector, study, asymptote, max_n, r
+    max_n = max(10, int(math.ceil(factor * r * max(asn))))
+    return model, nonlin, detector, asn, max_n
+
+
+@dataclass(frozen=True)
+class SequentialPoint:
+    p_e: float
+    snr_db: float
+    snr: float
+    study: montecarlo.SequentialStudy
+    asymptote: float  # limit of E[N] * SNR
+    sprt: montecarlo.SequentialStudy | None  # probability-ratio baseline
+    matched: float | None  # fusion-center E[N] redesigned at the node's error
+
+
+def _sequential_points(sc: ScenarioFile, setting: Setting) -> list[SequentialPoint]:
+    """Every (p_e, SNR) grid point of an asn/error/are sequential scenario."""
+    topology, v, trials, seed = setting.topology, setting.v, setting.trials, setting.seed
+    V = noise_variance(sc)
+    points = []
+    for p_e in _p_e_values(sc):
+        for snr_db in _snr_db_values(sc):
+            snr = 10.0 ** (float(snr_db) / 10.0)
+            r = 1.0 / (snr * V)
+            model, nonlin, detector, asn, max_n = _sequential_design(sc, topology.M, float(p_e), r)
+            study = montecarlo.estimate_stopping(
+                model, nonlin, topology, v, detector, trials, seed,
+                max_n=max_n, node=setting.node, threads=setting.threads,
+            )
+            sprt = matched = None
+            if sc.get("experiment", "include_sprt_baseline", False):
+                sprt = montecarlo.estimate_sprt_stopping(
+                    model, topology.M, float(p_e), 1.0 - float(p_e), trials, seed + 1,
+                    max_n=max_n, threads=setting.threads,
+                )
+            if _sequential_measure(sc) == "are":
+                pe_hat = min(max(study.error_probability("node"), 1e-6), 0.49)
+                model, nonlin, detector, _, max_n = _sequential_design(sc, topology.M, pe_hat, r)
+                matched = montecarlo.estimate_stopping(
+                    model, nonlin, topology, v, detector, trials, seed + 2,
+                    max_n=max_n, threads=setting.threads,
+                ).mean_sample_number("centralized")
+            asymptote = 0.5 * (asn[0] + asn[1]) / V
+            points.append(SequentialPoint(p_e, snr_db, snr, study, asymptote, sprt, matched))
+    return points
+
+
+def _sequential_measure(sc: ScenarioFile) -> str:
+    return str(sc.get("experiment", "measure", "asn"))
+
+
+def _p_e_values(sc: ScenarioFile) -> list:
+    return sc.get("detector", "p_e_list") or [float(sc.require("detector", "p_e"))]
+
+
+def _snr_db_values(sc: ScenarioFile) -> list:
+    return sc.get("experiment", "snr_db_list") or [-20.0]
 
 
 def run_sequential(sc: ScenarioFile, args) -> None:
-    topology = scn.topology_from_scenario(sc)
-    v = int(sc.get("topology", "v", 1))
-    trials, seed, threads = mc_params(sc, args)
-    node = int(sc.get("detector", "node", 0))
-    measure = str(sc.get("experiment", "measure", "asn"))
-    label = scenario_label(sc)
-    p_e_values = sc.get("detector", "p_e_list") or [float(sc.require("detector", "p_e"))]
-    snr_db_values = sc.get("experiment", "snr_db_list") or [-20.0]
-    include_sprt = bool(sc.get("experiment", "include_sprt_baseline", False))
-
-    if measure == "trajectory":
-        _sequential_trajectory(sc, args, topology, v, float(p_e_values[0]), float(snr_db_values[0]))
+    setting = _setting(sc, args)
+    if _sequential_measure(sc) == "trajectory":
+        _sequential_trajectory(sc, args, setting)
         return
-
+    label = scenario_label(sc)
     rows = []
-    for p_e in p_e_values:
-        for snr_db in snr_db_values:
-            snr = 10.0 ** (float(snr_db) / 10.0)
-            model, detector, study, asymptote, max_n, r = _sequential_point(
-                sc, topology, v, float(p_e), snr, trials, seed, threads, node
-            )
-            outputs = []
-            for source in ("centralized", "node"):
-                mean_n = study.mean_sample_number(source)
-                pe_hat = study.error_probability(source)
-                trunc = (
-                    study.under_null[source].mean_n.truncated_count
-                    + study.under_alt[source].mean_n.truncated_count
-                )
-                se = 0.5 * math.hypot(
-                    study.under_null[source].mean_n.std_err,
-                    study.under_alt[source].mean_n.std_err,
-                )
-                outputs.append((f"en_{source}", mean_n, se, trunc))
-                outputs.append((f"en_snr_{source}", mean_n * snr, se * snr, trunc))
-                outputs.append((f"pe_{source}", pe_hat, _pe_std_err(study, source), trunc))
-            outputs.append(("en_snr_asymptote", asymptote, 0.0, 0))
-            if include_sprt:
-                sprt = montecarlo.estimate_sprt_stopping(
-                    model, topology.M, float(p_e), 1.0 - float(p_e), trials, seed + 1,
-                    max_n=max_n, threads=threads,
-                )
-                outputs.append(("en_snr_sprt", sprt.mean_sample_number() * snr, 0.0,
-                                sprt.under_null.mean_n.truncated_count + sprt.under_alt.mean_n.truncated_count))
-                outputs.append(("pe_sprt", sprt.error_probability(), 0.0, 0))
-            if measure == "are":
-                pe_hat = min(max(study.error_probability("node"), 1e-6), 0.49)
-                matched = _matched_error_centralized(sc, topology, v, pe_hat, r, trials, seed + 2, threads)
-                outputs.append(("en_matched_centralized", matched, 0.0, 0))
-                outputs.append(("are_node", matched / study.mean_sample_number("node"), 0.0, 0))
-            for stat_name, value, se, trunc in outputs:
-                rows.append([label, p_e, snr_db, snr, stat_name, value, se, trials, trunc])
+    for point in _sequential_points(sc, setting):
+        study, snr = point.study, point.snr
+        outputs = []
+        for source in ("centralized", "node"):
+            mean_n, se = study.mean_sample_number(source), study.mean_sample_number_std_err(source)
+            trunc = study.truncated_count(source)
+            outputs.append((f"en_{source}", mean_n, se, trunc))
+            outputs.append((f"en_snr_{source}", mean_n * snr, se * snr, trunc))
+            outputs.append((f"pe_{source}", study.error_probability(source),
+                            study.error_probability_std_err(source), trunc))
+        outputs.append(("en_snr_asymptote", point.asymptote, 0.0, 0))
+        if point.sprt is not None:
+            sprt = point.sprt
+            outputs.append(("en_snr_sprt", sprt.mean_sample_number() * snr, 0.0, sprt.truncated_count()))
+            outputs.append(("pe_sprt", sprt.error_probability(), 0.0, 0))
+        if point.matched is not None:
+            outputs.append(("en_matched_centralized", point.matched, 0.0, 0))
+            outputs.append(("are_node", point.matched / study.mean_sample_number("node"), 0.0, 0))
+        for stat_name, value, se, trunc in outputs:
+            rows.append([label, point.p_e, point.snr_db, snr, stat_name, value, se, setting.trials, trunc])
     out = resolve_output(str(sc.require("output", "path")), args.out)
     write_csv(
         out,
@@ -383,55 +434,22 @@ def run_sequential(sc: ScenarioFile, args) -> None:
     )
     if args.dump_trajectory:
         dump_trajectory(
-            sc, topology, resolve_output(args.dump_trajectory, None), seed,
+            sc, setting, resolve_output(args.dump_trajectory, None),
             200, WeightMode.ACCUMULATING, True,
         )
 
 
-def _pe_std_err(study, source: str) -> float:
-    return 0.5 * math.hypot(
-        study.under_null[source].declare_h1.std_err,
-        study.under_alt[source].declare_h1.std_err,
-    )
-
-
-def _matched_error_centralized(sc, topology, v, p_e, r, trials, seed, threads) -> float:
-    """Mean sample number of the fusion test redesigned at the achieved error."""
-    theta0 = float(sc.get("model", "theta0", 0.0))
-    theta_r = theta0 + 1.0 / math.sqrt(r)
-    model = model_from_scenario(sc, theta=theta_r)
-    nonlin = nonlinearity_from_scenario(sc, model)
-    m0 = stats.moments(model, nonlin, theta0, M=1)
-    mr = stats.moments(model, nonlin, theta_r, M=1)
-    detector = sequential_design(p_e, 1.0 - p_e, r, m0, mr, topology.M)
-    d = stats.efficacy(m0, topology.M)
-    asn0, asn1 = analysis.sequential_asymptotics(p_e, 1.0 - p_e, d)
-    max_n = max(10, int(math.ceil(100.0 * r * max(asn0, asn1))))
-    study = montecarlo.estimate_stopping(
-        model, nonlin, topology, v, detector, trials, seed, max_n=max_n, threads=threads
-    )
-    return study.mean_sample_number("centralized")
-
-
-def _sequential_trajectory(sc, args, topology, v, p_e, snr_db) -> None:
+def _sequential_trajectory(sc: ScenarioFile, args, setting: Setting) -> None:
     """Single-trial centered statistic paths for every node and the oracle."""
-    snr = 10.0 ** (snr_db / 10.0)
-    theta0 = float(sc.get("model", "theta0", 0.0))
-    V = noise_variance(sc)
-    r = 1.0 / (snr * V)
-    theta_r = theta0 + 1.0 / math.sqrt(r)
-    model = model_from_scenario(sc, theta=theta_r)
-    nonlin = nonlinearity_from_scenario(sc, model)
-    m0 = stats.moments(model, nonlin, theta0, M=1)
-    mr = stats.moments(model, nonlin, theta_r, M=1)
-    detector = sequential_design(p_e, 1.0 - p_e, r, m0, mr, topology.M)
-    trials, seed, _ = mc_params(sc, args)
-    rng = montecarlo.chunk_rng(seed, 0)
-    run = ConsensusRun(topology.M, WeightMode.ACCUMULATING, True)
+    topology, v, M = setting.topology, setting.v, setting.topology.M
+    p_e, snr_db = float(_p_e_values(sc)[0]), float(_snr_db_values(sc)[0])
+    r = 1.0 / (10.0 ** (snr_db / 10.0) * noise_variance(sc))
+    model, nonlin, detector, _, _ = _sequential_design(sc, M, p_e, r)
+    rng = montecarlo.chunk_rng(setting.seed, 0)
+    run = ConsensusRun(M, WeightMode.ACCUMULATING, True)
     csum = 0.0
     rows = []
     crossed: dict[int | str, int] = {}
-    M = topology.M
     slot = 0
     while len(crossed) < M + 1 and slot < 100_000:
         slot += 1
@@ -465,77 +483,80 @@ def _change_quantities(sc: ScenarioFile):
     return model, d01, d10, var1
 
 
-def run_change(sc: ScenarioFile, args) -> None:
-    topology = scn.topology_from_scenario(sc)
-    M = topology.M
-    v = int(sc.get("topology", "v", 1))
-    trials, seed, threads = mc_params(sc, args)
-    node = int(sc.get("detector", "node", 0))
+def _change_points(sc: ScenarioFile, setting: Setting, measure: str):
+    """Theory for every family and threshold, and run lengths of the simulated ones.
+
+    Returns the operating points (family-major, in analysis.CUSUM_FAMILIES
+    order), the simulated families, and {(family, gamma): {under: (stops,
+    max_n)}}.  "rate" simulates false alarms (under="null"), "delay" detection
+    delays (under="alt"), "both" both.  Horizons are 100 predicted mean run
+    lengths, from the family's own accurate rate or delay.
+    """
+    M = setting.topology.M
     gamma_offset = float(sc.get("detector", "gamma_offset", 0.0))
-    gamma_list = [float(g) for g in (sc.get("experiment", "gamma_list") or [])]
-    if not gamma_list:
-        raise ScenarioError("change experiments need experiment.gamma_list")
+    gamma_list = _positive_list(sc, "gamma_list", "change")
     families = [str(f) for f in (sc.get("experiment", "families") or ["centralized"])]
-    measure = str(sc.get("experiment", "measure", "both"))
-    label = scenario_label(sc)
-
+    for family in families:
+        if family not in analysis.CUSUM_FAMILIES:
+            raise ScenarioError(f"unknown change-detection family {family!r}")
+    if measure not in ("rate", "delay", "both"):
+        raise ScenarioError(f"unknown change measure {measure!r}")
     model, d01, d10, var1 = _change_quantities(sc)
+    theory = [
+        analysis.operating_point(family, gamma, M, d01, d10, var1)
+        for family in analysis.CUSUM_FAMILIES
+        for gamma in gamma_list
+    ]
+    runs = {}
+    for point in theory:
+        if point.family not in families:
+            continue
+        plan = []
+        if measure in ("rate", "both"):
+            plan.append(("null", setting.seed, int(math.ceil(100.0 / point.rate_accurate))))
+        if measure in ("delay", "both"):
+            plan.append(("alt", setting.seed + 1, int(math.ceil(100.0 * max(point.delay_accurate, 10.0)))))
+        runs[point.family, point.gamma] = {
+            under: (montecarlo.page_run_lengths(
+                model, point.family, point.gamma + gamma_offset, M, setting.trials, run_seed,
+                under=under, max_n=max_n, topology=setting.topology, v=setting.v, node=setting.node,
+                threads=setting.threads,
+            ), max_n)
+            for under, run_seed, max_n in plan
+        }
+    return theory, families, runs
 
-    theory_rows = []
-    for family in ("centralized", "running", "bank", "single"):
-        m_eff = 1 if family == "single" else M
-        for gamma in gamma_list:
-            r_acc = float(analysis.false_alarm_rate_accurate(gamma, m_eff, d01))
-            r_large = float(analysis.false_alarm_rate_large_gamma(gamma, m_eff, d01))
-            if family == "bank":
-                delay = analysis.bank_delay(gamma, M, d10, var1)
-                d_acc, d_large = delay.integral, delay.castillo
-            else:
-                d_acc = float(analysis.delay_accurate(gamma, m_eff, d10))
-                d_large = float(analysis.delay_large_gamma(gamma, m_eff, d10))
-            theory_rows.append([family, gamma, r_acc, r_large, d_acc, d_large])
+
+def run_change(sc: ScenarioFile, args) -> None:
+    setting = _setting(sc, args)
+    label = scenario_label(sc)
+    theory, families, runs = _change_points(sc, setting, str(sc.get("experiment", "measure", "both")))
     out = resolve_output(str(sc.require("output", "path")), args.out)
     write_csv(
         with_suffix(out, "theory"),
         ["family", "gamma", "R_accurate", "R_largegamma", "D_accurate", "D_largegamma"],
-        theory_rows,
+        [[p.family, p.gamma, p.rate_accurate, p.rate_large_gamma, p.delay_accurate, p.delay_large_gamma]
+         for p in theory],
     )
-
     mc_rows = []
     trial_rows = []
     for family in families:
-        if family not in ("centralized", "running", "bank", "single"):
-            raise ScenarioError(f"unknown change-detection family {family!r}")
-        m_eff = 1 if family == "single" else M
-        for gamma in gamma_list:
-            r_pred = float(analysis.false_alarm_rate_accurate(gamma, m_eff, d01))
-            runs = []
-            if measure in ("rate", "both"):
-                runs.append(("null", seed, int(math.ceil(100.0 / r_pred))))
-            if measure in ("delay", "both"):
-                d_pred = float(analysis.delay_accurate(gamma, m_eff, d10))
-                runs.append(("alt", seed + 1, int(math.ceil(100.0 * max(d_pred, 10.0)))))
-            for under, run_seed, max_n in runs:
-                stops = montecarlo.page_run_lengths(
-                    model, family, gamma + gamma_offset, M, trials, run_seed,
-                    under=under, max_n=max_n, topology=topology, v=v, node=node, threads=threads,
-                )
-                finished = stops > 0
-                est = montecarlo.Estimate.from_samples(stops[finished], truncated=int((~finished).sum()))
+        for gamma in (p.gamma for p in theory if p.family == family):
+            for under, (stops, max_n) in runs[family, gamma].items():
+                est = montecarlo.Estimate.from_run_lengths(stops)
+                counts = [est.count, est.truncated_count]
                 if under == "null":
-                    rate = 1.0 / est.value if est.value > 0 else float("nan")
-                    rate_se = est.std_err / est.value**2 if est.value > 0 else float("nan")
-                    mc_rows.append([label, family, gamma, "false_alarm_rate", rate, rate_se, est.count, est.truncated_count])
-                    mc_rows.append([label, family, gamma, "mean_run_length_null", est.value, est.std_err, est.count, est.truncated_count])
+                    rate, rate_se = 1.0 / est.value, est.std_err / est.value**2
+                    mc_rows.append([label, family, gamma, "false_alarm_rate", rate, rate_se, *counts])
+                    mc_rows.append([label, family, gamma, "mean_run_length_null", est.value, est.std_err, *counts])
                 else:
-                    mc_rows.append([label, family, gamma, "mean_delay", est.value, est.std_err, est.count, est.truncated_count])
+                    mc_rows.append([label, family, gamma, "mean_delay", est.value, est.std_err, *counts])
                 if args.dump_trials:
                     decision = "false_alarm" if under == "null" else "detection"
-                    for t, stop in enumerate(stops):
-                        trial_rows.append([
-                            family, gamma, t, int(stop) if stop > 0 else max_n,
-                            decision if stop > 0 else "truncated",
-                        ])
+                    trial_rows += [
+                        [family, gamma, t, int(stop) if stop > 0 else max_n, decision if stop > 0 else "truncated"]
+                        for t, stop in enumerate(stops)
+                    ]
     write_csv(
         out,
         ["scenario", "family", "gamma", "statistic", "estimate", "std_err", "n_trials", "n_truncated"],
@@ -551,23 +572,18 @@ def run_change(sc: ScenarioFile, args) -> None:
 
 def run_efficiency(sc: ScenarioFile, args) -> None:
     topology = scn.topology_from_scenario(sc)
-    rate_list = [float(r) for r in (sc.get("experiment", "rate_list") or [])]
-    if not rate_list:
-        raise ScenarioError("efficiency experiments need experiment.rate_list")
+    rate_list = _positive_list(sc, "rate_list", "efficiency")
     m_list = sc.get("experiment", "m_list")
     _, d01, d10, var1 = _change_quantities(sc)
-    out = resolve_output(str(sc.require("output", "path")), args.out)
-
-    if m_list:
-        rows = []
-        for M in m_list:
-            for point in analysis.relative_efficiencies_large_gamma(rate_list, int(M), d01, d10, var1):
-                rows.append([int(M), point.R, point.eta_cr, point.eta_sr, point.eta_br, point.eta_bs])
-        write_csv(out, ["M", "R", "eta_cr", "eta_sr", "eta_br", "eta_bs"], rows)
-    else:
-        points = analysis.relative_efficiencies_large_gamma(rate_list, topology.M, d01, d10, var1)
-        rows = [[p.R, p.eta_cr, p.eta_sr, p.eta_br, p.eta_bs] for p in points]
-        write_csv(out, ["R", "eta_cr", "eta_sr", "eta_br", "eta_bs"], rows)
+    header = ["M", "R", "eta_cr", "eta_sr", "eta_br", "eta_bs"]
+    rows = [
+        [int(M), p.R, p.eta_cr, p.eta_sr, p.eta_br, p.eta_bs]
+        for M in (m_list or [topology.M])
+        for p in analysis.relative_efficiencies_large_gamma(rate_list, int(M), d01, d10, var1)
+    ]
+    if not m_list:  # the scenario's own network: no M column
+        header, rows = header[1:], [row[1:] for row in rows]
+    write_csv(resolve_output(str(sc.require("output", "path")), args.out), header, rows)
 
 
 RUNNERS = {
@@ -586,22 +602,14 @@ RUNNERS = {
 
 def figure_fss(sc: ScenarioFile, args) -> None:
     """Wide detection-probability table: one row per (v, n)."""
-    topology = scn.topology_from_scenario(sc)
-    trials, seed, threads = mc_params(sc, args)
-    node = int(sc.get("detector", "node", 0))
-    n_list = [int(n) for n in sc.require("experiment", "n_list")]
-    v_list = [int(v) for v in (sc.get("experiment", "v_list") or [int(sc.get("topology", "v", 1))])]
-    rows = []
-    for v in v_list:
-        for n in n_list:
-            threshold, study, p_d_limit = _fss_point(sc, topology, v, n, trials, seed, threads, node)
-            rows.append([
-                v, n, threshold,
-                study.p_f["node"].value, study.p_f["node"].std_err,
-                study.p_d["node"].value, study.p_d["node"].std_err,
-                study.p_d["centralized"].value, study.p_d["centralized"].std_err,
-                p_d_limit,
-            ])
+    rows = [
+        [v, n, threshold,
+         study.p_f["node"].value, study.p_f["node"].std_err,
+         study.p_d["node"].value, study.p_d["node"].std_err,
+         study.p_d["centralized"].value, study.p_d["centralized"].std_err,
+         p_d_limit]
+        for v, n, threshold, study, p_d_limit in _fss_points(sc, _setting(sc, args))
+    ]
     out = resolve_output(str(sc.require("output", "path")), args.out)
     write_csv(
         out,
@@ -613,115 +621,58 @@ def figure_fss(sc: ScenarioFile, args) -> None:
 
 def figure_sequential(sc: ScenarioFile, args) -> None:
     """Wide scaled-sample-number / error-probability table per grid point."""
-    topology = scn.topology_from_scenario(sc)
-    v = int(sc.get("topology", "v", 1))
-    trials, seed, threads = mc_params(sc, args)
-    node = int(sc.get("detector", "node", 0))
-    measure = str(sc.get("experiment", "measure", "asn"))
-    include_sprt = bool(sc.get("experiment", "include_sprt_baseline", False))
-    p_e_values = sc.get("detector", "p_e_list") or [float(sc.require("detector", "p_e"))]
-    snr_db_values = [float(s) for s in sc.require("experiment", "snr_db_list")]
-
+    setting = _setting(sc, args)
+    measure = _sequential_measure(sc)
     if measure == "trajectory":
-        _sequential_trajectory(sc, args, topology, v, float(p_e_values[0]), snr_db_values[0])
+        _sequential_trajectory(sc, args, setting)
         return
-
     header = ["p_e", "snr_db", "snr",
               "en_snr_centralized", "en_snr_centralized_se",
               "en_snr_node", "en_snr_node_se", "en_snr_asymptote",
               "pe_centralized", "pe_node",
               "n_truncated_centralized", "n_truncated_node"]
-    if include_sprt:
+    if sc.get("experiment", "include_sprt_baseline", False):
         header += ["en_snr_sprt", "pe_sprt"]
     if measure == "are":
         header += ["en_node", "en_matched_centralized", "are_node"]
-
     rows = []
-    for p_e in p_e_values:
-        for snr_db in snr_db_values:
-            snr = 10.0 ** (snr_db / 10.0)
-            model, detector, study, asymptote, max_n, r = _sequential_point(
-                sc, topology, v, float(p_e), snr, trials, seed, threads, node
-            )
-            en_c = study.mean_sample_number("centralized")
-            en_n = study.mean_sample_number("node")
-            se_c = 0.5 * math.hypot(study.under_null["centralized"].mean_n.std_err,
-                                    study.under_alt["centralized"].mean_n.std_err)
-            se_n = 0.5 * math.hypot(study.under_null["node"].mean_n.std_err,
-                                    study.under_alt["node"].mean_n.std_err)
-            row = [
-                p_e, snr_db, snr,
-                en_c * snr, se_c * snr, en_n * snr, se_n * snr, asymptote,
-                study.error_probability("centralized"), study.error_probability("node"),
-                study.under_null["centralized"].mean_n.truncated_count
-                + study.under_alt["centralized"].mean_n.truncated_count,
-                study.under_null["node"].mean_n.truncated_count
-                + study.under_alt["node"].mean_n.truncated_count,
-            ]
-            if include_sprt:
-                sprt = montecarlo.estimate_sprt_stopping(
-                    model, topology.M, float(p_e), 1.0 - float(p_e), trials, seed + 1,
-                    max_n=max_n, threads=threads,
-                )
-                row += [sprt.mean_sample_number() * snr, sprt.error_probability()]
-            if measure == "are":
-                pe_hat = min(max(study.error_probability("node"), 1e-6), 0.49)
-                matched = _matched_error_centralized(sc, topology, v, pe_hat, r, trials, seed + 2, threads)
-                row += [en_n, matched, matched / en_n]
-            rows.append(row)
+    for point in _sequential_points(sc, setting):
+        study, snr = point.study, point.snr
+        en_n = study.mean_sample_number("node")
+        row = [
+            point.p_e, point.snr_db, snr,
+            study.mean_sample_number("centralized") * snr, study.mean_sample_number_std_err("centralized") * snr,
+            en_n * snr, study.mean_sample_number_std_err("node") * snr, point.asymptote,
+            study.error_probability("centralized"), study.error_probability("node"),
+            study.truncated_count("centralized"), study.truncated_count("node"),
+        ]
+        if point.sprt is not None:
+            row += [point.sprt.mean_sample_number() * snr, point.sprt.error_probability()]
+        if point.matched is not None:
+            row += [en_n, point.matched, point.matched / en_n]
+        rows.append(row)
     out = resolve_output(str(sc.require("output", "path")), args.out)
     write_csv(out, header, rows)
 
 
 def figure_change(sc: ScenarioFile, args) -> None:
     """Operating-characteristic table: theory plus simulated (R, D) points."""
-    topology = scn.topology_from_scenario(sc)
-    M = topology.M
-    v = int(sc.get("topology", "v", 1))
-    trials, seed, threads = mc_params(sc, args)
-    node = int(sc.get("detector", "node", 0))
-    gamma_offset = float(sc.get("detector", "gamma_offset", 0.0))
-    gamma_list = [float(g) for g in sc.require("experiment", "gamma_list")]
-    sim_families = set(str(f) for f in sc.require("experiment", "families"))
-    measure = str(sc.get("experiment", "measure", "rate"))
-    model, d01, d10, var1 = _change_quantities(sc)
-
+    setting = _setting(sc, args)
+    # the figure always simulates false alarms; "both" adds the delays
+    measure = "both" if sc.get("experiment", "measure", "rate") == "both" else "rate"
+    theory, families, runs = _change_points(sc, setting, measure)
     rows = []
-    for family in ("centralized", "running", "bank", "single"):
-        m_eff = 1 if family == "single" else M
-        for gamma in gamma_list:
-            r_acc = float(analysis.false_alarm_rate_accurate(gamma, m_eff, d01))
-            r_large = float(analysis.false_alarm_rate_large_gamma(gamma, m_eff, d01))
-            if family == "bank":
-                delay = analysis.bank_delay(gamma, M, d10, var1)
-                d_acc, d_large = delay.integral, delay.castillo
-            else:
-                d_acc = float(analysis.delay_accurate(gamma, m_eff, d10))
-                d_large = float(analysis.delay_large_gamma(gamma, m_eff, d10))
-            r_sim = r_sim_se = d_sim = d_sim_se = None
-            trunc = 0
-            if family in sim_families:
-                r_pred = r_acc
-                est = montecarlo.estimate_page_run_length(
-                    model, family, gamma + gamma_offset, M, trials, seed,
-                    under="null", max_n=int(math.ceil(100.0 / r_pred)),
-                    topology=topology, v=v, node=node, threads=threads,
-                )
-                r_sim = 1.0 / est.value
-                r_sim_se = est.std_err / est.value**2
-                trunc = est.truncated_count
-                if measure == "both":
-                    est_d = montecarlo.estimate_page_run_length(
-                        model, family, gamma + gamma_offset, M, trials, seed + 1,
-                        under="alt", max_n=int(math.ceil(100.0 * max(d_acc, 10.0))),
-                        topology=topology, v=v, node=node, threads=threads,
-                    )
-                    d_sim = est_d.value
-                    d_sim_se = est_d.std_err
-            rows.append([
-                family, gamma, r_acc, r_large, d_acc, d_large,
-                r_sim, r_sim_se, d_sim, d_sim_se, trials if family in sim_families else 0, trunc,
-            ])
+    for p in theory:
+        sim = [None, None, None, None, 0, 0]
+        if p.family in families:
+            by_under = runs[p.family, p.gamma]
+            est = montecarlo.Estimate.from_run_lengths(by_under["null"][0])
+            sim = [1.0 / est.value, est.std_err / est.value**2, None, None, setting.trials, est.truncated_count]
+            if "alt" in by_under:
+                est_d = montecarlo.Estimate.from_run_lengths(by_under["alt"][0])
+                sim[2:4] = [est_d.value, est_d.std_err]
+        rows.append([p.family, p.gamma, p.rate_accurate, p.rate_large_gamma,
+                     p.delay_accurate, p.delay_large_gamma, *sim])
     out = resolve_output(str(sc.require("output", "path")), args.out)
     write_csv(
         out,

@@ -1,75 +1,25 @@
-"""Decision procedures: fixed-sample-size test, two-threshold sequential test,
-CUSUM change detector in three architectures, and the parallel CUSUM bank.
+"""Test designs: the fixed-sample-size threshold and the two-threshold
+sequential test, with the exit levels of its Wiener limit.
 
-Crossing convention everywhere: a threshold counts as crossed when the
-statistic is greater than or equal to it.  Sequential truncation is a result,
-never an error, and truncated trials are reported separately downstream.
+The detectors run inside the Monte Carlo engines of :mod:`runcons.montecarlo`,
+which also hold the CUSUM families.  Crossing convention everywhere: a
+threshold counts as crossed when the statistic is greater than or equal to it.
+Sequential truncation is a result, never an error, and truncated trials are
+reported separately downstream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
-import numpy as np
-
-from .network import NetworkTopology, sample_pairs, apply_pair_sequence
-from .stats import HypothesisModel, MomentSet, llr_nonlinearity, q_inverse
-
-
-class Decision(Enum):
-    H0 = "H0"
-    H1 = "H1"
-    TRUNCATED = "truncated"
-
-
-class SourceKind(Enum):
-    CENTRALIZED = "centralized"
-    NODE = "node"
-
-
-@dataclass(frozen=True)
-class StatisticSource:
-    kind: SourceKind
-    node: int = 0
-
-
-CENTRALIZED = StatisticSource(SourceKind.CENTRALIZED)
-
-
-def node_source(j: int) -> StatisticSource:
-    return StatisticSource(SourceKind.NODE, j)
-
-
-# ---------------------------------------------------------------------------
-# Fixed sample size test
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FssDetector:
-    sample_count: int
-    threshold: float
-    source: StatisticSource = CENTRALIZED
-
-    def __post_init__(self) -> None:
-        if self.sample_count < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.sample_count}")
+from .stats import MomentSet, q_inverse
 
 
 def fss_threshold(p_f: float, n: int, moments_at_theta0: MomentSet, M: int) -> float:
     """Threshold putting the asymptotically normal statistic at size p_f."""
     m0 = moments_at_theta0
     return n * M * m0.mu + math.sqrt(n * M * m0.sigma2) * q_inverse(p_f)
-
-
-def fss_decide(statistic: float, detector: FssDetector) -> Decision:
-    return Decision.H1 if statistic >= detector.threshold else Decision.H0
-
-
-def centralized_statistic(t_values: np.ndarray) -> float:
-    """Sum of t(x) over all slots and sensors; expects shape (n, M)."""
-    return float(np.asarray(t_values, dtype=float).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +33,6 @@ class SequentialDetector:
     eta_r: float
     a_r: float
     b_r: float
-    source: StatisticSource = CENTRALIZED
 
     def __post_init__(self) -> None:
         if not self.a_r < self.b_r:
@@ -106,159 +55,14 @@ def sequential_design(
     moments_at_theta0: MomentSet,
     moments_at_theta_r: MomentSet,
     M: int,
-    source: StatisticSource = CENTRALIZED,
 ) -> SequentialDetector:
     """Two-threshold test centered halfway between the hypothesis means.
 
     Thresholds scale the Wiener-limit exit levels by sqrt(r M) sigma(theta0).
     """
-    if not 0.0 < p_f < p_d < 1.0:
-        raise ValueError(f"need 0 < p_f < p_d < 1, got p_f={p_f}, p_d={p_d}")
     m0 = moments_at_theta0
     d = math.sqrt(M) * m0.mu_prime_at_theta0 / math.sqrt(m0.sigma2)
     scale = math.sqrt(r * M * m0.sigma2)
     alpha, beta = continuous_time_thresholds(p_f, p_d, d)
     eta_r = 0.5 * (moments_at_theta_r.mu + m0.mu)
-    return SequentialDetector(r=r, M=M, eta_r=eta_r, a_r=scale * alpha, b_r=scale * beta, source=source)
-
-
-def sequential_run(statistics, detector: SequentialDetector, max_n: int) -> tuple[Decision, int]:
-    """Advance slot by slot over cumulative statistic values T_n.
-
-    Stops the first time T_n - n M eta_r leaves (a_r, b_r); returns which
-    barrier was hit and when, or TRUNCATED at max_n.
-    """
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    n = 0
-    for value in statistics:
-        n += 1
-        centered = value - n * detector.M * detector.eta_r
-        if centered >= detector.b_r:
-            return Decision.H1, n
-        if centered <= detector.a_r:
-            return Decision.H0, n
-        if n >= max_n:
-            break
-    return Decision.TRUNCATED, n
-
-
-# ---------------------------------------------------------------------------
-# CUSUM change detection
-# ---------------------------------------------------------------------------
-
-class PageMode(Enum):
-    CENTRALIZED_ALL_SENSORS = "centralized"
-    RUNNING_CONSENSUS_NODE = "running"
-    SINGLE_SENSOR = "single"
-    BANK = "bank"
-
-
-@dataclass
-class PageDetector:
-    """Scalar CUSUM with reset at zero; crossing is closed (>= gamma)."""
-
-    gamma: float
-    mode: PageMode = PageMode.CENTRALIZED_ALL_SENSORS
-    cusum: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.gamma < 0.0:
-            raise ValueError(f"threshold must be >= 0, got {self.gamma}")
-
-
-def page_step(detector: PageDetector, increment: float) -> PageDetector:
-    """One reset-at-zero update; returns the same (mutated) detector."""
-    detector.cusum = max(0.0, detector.cusum + increment)
-    return detector
-
-
-@dataclass
-class PageBank:
-    """M independent single-sensor CUSUMs on disjoint observation streams."""
-
-    M: int
-    gamma: float
-    cusums: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.cusums = np.zeros(self.M)
-
-    def step(self, increments: np.ndarray) -> bool:
-        """Advance every filter one slot; True once any filter crosses."""
-        self.cusums = np.maximum(0.0, self.cusums + np.asarray(increments, dtype=float))
-        return bool(np.any(self.cusums >= self.gamma))
-
-
-@dataclass(frozen=True)
-class ChangeDetectionResult:
-    alarm_time: int
-    is_false_alarm: bool
-    truncated: bool
-
-
-def run_change_detection(
-    model: HypothesisModel,
-    mode: PageMode,
-    gamma: float,
-    change_time: int | None,
-    max_n: int,
-    rng: np.random.Generator,
-    M: int | None = None,
-    topology: NetworkTopology | None = None,
-    v: int = 1,
-    node: int = 0,
-    gamma_offset: float = 0.0,
-) -> ChangeDetectionResult:
-    """Single change-detection trial, generic and unvectorized.
-
-    Samples from the pre-change law before ``change_time`` and from the
-    post-change law from it on (``change_time=None`` means the change never
-    happens, a pure false-alarm run).  Delay experiments use change_time=1 so
-    the statistic starts from zero at the change.
-    """
-    if change_time is not None and change_time < 1:
-        raise ValueError(f"change_time must be >= 1 or None, got {change_time}")
-    llr = llr_nonlinearity(model)
-    threshold = gamma + gamma_offset
-    if mode is PageMode.SINGLE_SENSOR:
-        M = 1
-    elif mode is PageMode.RUNNING_CONSENSUS_NODE:
-        if topology is None:
-            raise ValueError("running-consensus mode needs a topology")
-        M = topology.M
-    elif M is None:
-        if topology is None:
-            raise ValueError(f"{mode.value} mode needs M or a topology")
-        M = topology.M
-
-    if mode is PageMode.RUNNING_CONSENSUS_NODE:
-        states = np.zeros(topology.M)
-    elif mode is PageMode.BANK:
-        bank = PageBank(M, threshold)
-    else:
-        det = PageDetector(threshold, mode)
-
-    for n in range(1, max_n + 1):
-        pre_change = change_time is None or n < change_time
-        dist = model.null if pre_change else model.alt
-        x = dist.sample(rng, M)
-        if mode is PageMode.CENTRALIZED_ALL_SENSORS:
-            page_step(det, float(llr(x).sum()))
-            crossed = det.cusum >= threshold
-        elif mode is PageMode.SINGLE_SENSOR:
-            page_step(det, float(llr(x[0])))
-            crossed = det.cusum >= threshold
-        elif mode is PageMode.BANK:
-            crossed = bank.step(llr(x))
-        else:
-            # gossip the accumulated statistic plus the fresh increments,
-            # then reset each node at zero individually
-            updated = states + topology.M * llr(x)
-            pairs = sample_pairs(topology, v, rng) if topology.M > 1 else np.empty((0, 2), int)
-            updated = apply_pair_sequence(updated, pairs)
-            states = np.maximum(0.0, updated)
-            crossed = states[node] >= threshold
-        if crossed:
-            return ChangeDetectionResult(n, pre_change, truncated=False)
-    return ChangeDetectionResult(max_n, change_time is None or max_n < change_time, truncated=True)
+    return SequentialDetector(r=r, M=M, eta_r=eta_r, a_r=scale * alpha, b_r=scale * beta)

@@ -3,7 +3,9 @@
 Trials are partitioned into fixed-size chunks; chunk c draws from a generator
 seeded by (base_seed, c), so reruns are bit-identical no matter how many
 workers execute the chunks or in which order.  Inside a chunk, trials advance
-in lockstep as numpy arrays, with finished trials compacted away.
+in lockstep as numpy arrays; every stopping experiment runs on one engine
+(`_lockstep`) that takes its per-slot update and stopping rule and compacts
+finished trials away.
 
 Ratio-type metrics (variance ratios, consensus coefficients) get their
 standard errors from fixed sub-groups of trials; everything that is a plain
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import WeightMode
+from .consensus import WeightMode, step_weights
 from .detectors import SequentialDetector
 from .network import NetworkTopology, sample_gossip_matrix
 from .stats import Gaussian, HypothesisModel, llr_nonlinearity
@@ -55,6 +57,12 @@ class Estimate:
         p = successes / count
         return Estimate(p, math.sqrt(p * (1.0 - p) / count), count, truncated)
 
+    @staticmethod
+    def from_run_lengths(stops: np.ndarray) -> "Estimate":
+        """Mean of the finished run lengths; a zero entry marks a truncated trial."""
+        finished = stops > 0
+        return Estimate.from_samples(stops[finished], truncated=int((~finished).sum()))
+
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     """Deterministic substream for one chunk of trials."""
@@ -64,15 +72,8 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def _chunk_plan(trials: int) -> list[tuple[int, int]]:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    plan = []
-    index = 0
-    remaining = trials
-    while remaining > 0:
-        size = min(CHUNK_SIZE, remaining)
-        plan.append((index, size))
-        index += 1
-        remaining -= size
-    return plan
+    chunks = math.ceil(trials / CHUNK_SIZE)
+    return [(index, min(CHUNK_SIZE, trials - index * CHUNK_SIZE)) for index in range(chunks)]
 
 
 def _run_chunks(trials: int, seed: int, threads: int, worker):
@@ -91,6 +92,33 @@ def _run_chunks(trials: int, seed: int, threads: int, worker):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_one, range(len(plan))))
     return results
+
+
+def _lockstep(size: int, max_n: int, advance) -> np.ndarray:
+    """Step a chunk's trials in lockstep, compacting finished ones away.
+
+    advance(slot, alive) moves the live trials (indices into the chunk)
+    through one slot and returns the mask, over alive, of those that finished
+    in it.  Returns each trial's finishing slot, 0 for a trial still live at
+    max_n.
+    """
+    stop = np.zeros(size, dtype=np.int64)
+    alive = np.arange(size)
+    slot = 0
+    while alive.size and slot < max_n:
+        slot += 1
+        done = advance(slot, alive)
+        if done.any():
+            stop[alive[done]] = slot
+            alive = alive[~done]
+    return stop
+
+
+def _pair_draws(rng: np.random.Generator, topology: NetworkTopology, v: int, lanes: int):
+    """Indices into topology.pair_array of v exchanges per lane; None without gossip."""
+    if topology.M > 1 and v > 0:
+        return rng.integers(0, len(topology.pairs), size=(lanes, v))
+    return None
 
 
 def _gossip_batch(states: np.ndarray, pair_array: np.ndarray, idx: np.ndarray) -> None:
@@ -119,11 +147,7 @@ def _advance_state(
     idx: np.ndarray | None,
 ) -> np.ndarray:
     """One lockstep consensus slot for a batch of trials."""
-    M = states.shape[1]
-    if mode is WeightMode.AVERAGING:
-        alpha, beta = (n - 1) / n, 1.0 / n
-    else:
-        alpha, beta = 1.0, float(M)
+    alpha, beta = step_weights(mode, n, states.shape[1])
     if include_new_sample:
         mixed = alpha * states + beta * t
         if idx is not None:
@@ -175,7 +199,6 @@ def estimate_covariance(
     sigma2 = sigma2 if sigma2 is not None else dist.variance
     M = topology.M
     pair_array = topology.pair_array
-    J = len(topology.pairs)
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
         # group size shrinks with small chunks so several groups back the
@@ -186,7 +209,7 @@ def estimate_covariance(
         bounds = [(g * group, min((g + 1) * group, size)) for g in range(n_groups)]
         states = np.zeros((size, M))
         for n in range(1, n_max + 1):
-            idx = rng.integers(0, J, size=(size, v)) if (M > 1 and v > 0) else None
+            idx = _pair_draws(rng, topology, v, size)
             x = dist.sample(rng, (size, M))
             states = _advance_state(states, x, n, mode, include_new_sample, pair_array, idx)
             if mode is WeightMode.AVERAGING:
@@ -267,7 +290,6 @@ def estimate_error_moments(
     n_max = int(slots.max())
     M = topology.M
     pair_array = topology.pair_array
-    J = len(topology.pairs)
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
         states = np.zeros((size, M))
@@ -276,7 +298,7 @@ def estimate_error_moments(
         out3 = np.zeros((slots.size, size))
         pos = 0
         for n in range(1, n_max + 1):
-            idx = rng.integers(0, J, size=(size, v)) if (M > 1 and v > 0) else None
+            idx = _pair_draws(rng, topology, v, size)
             x = dist.sample(rng, (size, M))
             states = _advance_state(states, x, n, WeightMode.ACCUMULATING, True, pair_array, idx)
             csum += x.sum(axis=1)
@@ -329,19 +351,20 @@ def estimate_error_probabilities(
     Within a trial the centralized and node statistics share the same sample
     stream; they are coupled by construction.
     """
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
     M = topology.M
     pair_array = topology.pair_array
-    J = len(topology.pairs)
+    laws = [(label, dist) for label, dist, wanted in (
+        ("null", model.null, run_null), ("alt", model.alt, run_alt)) if wanted]
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
         counts = {}
-        for label, dist in (("null", model.null), ("alt", model.alt)):
-            if (label == "null" and not run_null) or (label == "alt" and not run_alt):
-                continue
+        for label, dist in laws:
             states = np.zeros((size, M))
             csum = np.zeros(size)
             for slot in range(1, n + 1):
-                idx = rng.integers(0, J, size=(size, v)) if (M > 1 and v > 0) else None
+                idx = _pair_draws(rng, topology, v, size)
                 x = dist.sample(rng, (size, M))
                 t = nonlinearity(x)
                 states = _advance_state(states, t, slot, WeightMode.ACCUMULATING, True, pair_array, idx)
@@ -353,16 +376,11 @@ def estimate_error_probabilities(
         return counts
 
     results = _run_chunks(trials, seed, threads, worker)
-    study_pf: dict[str, Estimate] = {}
-    study_pd: dict[str, Estimate] = {}
-    for label, out in (("null", study_pf), ("alt", study_pd)):
-        if (label == "null" and not run_null) or (label == "alt" and not run_alt):
-            continue
-        cent = sum(r[label][0] for r in results)
-        nod = sum(r[label][1] for r in results)
-        out["centralized"] = Estimate.from_bernoulli(cent, trials)
-        out["node"] = Estimate.from_bernoulli(nod, trials)
-    return FssStudy(threshold=threshold, n=n, p_f=study_pf, p_d=study_pd)
+    rates: dict[str, dict[str, Estimate]] = {"null": {}, "alt": {}}
+    for label, _ in laws:
+        for col, source in enumerate(("centralized", "node")):
+            rates[label][source] = Estimate.from_bernoulli(sum(r[label][col] for r in results), trials)
+    return FssStudy(threshold=threshold, n=n, p_f=rates["null"], p_d=rates["alt"])
 
 
 # ---------------------------------------------------------------------------
@@ -379,23 +397,82 @@ class SequentialOutcome:
     mean_n: Estimate
     declare_h1: Estimate  # fraction declaring H1 among non-truncated trials
 
+    @staticmethod
+    def from_trials(stop: np.ndarray, dec: np.ndarray) -> "SequentialOutcome":
+        ok = dec != _DEC_NONE
+        truncated = int((~ok).sum())
+        return SequentialOutcome(
+            mean_n=Estimate.from_samples(stop[ok], truncated=truncated),
+            declare_h1=Estimate.from_bernoulli(int((dec == _DEC_H1).sum()), int(ok.sum()), truncated),
+        )
+
 
 @dataclass(frozen=True)
 class SequentialStudy:
-    detector: SequentialDetector
+    """Outcomes under each hypothesis, by statistic source."""
+
     under_null: dict[str, SequentialOutcome]
     under_alt: dict[str, SequentialOutcome]
-    node_spread_ratio: Estimate | None = None  # median handled by caller
 
-    def error_probability(self, source: str) -> float:
+    def error_probability(self, source: str = "centralized") -> float:
         """Symmetric error summary (p_f + 1 - p_d)/2 for one source."""
         p_f = self.under_null[source].declare_h1.value
         p_d = self.under_alt[source].declare_h1.value
         return 0.5 * (p_f + (1.0 - p_d))
 
-    def mean_sample_number(self, source: str) -> float:
+    def error_probability_std_err(self, source: str = "centralized") -> float:
+        null, alt = self.under_null[source].declare_h1, self.under_alt[source].declare_h1
+        return 0.5 * math.hypot(null.std_err, alt.std_err)
+
+    def mean_sample_number(self, source: str = "centralized") -> float:
         """Symmetric average of the expected stopping times."""
         return 0.5 * (self.under_null[source].mean_n.value + self.under_alt[source].mean_n.value)
+
+    def mean_sample_number_std_err(self, source: str = "centralized") -> float:
+        null, alt = self.under_null[source].mean_n, self.under_alt[source].mean_n
+        return 0.5 * math.hypot(null.std_err, alt.std_err)
+
+    def truncated_count(self, source: str = "centralized") -> int:
+        return self.under_null[source].mean_n.truncated_count + self.under_alt[source].mean_n.truncated_count
+
+
+def _sequential_trials(dist, nonlinearity, topology, v, detector, size, rng, max_n, node):
+    """Per-statistic stopping slots and decisions of one chunk under one law.
+
+    With node=None every node statistic is tracked; otherwise the columns are
+    the centralized statistic and the one node statistic.  A trial finishes
+    once all of its tracked statistics have left (a_r, b_r).
+    """
+    M, pair_array = topology.M, topology.pair_array
+    eta, a_r, b_r = detector.eta_r, detector.a_r, detector.b_r
+    states = np.zeros((size, M))
+    csum = np.zeros(size)
+    width = M if node is None else 2
+    stops = np.zeros((size, width), dtype=np.int64)
+    decs = np.zeros((size, width), dtype=np.int8)
+
+    def advance(slot: int, alive: np.ndarray) -> np.ndarray:
+        idx = _pair_draws(rng, topology, v, alive.size)
+        t = nonlinearity(dist.sample(rng, (alive.size, M)))
+        states_a = _advance_state(states[alive], t, slot, WeightMode.ACCUMULATING, True, pair_array, idx)
+        states[alive] = states_a
+        shift = slot * M * eta
+        if node is None:
+            values = states_a - shift
+        else:
+            csum[alive] += t.sum(axis=1)
+            values = np.column_stack((csum[alive] - shift, states_a[:, node] - shift))
+        upper = values >= b_r
+        undecided = decs[alive] == _DEC_NONE
+        hit = (upper | (values <= a_r)) & undecided
+        if hit.any():
+            rows, cols = np.nonzero(hit)
+            decs[alive[rows], cols] = np.where(upper[rows, cols], _DEC_H1, _DEC_H0)
+            stops[alive[rows], cols] = slot
+        return ~(undecided & ~hit).any(axis=1)
+
+    _lockstep(size, max_n, advance)
+    return stops, decs
 
 
 def estimate_stopping(
@@ -410,113 +487,29 @@ def estimate_stopping(
     max_n: int,
     node: int = 0,
     threads: int = 1,
-    track_all_nodes: bool = False,
 ) -> SequentialStudy:
     """Stopping times and decisions for the two-threshold sequential test.
 
     Tracks the centralized statistic and one node statistic on the shared
-    sample stream; optionally tracks every node to measure how tightly the
-    individual stopping times cluster.
+    sample stream.
     """
-    M = topology.M
-    pair_array = topology.pair_array
-    J = len(topology.pairs)
-    eta = detector.eta_r
-    a_r, b_r = detector.a_r, detector.b_r
-    tracked_nodes = M if track_all_nodes else 1
-
-    def run_one_hypothesis(dist, size: int, rng: np.random.Generator):
-        states = np.zeros((size, M))
-        csum = np.zeros(size)
-        alive = np.arange(size)
-        stop_c = np.zeros(size, dtype=np.int64)
-        dec_c = np.zeros(size, dtype=np.int8)
-        stop_nodes = np.zeros((size, tracked_nodes), dtype=np.int64)
-        dec_nodes = np.zeros((size, tracked_nodes), dtype=np.int8)
-        slot = 0
-        while alive.size and slot < max_n:
-            slot += 1
-            idx = rng.integers(0, J, size=(alive.size, v)) if (M > 1 and v > 0) else None
-            x = dist.sample(rng, (alive.size, M))
-            t = nonlinearity(x)
-            states_a = _advance_state(states[alive], t, slot, WeightMode.ACCUMULATING, True, pair_array, idx)
-            states[alive] = states_a
-            csum[alive] += t.sum(axis=1)
-
-            shift = slot * M * eta
-            centered_c = csum[alive] - shift
-            undecided = dec_c[alive] == _DEC_NONE
-            hit_h1 = undecided & (centered_c >= b_r)
-            hit_h0 = undecided & (centered_c <= a_r)
-            if hit_h1.any() or hit_h0.any():
-                ids = alive[hit_h1]
-                dec_c[ids] = _DEC_H1
-                stop_c[ids] = slot
-                ids = alive[hit_h0]
-                dec_c[ids] = _DEC_H0
-                stop_c[ids] = slot
-
-            node_stats = states_a - shift if track_all_nodes else (states_a[:, node] - shift)[:, None]
-            undecided_n = dec_nodes[alive] == _DEC_NONE
-            hit_h1_n = undecided_n & (node_stats >= b_r)
-            hit_h0_n = undecided_n & (node_stats <= a_r)
-            if hit_h1_n.any() or hit_h0_n.any():
-                rows, cols = np.nonzero(hit_h1_n)
-                dec_nodes[alive[rows], cols] = _DEC_H1
-                stop_nodes[alive[rows], cols] = slot
-                rows, cols = np.nonzero(hit_h0_n)
-                dec_nodes[alive[rows], cols] = _DEC_H0
-                stop_nodes[alive[rows], cols] = slot
-
-            done = (dec_c[alive] != _DEC_NONE) & (dec_nodes[alive] != _DEC_NONE).all(axis=1)
-            if done.any():
-                alive = alive[~done]
-        return stop_c, dec_c, stop_nodes, dec_nodes
-
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
-        null_out = run_one_hypothesis(model.null, size, rng)
-        alt_out = run_one_hypothesis(model.alt, size, rng)
-        return null_out, alt_out
+        return [
+            _sequential_trials(dist, nonlinearity, topology, v, detector, size, rng, max_n, node)
+            for dist in (model.null, model.alt)
+        ]
 
     results = _run_chunks(trials, seed, threads, worker)
 
-    def collect(which: int) -> tuple[dict[str, SequentialOutcome], np.ndarray]:
-        stop_c = np.concatenate([r[which][0] for r in results])
-        dec_c = np.concatenate([r[which][1] for r in results])
-        stop_nodes = np.concatenate([r[which][2] for r in results], axis=0)
-        dec_nodes = np.concatenate([r[which][3] for r in results], axis=0)
+    def collect(which: int) -> dict[str, SequentialOutcome]:
+        stops = np.concatenate([r[which][0] for r in results])
+        decs = np.concatenate([r[which][1] for r in results])
+        return {
+            source: SequentialOutcome.from_trials(stops[:, col], decs[:, col])
+            for col, source in enumerate(("centralized", "node"))
+        }
 
-        outcomes = {}
-        ok = dec_c != _DEC_NONE
-        outcomes["centralized"] = SequentialOutcome(
-            mean_n=Estimate.from_samples(stop_c[ok], truncated=int((~ok).sum())),
-            declare_h1=Estimate.from_bernoulli(int((dec_c == _DEC_H1).sum()), int(ok.sum()), int((~ok).sum())),
-        )
-        first_col = dec_nodes[:, 0]
-        ok_n = first_col != _DEC_NONE
-        outcomes["node"] = SequentialOutcome(
-            mean_n=Estimate.from_samples(stop_nodes[ok_n, 0], truncated=int((~ok_n).sum())),
-            declare_h1=Estimate.from_bernoulli(int((first_col == _DEC_H1).sum()), int(ok_n.sum()), int((~ok_n).sum())),
-        )
-        spread = np.array([])
-        if track_all_nodes:
-            full = (dec_nodes != _DEC_NONE).all(axis=1)
-            if full.any():
-                times = stop_nodes[full]
-                spans = times.max(axis=1) - times.min(axis=1)
-                means = times.mean(axis=1)
-                spread = spans / np.maximum(means, 1.0)
-        return outcomes, spread
-
-    under_null, _ = collect(0)
-    under_alt, spread = collect(1)
-    spread_est = Estimate.from_samples(spread) if track_all_nodes and spread.size else None
-    return SequentialStudy(
-        detector=detector,
-        under_null=under_null,
-        under_alt=under_alt,
-        node_spread_ratio=spread_est,
-    )
+    return SequentialStudy(under_null=collect(0), under_alt=collect(1))
 
 
 def node_stopping_spread(
@@ -532,42 +525,13 @@ def node_stopping_spread(
     threads: int = 1,
 ) -> np.ndarray:
     """Per-trial relative spread of the per-node stopping times, under H1."""
-    M = topology.M
-    pair_array = topology.pair_array
-    J = len(topology.pairs)
-    eta, a_r, b_r = detector.eta_r, detector.a_r, detector.b_r
-
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
-        states = np.zeros((size, M))
-        alive = np.arange(size)
-        stop_nodes = np.zeros((size, M), dtype=np.int64)
-        dec_nodes = np.zeros((size, M), dtype=np.int8)
-        slot = 0
-        while alive.size and slot < max_n:
-            slot += 1
-            idx = rng.integers(0, J, size=(alive.size, v)) if (M > 1 and v > 0) else None
-            x = model.alt.sample(rng, (alive.size, M))
-            t = nonlinearity(x)
-            states_a = _advance_state(states[alive], t, slot, WeightMode.ACCUMULATING, True, pair_array, idx)
-            states[alive] = states_a
-            node_stats = states_a - slot * M * eta
-            undecided = dec_nodes[alive] == _DEC_NONE
-            for code, hit in ((_DEC_H1, node_stats >= b_r), (_DEC_H0, node_stats <= a_r)):
-                rows, cols = np.nonzero(undecided & hit)
-                dec_nodes[alive[rows], cols] = code
-                stop_nodes[alive[rows], cols] = slot
-            done = (dec_nodes[alive] != _DEC_NONE).all(axis=1)
-            if done.any():
-                alive = alive[~done]
-        return stop_nodes, dec_nodes
+        return _sequential_trials(model.alt, nonlinearity, topology, v, detector, size, rng, max_n, None)
 
     results = _run_chunks(trials, seed, threads, worker)
     stops = np.concatenate([r[0] for r in results], axis=0)
     decs = np.concatenate([r[1] for r in results], axis=0)
-    full = (decs != _DEC_NONE).all(axis=1)
-    times = stops[full]
-    if times.size == 0:
-        return np.array([])
+    times = stops[(decs != _DEC_NONE).all(axis=1)]
     return (times.max(axis=1) - times.min(axis=1)) / times.mean(axis=1)
 
 
@@ -575,12 +539,13 @@ def node_stopping_spread(
 # CUSUM run lengths (false-alarm intervals and detection delays)
 # ---------------------------------------------------------------------------
 
-def _sum_llr_sampler(model: HypothesisModel, under: str, M: int):
-    """Sampler of the per-slot summed log-likelihood-ratio increment.
+def _llr_sampler(model: HypothesisModel, under: str, dof: int):
+    """Sampler of log-likelihood-ratio increments, each summed over dof sensors.
 
+    dof is M for the fusion-center sum and 1 for one sensor's own increment.
     Zero-mean Gaussian pairs admit an exact sufficient form: the summed
-    increment is affine in a chi-square draw with M degrees of freedom.
-    Anything else falls back to sampling M raw values per slot.
+    increment is affine in a chi-square draw with dof degrees of freedom.
+    Anything else falls back to sampling dof raw values per increment.
     """
     dist = model.null if under == "null" else model.alt
     null, alt = model.null, model.alt
@@ -594,41 +559,15 @@ def _sum_llr_sampler(model: HypothesisModel, under: str, M: int):
         b = 0.5 * (1.0 / null.variance - 1.0 / alt.variance)
         scale = b * dist.variance
 
-        def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-            return M * a + scale * rng.chisquare(float(M), size)
-
-        return sampler
-
-    llr = llr_nonlinearity(model)
-
-    def sampler(rng: np.random.Generator, size: int) -> np.ndarray:
-        return llr(dist.sample(rng, (size, M))).sum(axis=1)
-
-    return sampler
-
-
-def _per_sensor_llr_sampler(model: HypothesisModel, under: str):
-    dist = model.null if under == "null" else model.alt
-    null, alt = model.null, model.alt
-    if (
-        isinstance(null, Gaussian)
-        and isinstance(alt, Gaussian)
-        and null.mean == 0.0
-        and alt.mean == 0.0
-    ):
-        a = -0.5 * math.log(alt.variance / null.variance)
-        b = 0.5 * (1.0 / null.variance - 1.0 / alt.variance)
-        scale = b * dist.variance
-
         def sampler(rng: np.random.Generator, shape) -> np.ndarray:
-            return a + scale * rng.chisquare(1.0, shape)
+            return dof * a + scale * rng.chisquare(float(dof), shape)
 
         return sampler
 
     llr = llr_nonlinearity(model)
 
     def sampler(rng: np.random.Generator, shape) -> np.ndarray:
-        return llr(dist.sample(rng, shape))
+        return llr(dist.sample(rng, (*shape, dof))).sum(axis=-1)
 
     return sampler
 
@@ -661,113 +600,51 @@ def page_run_lengths(
         raise ValueError("running mode needs a topology")
     if mode == "running":
         M = topology.M
+    draw = _llr_sampler(model, under, M if mode == "centralized" else 1)
 
-    if mode in ("centralized", "single"):
-        eff_m = M if mode == "centralized" else 1
-        sampler = _sum_llr_sampler(model, under, eff_m)
-
-        def worker(chunk_index: int, size: int, rng: np.random.Generator):
+    def worker(chunk_index: int, size: int, rng: np.random.Generator):
+        if mode in ("centralized", "single"):
             cusum = np.zeros(size)
-            alive = np.arange(size)
-            stop = np.zeros(size, dtype=np.int64)
-            slot = 0
-            while alive.size and slot < max_n:
-                slot += 1
-                cusum_a = np.maximum(0.0, cusum[alive] + sampler(rng, alive.size))
+
+            def advance(slot: int, alive: np.ndarray) -> np.ndarray:
+                cusum_a = np.maximum(0.0, cusum[alive] + draw(rng, (alive.size,)))
                 cusum[alive] = cusum_a
-                crossed = cusum_a >= gamma
-                if crossed.any():
-                    stop[alive[crossed]] = slot
-                    alive = alive[~crossed]
-            return stop
+                return cusum_a >= gamma
 
-    elif mode == "bank":
-        sampler = _per_sensor_llr_sampler(model, under)
-
-        def worker(chunk_index: int, size: int, rng: np.random.Generator):
+        elif mode == "bank":
             cusums = np.zeros((size, M))
-            alive = np.arange(size)
-            stop = np.zeros(size, dtype=np.int64)
-            slot = 0
-            while alive.size and slot < max_n:
-                slot += 1
-                block = np.maximum(0.0, cusums[alive] + sampler(rng, (alive.size, M)))
+
+            def advance(slot: int, alive: np.ndarray) -> np.ndarray:
+                block = np.maximum(0.0, cusums[alive] + draw(rng, (alive.size, M)))
                 cusums[alive] = block
-                crossed = (block >= gamma).any(axis=1)
-                if crossed.any():
-                    stop[alive[crossed]] = slot
-                    alive = alive[~crossed]
-            return stop
+                return (block >= gamma).any(axis=1)
 
-    else:  # running consensus
-        sampler = _per_sensor_llr_sampler(model, under)
-        pair_array = topology.pair_array
-        J = len(topology.pairs)
+        else:  # running consensus: gossip the updated statistic, then reset
+            states, pair_array = np.zeros((size, M)), topology.pair_array
 
-        def worker(chunk_index: int, size: int, rng: np.random.Generator):
-            states = np.zeros((size, M))
-            alive = np.arange(size)
-            stop = np.zeros(size, dtype=np.int64)
-            slot = 0
-            while alive.size and slot < max_n:
-                slot += 1
-                idx = rng.integers(0, J, size=(alive.size, v)) if (M > 1 and v > 0) else None
-                updated = states[alive] + M * sampler(rng, (alive.size, M))
+            def advance(slot: int, alive: np.ndarray) -> np.ndarray:
+                idx = _pair_draws(rng, topology, v, alive.size)
+                updated = states[alive] + M * draw(rng, (alive.size, M))
                 if idx is not None:
                     _gossip_batch(updated, pair_array, idx)
                 updated = np.maximum(0.0, updated)
                 states[alive] = updated
-                crossed = updated[:, node] >= gamma
-                if crossed.any():
-                    stop[alive[crossed]] = slot
-                    alive = alive[~crossed]
-            return stop
+                return updated[:, node] >= gamma
 
-    results = _run_chunks(trials, seed, threads, worker)
-    return np.concatenate(results)
+        return _lockstep(size, max_n, advance)
+
+    return np.concatenate(_run_chunks(trials, seed, threads, worker))
 
 
-def estimate_page_run_length(
-    model: HypothesisModel,
-    mode: str,
-    gamma: float,
-    M: int,
-    trials: int,
-    seed: int,
-    *,
-    under: str = "null",
-    max_n: int,
-    topology: NetworkTopology | None = None,
-    v: int = 1,
-    node: int = 0,
-    threads: int = 1,
-) -> Estimate:
-    """Mean first-crossing slot; truncated trials counted but excluded."""
-    stops = page_run_lengths(
-        model, mode, gamma, M, trials, seed,
-        under=under, max_n=max_n, topology=topology, v=v, node=node, threads=threads,
-    )
-    finished = stops > 0
-    return Estimate.from_samples(stops[finished], truncated=int((~finished).sum()))
+def estimate_page_run_length(*args, **kwargs) -> Estimate:
+    """Mean first-crossing slot of :func:`page_run_lengths` (same arguments);
+    truncated trials counted but excluded."""
+    return Estimate.from_run_lengths(page_run_lengths(*args, **kwargs))
 
 
 # ---------------------------------------------------------------------------
 # Classic probability-ratio sequential test (fusion-center baseline)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SprtStudy:
-    under_null: SequentialOutcome
-    under_alt: SequentialOutcome
-
-    def error_probability(self) -> float:
-        p_f = self.under_null.declare_h1.value
-        p_d = self.under_alt.declare_h1.value
-        return 0.5 * (p_f + (1.0 - p_d))
-
-    def mean_sample_number(self) -> float:
-        return 0.5 * (self.under_null.mean_n.value + self.under_alt.mean_n.value)
-
 
 def estimate_sprt_stopping(
     model: HypothesisModel,
@@ -779,53 +656,41 @@ def estimate_sprt_stopping(
     *,
     max_n: int,
     threads: int = 1,
-) -> SprtStudy:
+) -> SequentialStudy:
     """Exact log-likelihood-ratio test with the classic threshold pair.
 
     The cumulative ratio over all M per-slot samples is compared against
-    log(p_d/p_f) above and log((1-p_d)/(1-p_f)) below.
+    log(p_d/p_f) above and log((1-p_d)/(1-p_f)) below.  Its one statistic
+    source is the fusion center's, "centralized".
     """
     upper = math.log(p_d / p_f)
     lower = math.log((1.0 - p_d) / (1.0 - p_f))
 
     def run(under: str, size: int, rng: np.random.Generator):
-        sampler = _sum_llr_sampler(model, under, M)
+        draw = _llr_sampler(model, under, M)
         total = np.zeros(size)
-        alive = np.arange(size)
-        stop = np.zeros(size, dtype=np.int64)
-        dec = np.zeros(size, dtype=np.int8)
-        slot = 0
-        while alive.size and slot < max_n:
-            slot += 1
-            total_a = total[alive] + sampler(rng, alive.size)
+
+        def advance(slot: int, alive: np.ndarray) -> np.ndarray:
+            total_a = total[alive] + draw(rng, (alive.size,))
             total[alive] = total_a
-            hit_h1 = total_a >= upper
-            hit_h0 = total_a <= lower
-            if hit_h1.any() or hit_h0.any():
-                ids = alive[hit_h1]
-                dec[ids] = _DEC_H1
-                stop[ids] = slot
-                ids = alive[hit_h0]
-                dec[ids] = _DEC_H0
-                stop[ids] = slot
-                alive = alive[dec[alive] == _DEC_NONE]
-        return stop, dec
+            return (total_a >= upper) | (total_a <= lower)
+
+        stop = _lockstep(size, max_n, advance)
+        # a stopped trial's total keeps the value that crossed a barrier
+        return stop, np.where(stop == 0, _DEC_NONE, np.where(total >= upper, _DEC_H1, _DEC_H0))
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
         return run("null", size, rng), run("alt", size, rng)
 
     results = _run_chunks(trials, seed, threads, worker)
 
-    def collect(which: int) -> SequentialOutcome:
-        stop = np.concatenate([r[which][0] for r in results])
-        dec = np.concatenate([r[which][1] for r in results])
-        ok = dec != _DEC_NONE
-        return SequentialOutcome(
-            mean_n=Estimate.from_samples(stop[ok], truncated=int((~ok).sum())),
-            declare_h1=Estimate.from_bernoulli(int((dec == _DEC_H1).sum()), int(ok.sum()), int((~ok).sum())),
-        )
+    def collect(which: int) -> dict[str, SequentialOutcome]:
+        return {"centralized": SequentialOutcome.from_trials(
+            np.concatenate([r[which][0] for r in results]),
+            np.concatenate([r[which][1] for r in results]),
+        )}
 
-    return SprtStudy(under_null=collect(0), under_alt=collect(1))
+    return SequentialStudy(under_null=collect(0), under_alt=collect(1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate as si
 
 from runcons.analysis import (
+    CUSUM_FAMILIES,
     BoundVariant,
     bank_delay,
     centralized_delay_at_rate,
@@ -16,7 +18,7 @@ from runcons.analysis import (
     fss_asymptotic_pd,
     g_factor,
     moment_bound_constants,
-    page_operating_characteristics,
+    operating_point,
     relative_efficiencies,
     relative_efficiencies_large_gamma,
     sequential_asymptotics,
@@ -205,14 +207,32 @@ def test_single_sensor_rate_is_centralized_over_m():
 
 
 def test_operating_points_families_and_monotonicity():
-    points = page_operating_characteristics([1.0, 2.0, 3.0], 10, 1e-3, 1.2e-3)
-    families = {p.family for p in points}
-    assert families == {"centralized", "single"}
-    acc = [p for p in points if p.family == "centralized" and p.approximation == "accurate"]
-    rates = [p.false_alarm_rate for p in acc]
-    delays = [p.delay for p in acc]
-    assert all(a > b for a, b in zip(rates, rates[1:]))
-    assert all(a < b for a, b in zip(delays, delays[1:]))
+    M, d01, d10, var1 = 10, 1e-3, 1.2e-3, 2.4e-3
+    gammas = [1.0, 2.0, 3.0]
+    for family in CUSUM_FAMILIES:
+        points = [operating_point(family, g, M, d01, d10, var1) for g in gammas]
+        assert all(p.family == family for p in points)
+        for rates in ([p.rate_accurate for p in points], [p.rate_large_gamma for p in points]):
+            assert all(a > b for a, b in zip(rates, rates[1:]))
+        for delays in ([p.delay_accurate for p in points], [p.delay_large_gamma for p in points]):
+            assert all(a < b for a, b in zip(delays, delays[1:]))
+    # running consensus is credited with the fusion-center laws, a lone
+    # sensor with the one-sensor laws, the bank with the survival integral
+    g = 2.0
+    central = operating_point("centralized", g, M, d01, d10, var1)
+    running = operating_point("running", g, M, d01, d10, var1)
+    single = operating_point("single", g, M, d01, d10, var1)
+    bank = operating_point("bank", g, M, d01, d10, var1)
+    assert running == replace(central, family="running")
+    assert single.rate_accurate == pytest.approx(float(false_alarm_rate_accurate(g, 1, d01)), rel=1e-12)
+    assert single.delay_accurate == pytest.approx(float(delay_accurate(g, 1, d10)), rel=1e-12)
+    assert bank.rate_accurate == central.rate_accurate
+    assert bank.delay_accurate == bank_delay(g, M, d10, var1).integral
+    assert bank.delay_large_gamma == bank_delay(g, M, d10, var1).castillo
+    with pytest.raises(ValueError):
+        operating_point("centralized", 0.0, M, d01, d10, var1)
+    with pytest.raises(ValueError):
+        operating_point("nonsense", g, M, d01, d10, var1)
 
 
 def test_threshold_inversion_round_trip():

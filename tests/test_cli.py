@@ -330,3 +330,46 @@ def test_csv_floats_have_12_significant_digits():
     assert cli.format_cell(123456789.123456) == "123456789.123"
     assert cli.format_cell(2) == "2"
     assert cli.format_cell(None) == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["change", "fig_sim2.scn"],
+    ["fss", "fig_fss3.scn"],
+    ["sequential", "fig_nmed_gauss.scn"],
+    ["reproduce", "fig:sim2"],
+    ["reproduce", "fig:FSS3"],
+    ["reproduce", "fig:PerrGauss"],
+], ids=["change", "fss", "sequential", "reproduce-sim2", "reproduce-FSS3", "reproduce-PerrGauss"])
+def test_node_out_of_range_exits_2_before_any_output(command, tmp_path, monkeypatch, capsys):
+    if command[0] != "reproduce":
+        command = [command[0], os.path.join(os.path.dirname(cli.__file__), "scenarios", command[1])]
+    code = run_cli([*command, "--trials", "20", "--set", "detector.node=50"], tmp_path, monkeypatch)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "detector.node" in captured.err and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--trials", "0"], "montecarlo.trials"),
+    (["--set", "experiment.gamma_list=1.5,-1"], "gamma_list"),
+    (["--set", "experiment.gamma_list=0"], "gamma_list"),
+    (["--set", "experiment.families=centralized,nonsense"], "family"),
+    (["--set", "experiment.measure=nonsense"], "measure"),
+], ids=["zero-trials", "negative-gamma", "zero-gamma", "unknown-family", "unknown-measure"])
+def test_change_validation_errors_exit_2_before_any_output(extra, message, tmp_path, monkeypatch, capsys):
+    scenario = tmp_path / "in" / "change.scn"
+    scenario.parent.mkdir()
+    scenario.write_text(MINIMAL_CHANGE)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(["change", str(scenario), *extra], out, monkeypatch) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
+    code = run_cli(["reproduce", "fig:RE1", "--set", "experiment.rate_list=1e-4,0"], tmp_path, monkeypatch)
+    assert code == 2
+    assert "rate_list" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

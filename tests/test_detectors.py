@@ -1,3 +1,8 @@
+"""Decision rules: the test designs of `runcons.detectors`, and the crossing,
+reset and truncation rules of every detector as the Monte Carlo engines of
+`runcons.montecarlo` apply them.
+"""
+
 import math
 
 import numpy as np
@@ -5,32 +10,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from runcons.detectors import (
-    CENTRALIZED,
-    ChangeDetectionResult,
-    Decision,
-    FssDetector,
-    PageBank,
-    PageDetector,
-    PageMode,
     SequentialDetector,
-    centralized_statistic,
     continuous_time_thresholds,
-    fss_decide,
     fss_threshold,
-    node_source,
-    page_step,
-    run_change_detection,
     sequential_design,
-    sequential_run,
+)
+from runcons.montecarlo import (
+    Estimate,
+    _llr_sampler,
+    chunk_rng,
+    estimate_error_probabilities,
+    estimate_stopping,
+    page_run_lengths,
 )
 from runcons.network import full_ring
 from runcons.stats import (
     Identity,
     gaussian_shift_model,
+    kl_divergence,
+    mixture_shift_model,
     moments,
     q_inverse,
     variance_change_model,
 )
+
+FAMILIES = ("centralized", "running", "bank", "single")
+
+
+def _constant(value):
+    """Nonlinearity mapping every observation to the same value."""
+    return lambda x: np.full(np.shape(x), float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -52,21 +61,32 @@ def test_fss_threshold_gaussian_value():
 
 
 def test_fss_decide_threshold_rules():
-    detector = FssDetector(sample_count=5, threshold=-math.inf)
-    assert fss_decide(-1e9, detector) is Decision.H1  # everything crosses
-    detector = FssDetector(sample_count=5, threshold=2.0)
-    assert fss_decide(1.999, detector) is Decision.H0
-    assert fss_decide(2.0, detector) is Decision.H1  # closed crossing
+    # every statistic is exactly 0: a threshold at 0 is crossed (closed
+    # crossing), the next float above it is not
+    model = gaussian_shift_model(1.0, theta=0.3)
+    top = full_ring(3)
+    for threshold, expected in ((0.0, 1.0), (math.nextafter(0.0, 1.0), 0.0)):
+        study = estimate_error_probabilities(model, _constant(0.0), top, 2, 4, threshold, 50, 3)
+        for rates in (study.p_f, study.p_d):
+            assert rates["centralized"].value == expected
+            assert rates["node"].value == expected
 
 
 def test_centralized_statistic_sums_everything():
-    values = np.arange(12, dtype=float).reshape(3, 4)
-    assert centralized_statistic(values) == pytest.approx(values.sum())
+    # t = 1 everywhere: the centralized sum over n slots and M sensors is n M,
+    # and the accumulating node statistic tracks it exactly
+    model = gaussian_shift_model(1.0, theta=0.3)
+    n, top = 5, full_ring(3)
+    at = estimate_error_probabilities(model, _constant(1.0), top, 1, n, float(n * 3), 50, 4)
+    above = estimate_error_probabilities(model, _constant(1.0), top, 1, n, n * 3 + 1e-9, 50, 4)
+    assert at.p_d["centralized"].value == 1.0 and at.p_d["node"].value == 1.0
+    assert above.p_d["centralized"].value == 0.0 and above.p_d["node"].value == 0.0
 
 
 def test_fss_detector_validation():
-    with pytest.raises(ValueError):
-        FssDetector(sample_count=0, threshold=1.0)
+    model = gaussian_shift_model(1.0, theta=0.3)
+    with pytest.raises(ValueError, match="sample count"):
+        estimate_error_probabilities(model, Identity(), full_ring(3), 1, 0, 1.0, 10, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -108,97 +128,144 @@ def test_sequential_design_rejects_bad_error_pair():
         _gaussian_detector(0.5, 0.5, 10.0, 2)
 
 
+def _stopping(nonlinearity, detector, max_n, trials=40, seed=5):
+    model = gaussian_shift_model(1.0, theta=0.2)
+    return estimate_stopping(
+        model, nonlinearity, full_ring(detector.M), 1, detector, trials, seed, max_n=max_n
+    )
+
+
 def test_sequential_run_immediate_crossing():
     det = SequentialDetector(r=1.0, M=1, eta_r=0.0, a_r=-1e-9, b_r=1e-9)
-    decision, n = sequential_run([0.5, 0.7], det, max_n=10)
-    assert decision is Decision.H1 and n == 1
+    study = _stopping(_constant(0.5), det, max_n=10)
+    for outcomes in (study.under_null, study.under_alt):
+        for source in ("centralized", "node"):
+            assert outcomes[source].mean_n.value == 1.0
+            assert outcomes[source].declare_h1.value == 1.0
 
 
 def test_sequential_run_truncation_is_a_result():
     det = SequentialDetector(r=1.0, M=1, eta_r=0.0, a_r=-100.0, b_r=100.0)
-    decision, n = sequential_run([0.0] * 5, det, max_n=5)
-    assert decision is Decision.TRUNCATED and n == 5
+    study = _stopping(_constant(0.0), det, max_n=5, trials=30)
+    for outcomes in (study.under_null, study.under_alt):
+        for source in ("centralized", "node"):
+            assert outcomes[source].mean_n.count == 0
+            assert outcomes[source].mean_n.truncated_count == 30
+            assert outcomes[source].declare_h1.truncated_count == 30
 
 
 def test_sequential_run_translation_invariance():
-    rng = np.random.default_rng(4)
-    values = np.cumsum(rng.standard_normal(500))
-    det = SequentialDetector(r=1.0, M=1, eta_r=0.0, a_r=-5.0, b_r=7.0)
-    base = sequential_run(values, det, max_n=500)
-    shift = 11.5
-    det_shifted = SequentialDetector(r=1.0, M=1, eta_r=0.0, a_r=-5.0 + shift, b_r=7.0 + shift)
-    shifted = sequential_run(values + shift, det_shifted, max_n=500)
-    assert base == shifted
+    # adding c to every t(x) and to eta_r leaves the centered statistics, and
+    # so every stopping time and decision, unchanged
+    det = SequentialDetector(r=1.0, M=3, eta_r=0.1, a_r=-5.0, b_r=7.0)
+    shift = 0.25
+    det_shifted = SequentialDetector(r=1.0, M=3, eta_r=0.1 + shift, a_r=-5.0, b_r=7.0)
+    base = _stopping(Identity(), det, max_n=5000, trials=300)
+    shifted = _stopping(lambda x: np.asarray(x, dtype=float) + shift, det_shifted, max_n=5000, trials=300)
+    assert base.under_null == shifted.under_null
+    assert base.under_alt == shifted.under_alt
+    assert base.under_alt["node"].mean_n.value > 2.0
 
 
 def test_sequential_run_matches_barrier_signs():
     det = SequentialDetector(r=1.0, M=2, eta_r=0.5, a_r=-2.0, b_r=2.0)
-    # centered path T_n - n: slot 1 gives -1.0 (inside), slot 2 gives -3.5
-    decision, n = sequential_run([0.0, -1.5, -3.0], det, max_n=10)
-    assert (decision, n) == (Decision.H0, 2)
+    # t = 0: the centered path is -n M eta_r = -n, inside at slot 1, on the
+    # lower barrier at slot 2
+    study = _stopping(_constant(0.0), det, max_n=10)
+    for outcomes in (study.under_null, study.under_alt):
+        for source in ("centralized", "node"):
+            assert outcomes[source].mean_n.value == 2.0
+            assert outcomes[source].declare_h1.value == 0.0
+    # a horizon of one slot truncates before the crossing
+    assert _stopping(_constant(0.0), det, max_n=1).under_alt["node"].mean_n.truncated_count == 40
 
 
 # ---------------------------------------------------------------------------
-# CUSUM state machines
+# CUSUM families (montecarlo.page_run_lengths)
 # ---------------------------------------------------------------------------
+
+def _reset_recursion(increments, gamma):
+    """Alarm slot of S_n = max(0, S_{n-1} + z_n) per column, 0 if none; and resets."""
+    stat = np.zeros(increments.shape[1])
+    first = np.zeros(increments.shape[1], dtype=int)
+    resets = 0
+    for n, z in enumerate(increments, start=1):
+        stat = np.maximum(0.0, stat + z)
+        resets += int((stat == 0.0).sum())
+        first[(first == 0) & (stat >= gamma)] = n
+    return first, resets
+
+
+def _replayed_increments(model, family, M, under, seed, slots):
+    """The increments a one-trial chunk of the engine draws, slot by slot."""
+    dof, width = {"centralized": (M, 1), "single": (1, 1), "bank": (1, M)}[family]
+    draw = _llr_sampler(model, under, dof)
+    rng = chunk_rng(seed, 0)
+    return np.array([draw(rng, (1, width))[0] for _ in range(slots)])
+
 
 def test_page_step_reset_rule():
-    det = PageDetector(gamma=4.0)
-    page_step(det, -1.0)
-    assert det.cusum == 0.0
-    page_step(det, 2.0)
-    page_step(det, 3.0)
-    assert det.cusum == pytest.approx(5.0)
-    assert det.cusum >= det.gamma
+    # one trial per run, replayed from the engine's own stream: the alarm
+    # slot is that of the reset-at-zero recursion, and the bank's is its
+    # first sensor's
+    model = variance_change_model(1.0, 1.5)
+    M, gamma, total_resets = 3, 2.5, 0
+    for family in ("centralized", "single", "bank"):
+        for seed in range(6):
+            stop = page_run_lengths(model, family, gamma, M, 1, seed, max_n=5000)
+            increments = _replayed_increments(model, family, M, "null", seed, int(stop[0]))
+            first, resets = _reset_recursion(increments, gamma)
+            assert stop[0] > 0 and stop[0] == first[first > 0].min()
+            total_resets += resets
+    assert total_resets > 0
 
 
 @settings(max_examples=30, deadline=None)
-@given(increments=st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=60))
-def test_page_cusum_never_negative(increments):
-    det = PageDetector(gamma=1.0)
-    for inc in increments:
-        page_step(det, inc)
-        assert det.cusum >= 0.0
+@given(
+    family=st.sampled_from(FAMILIES),
+    gamma=st.floats(min_value=-5.0, max_value=0.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+    under=st.sampled_from(["null", "alt"]),
+)
+def test_page_cusum_never_negative(family, gamma, seed, under):
+    # a statistic reset at zero is never below a threshold gamma <= 0
+    model = variance_change_model(1.0, 1.5)
+    stops = page_run_lengths(
+        model, family, gamma, 4, 20, seed, under=under, max_n=10, topology=full_ring(4), v=2
+    )
+    assert (stops == 1).all()
 
 
 def test_page_bank_minimum_semantics():
-    bank = PageBank(M=3, gamma=2.0)
-    assert not bank.step(np.array([1.0, -1.0, 0.5]))
-    assert (bank.cusums >= 0.0).all()
-    assert bank.step(np.array([1.5, 0.0, 0.0]))  # filter 0 reaches 2.5
+    # a one-sensor bank is the single-sensor detector, trial by trial
+    model = variance_change_model(1.0, 1.3)
+    for under in ("null", "alt"):
+        bank = page_run_lengths(model, "bank", 2.0, 1, 300, 8, under=under, max_n=10**5)
+        single = page_run_lengths(model, "single", 2.0, 1, 300, 8, under=under, max_n=10**5)
+        assert np.array_equal(bank, single) and bank.min() > 0
 
 
 def test_zero_threshold_alarms_immediately():
     model = variance_change_model(1.0, 2.0)
-    result = run_change_detection(
-        model, PageMode.CENTRALIZED_ALL_SENSORS, 0.0, None, 100,
-        np.random.default_rng(0), M=3,
-    )
-    assert result.alarm_time == 1 and result.is_false_alarm and not result.truncated
+    for family in FAMILIES:
+        stops = page_run_lengths(model, family, 0.0, 3, 50, 0, max_n=100, topology=full_ring(3))
+        assert (stops == 1).all(), family
 
 
 def test_change_detection_truncation_reported():
     model = variance_change_model(1.0, 1.0001)
-    result = run_change_detection(
-        model, PageMode.CENTRALIZED_ALL_SENSORS, 1e6, None, 50,
-        np.random.default_rng(0), M=2,
-    )
-    assert result.truncated and result.alarm_time == 50
+    for family in FAMILIES:
+        stops = page_run_lengths(model, family, 1e6, 2, 40, 0, max_n=50, topology=full_ring(2))
+        assert (stops == 0).all(), family
+        est = Estimate.from_run_lengths(stops)
+        assert est.count == 0 and est.truncated_count == 40
 
 
 def test_single_node_running_equals_centralized_trial_by_trial():
     model = variance_change_model(1.0, 1.3)
-    top = full_ring(1)
-    for trial in range(30):
-        a = run_change_detection(
-            model, PageMode.CENTRALIZED_ALL_SENSORS, 3.0, None, 10_000,
-            np.random.default_rng((9, trial)), M=1,
-        )
-        b = run_change_detection(
-            model, PageMode.RUNNING_CONSENSUS_NODE, 3.0, None, 10_000,
-            np.random.default_rng((9, trial)), topology=top, v=3,
-        )
-        assert a.alarm_time == b.alarm_time
+    a = page_run_lengths(model, "centralized", 3.0, 1, 300, 9, max_n=10_000)
+    b = page_run_lengths(model, "running", 3.0, 1, 300, 9, max_n=10_000, topology=full_ring(1), v=3)
+    assert np.array_equal(a, b) and a.min() > 0
 
 
 def test_two_node_full_averaging_keeps_states_identical():
@@ -206,59 +273,48 @@ def test_two_node_full_averaging_keeps_states_identical():
     # statistics coincide and either node alarms at the same slot
     model = variance_change_model(1.0, 1.5)
     top = full_ring(2)
-    for trial in range(10):
-        a = run_change_detection(
-            model, PageMode.RUNNING_CONSENSUS_NODE, 4.0, None, 10_000,
-            np.random.default_rng((5, trial)), topology=top, v=1, node=0,
-        )
-        b = run_change_detection(
-            model, PageMode.RUNNING_CONSENSUS_NODE, 4.0, None, 10_000,
-            np.random.default_rng((5, trial)), topology=top, v=1, node=1,
-        )
-        assert a.alarm_time == b.alarm_time
+    a = page_run_lengths(model, "running", 4.0, 2, 200, 5, max_n=10_000, topology=top, v=1, node=0)
+    b = page_run_lengths(model, "running", 4.0, 2, 200, 5, max_n=10_000, topology=top, v=1, node=1)
+    assert np.array_equal(a, b) and a.min() > 0
 
 
 def test_change_time_splits_false_alarms_from_detections():
+    # under="null" runs pre-change data only (false alarms), under="alt"
+    # starts at the change (detections): the delay is far shorter
     model = variance_change_model(1.0, 4.0)
-    rng = np.random.default_rng(123)
-    result = run_change_detection(model, PageMode.CENTRALIZED_ALL_SENSORS, 5.0, 1, 10_000, rng, M=4)
-    assert not result.is_false_alarm and result.alarm_time >= 1
+    false_alarm = page_run_lengths(model, "centralized", 5.0, 4, 400, 123, under="null", max_n=10**6)
+    delay = page_run_lengths(model, "centralized", 5.0, 4, 400, 123, under="alt", max_n=10**6)
+    assert false_alarm.min() > 0 and delay.min() > 0
+    assert delay.mean() < 0.1 * false_alarm.mean()
 
 
 def test_bank_mode_runs_disjoint_streams():
+    # each filter of the bank sees its own sensor: its alarm is the first of
+    # M independent single-sensor crossings, so it comes sooner than one
+    # sensor's alone
     model = variance_change_model(1.0, 2.0)
-    result = run_change_detection(
-        model, PageMode.BANK, 3.0, 1, 100_000, np.random.default_rng(77), M=5,
-    )
-    assert result.alarm_time >= 1 and not result.truncated
+    bank = page_run_lengths(model, "bank", 3.0, 5, 2000, 77, under="alt", max_n=100_000)
+    single = page_run_lengths(model, "single", 3.0, 5, 2000, 78, under="alt", max_n=100_000)
+    assert bank.min() > 0 and single.min() > 0
+    assert bank.mean() < single.mean()
 
 
 def test_negative_drift_under_null_resets_dominate():
-    # pre-change increments have negative mean, so the statistic keeps
-    # touching zero: across a long run the reset state must recur often
-    model = variance_change_model(1.0, 1.065024)
-    det = PageDetector(gamma=math.inf)
-    rng = np.random.default_rng(1)
-    from runcons.stats import llr_nonlinearity
-
-    llr = llr_nonlinearity(model)
-    resets = 0
-    increments = []
+    # pre-change increments have mean -dof * D(f0 || f1), for the chi-square
+    # form of the sampler and its raw-sample fallback alike, so the statistic
+    # keeps touching zero: across a long run the reset state recurs often
     slots = 20_000
-    for _ in range(slots):
-        x = model.null.sample(rng, 10)
-        inc = float(llr(x).sum())
-        increments.append(inc)
-        page_step(det, inc)
-        resets += det.cusum == 0.0
-    from runcons.stats import kl_divergence
-
-    drift = np.mean(increments)
-    se = np.std(increments) / math.sqrt(slots)
-    assert drift == pytest.approx(-10 * kl_divergence(model.null, model.alt), abs=4 * se)
+    cases = [
+        (variance_change_model(1.0, 1.065024), 10),  # chi-square form, fusion sum
+        (variance_change_model(1.0, 1.065024), 1),  # chi-square form, one sensor
+        (gaussian_shift_model(1.0, theta=0.5), 4),  # raw-sample fallback
+        (mixture_shift_model(0.3, 1.0, 25.0, theta=0.5), 1),
+    ]
+    for model, dof in cases:
+        increments = _llr_sampler(model, "null", dof)(np.random.default_rng(1), (slots, 1))
+        se = increments.std() / math.sqrt(slots)
+        expected = -dof * kl_divergence(model.null, model.alt)
+        assert increments.mean() == pytest.approx(expected, abs=4 * se), dof
+    fusion = _llr_sampler(cases[0][0], "null", 10)(np.random.default_rng(1), (slots, 1))
+    _, resets = _reset_recursion(fusion, math.inf)
     assert resets > 0.08 * slots
-
-
-def test_statistic_source_helpers():
-    assert CENTRALIZED.node == 0
-    assert node_source(3).node == 3

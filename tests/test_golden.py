@@ -1,0 +1,105 @@
+"""Byte identity of every CSV the command line writes, pinned by SHA-256.
+
+Each case runs the CLI into a fresh directory and hashes every file it leaves
+there.  The expected hashes live in ``golden_hashes.json`` beside this file.
+A change that is meant to alter the bytes (a new sampler, say) re-baselines
+by pasting the hashes that the failure message prints into that file.
+"""
+
+import hashlib
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from runcons import cli
+
+HASH_FILE = Path(__file__).with_name("golden_hashes.json")
+SCENARIOS = Path(cli.__file__).with_name("scenarios")
+
+# reproduce tags at the sizes of test_cli.test_every_reproduce_tag_runs_end_to_end
+_SEQUENTIAL_SMALL = ["--trials", "40", "--set", "experiment.snr_db_list=-20"]
+_CHANGE_SMALL = ["--trials", "25", "--set", "experiment.gamma_list=1.2,2.0"]
+REPRODUCE = {
+    "fig:bound1": ["--trials", "40", "--set", "experiment.n_max=30"],
+    "fig:bound2": ["--trials", "40", "--set", "experiment.n_max=30"],
+    "fig:FSS3": ["--trials", "40", "--set", "experiment.n_list=10,30", "--set", "experiment.v_list=1"],
+    "fig:NmedGauss": [*_SEQUENTIAL_SMALL, "--set", "detector.p_e_list=0.1"],
+    "fig:PerrGauss": [*_SEQUENTIAL_SMALL, "--set", "detector.p_e_list=0.1"],
+    "fig:AREGauss": [*_SEQUENTIAL_SMALL, "--set", "detector.p_e_list=0.1"],
+    "fig:NmedMixt": _SEQUENTIAL_SMALL,
+    "fig:PerrMixt": _SEQUENTIAL_SMALL,
+    "fig:stopping": [],
+    "fig:sim2": _CHANGE_SMALL,
+    "fig:sim1": _CHANGE_SMALL,
+    "fig:RE1": [],
+    "fig:RE2": [],
+}
+
+# subcommands on bundled scenario files: the long tables and the extra dumps
+_MULTI_CHUNK = ["change", "fig_sim1.scn", "--trials", "2600", "--set", "experiment.gamma_list=1.2"]
+SUBCOMMANDS = {
+    "bounds": ["bounds", "fig_bound1_kneighbor.scn", "--trials", "40",
+               "--set", "experiment.n_max=30", "--dump-trajectory", "trajectory.csv"],
+    "fss": ["fss", "fig_fss3.scn", "--trials", "40", "--set", "experiment.n_list=10,30",
+            "--dump-trajectory", "trajectory.csv"],
+    "sequential-asn": ["sequential", "fig_nmed_gauss.scn", *_SEQUENTIAL_SMALL,
+                       "--set", "detector.p_e_list=0.05,0.1", "--dump-trajectory", "trajectory.csv"],
+    "sequential-are": ["sequential", "fig_are_gauss.scn", *_SEQUENTIAL_SMALL,
+                       "--set", "detector.p_e_list=0.1"],
+    "sequential-sprt": ["sequential", "fig_perr_mixt.scn", *_SEQUENTIAL_SMALL],
+    "sequential-trajectory": ["sequential", "fig_stopping.scn"],
+    "change-rate": ["change", "fig_sim2.scn", *_CHANGE_SMALL],
+    "change-all-families": ["change", "fig_sim1.scn", *_CHANGE_SMALL,
+                            "--set", "experiment.families=centralized,running,bank,single",
+                            "--dump-trials", "trials.csv"],
+    "change-multi-chunk-threads1": [*_MULTI_CHUNK, "--threads", "1"],
+    "change-multi-chunk-threads2": [*_MULTI_CHUNK, "--threads", "2"],
+}
+
+CASES = {
+    **{f"reproduce-{tag}": ["reproduce", tag, *extra] for tag, extra in REPRODUCE.items()},
+    **{name: [args[0], str(SCENARIOS / args[1]), *args[2:]] for name, args in SUBCOMMANDS.items()},
+}
+
+
+def run_case(name: str, out_dir: Path) -> dict[str, str]:
+    """Run one case into out_dir; SHA-256 of every file written, by name."""
+    previous = os.environ.get(cli.OUT_DIR_ENV)
+    os.environ[cli.OUT_DIR_ENV] = str(out_dir)
+    try:
+        assert cli.main(CASES[name]) == 0, name
+    finally:
+        if previous is None:
+            del os.environ[cli.OUT_DIR_ENV]
+        else:
+            os.environ[cli.OUT_DIR_ENV] = previous
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.iterdir())
+    }
+
+
+def test_every_reproduce_tag_is_pinned():
+    assert set(REPRODUCE) == set(cli.REPRODUCE_TAGS)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_csv_bytes_match_golden_hashes(name, tmp_path):
+    expected = json.loads(HASH_FILE.read_text(encoding="utf-8"))[name]
+    actual = run_case(name, tmp_path)
+    problems = [
+        f"{name}/{file}: expected {expected.get(file)}, new hash {actual.get(file)}"
+        for file in sorted(set(expected) | set(actual))
+        if expected.get(file) != actual.get(file)
+    ]
+    assert not problems, "CSV bytes changed:\n" + "\n".join(problems) + (
+        f"\nnew entry for {HASH_FILE.name}:\n" + json.dumps({name: actual}, indent=2)
+    )
+
+
+def test_thread_count_does_not_change_bytes(tmp_path):
+    one = run_case("change-multi-chunk-threads1", tmp_path / "one")
+    two = run_case("change-multi-chunk-threads2", tmp_path / "two")
+    assert one == two

@@ -6,7 +6,7 @@ from scipy.stats import ks_2samp
 
 from runcons.analysis import BoundVariant, false_alarm_rate_accurate, theorem_bounds
 from runcons.consensus import ConsensusRun, WeightMode
-from runcons.detectors import PageMode, SequentialDetector, run_change_detection, sequential_design
+from runcons.detectors import SequentialDetector, sequential_design
 from runcons.montecarlo import (
     Estimate,
     _advance_state,
@@ -30,6 +30,8 @@ from runcons.stats import (
     moments,
     variance_change_model,
 )
+
+from cusum_oracle import run_length
 
 
 def test_estimate_from_samples_and_bernoulli():
@@ -231,7 +233,7 @@ def test_sequential_error_rates_near_nominal_centralized():
 def test_sprt_baseline_stops_and_reports():
     model, _ = _design(0.1, 50.0, 4)
     study = estimate_sprt_stopping(model, 4, 0.1, 0.9, 2000, 3, max_n=100_000)
-    assert study.under_null.mean_n.value > 1.0
+    assert study.under_null["centralized"].mean_n.value > 1.0
     assert 0.02 < study.error_probability() < 0.2
 
 
@@ -290,27 +292,25 @@ def test_page_false_alarm_interval_tracks_rate_formula():
 
 
 @pytest.mark.parametrize("under", ["null", "alt"])
-def test_running_consensus_run_lengths_match_scalar_trial(under):
+@pytest.mark.parametrize("family", ["centralized", "running", "bank", "single"])
+def test_running_consensus_run_lengths_match_scalar_trial(family, under):
     # The vectorized engine (chi-square sampler, _gossip_batch, lane
-    # compaction) against the scalar trial (raw Gaussian draws,
-    # apply_pair_sequence): independent code paths for the same law.
+    # compaction) against the scalar trial of tests/cusum_oracle.py (raw
+    # Gaussian draws, pair-by-pair gossip): independent code for the same law.
+    # Thresholds put every family's false-alarm interval at 30 to 60 slots.
     model = variance_change_model(1.0, 1.5)
-    top, v, gamma, trials = full_ring(4), 2, 3.0, 1500
+    top, v, trials = full_ring(4), 2, 1500
+    gamma = {"centralized": 2.0, "running": 3.0, "bank": 2.0, "single": 1.5}[family]
     engine = page_run_lengths(
-        model, "running", gamma, top.M, trials, 61, under=under,
+        model, family, gamma, top.M, trials, 61, under=under,
         max_n=10**6, topology=top, v=v,
     )
     rng = np.random.default_rng(62)
-    change_time = None if under == "null" else 1
-    results = [
-        run_change_detection(
-            model, PageMode.RUNNING_CONSENSUS_NODE, gamma, change_time, 10**6, rng,
-            topology=top, v=v,
-        )
+    scalar = np.array([
+        run_length(model, family, gamma, under, 10**6, rng, top.M, pairs=top.pair_array, v=v)
         for _ in range(trials)
-    ]
-    assert engine.min() > 0 and not any(r.truncated for r in results)
-    scalar = np.array([r.alarm_time for r in results])
+    ])
+    assert engine.min() > 0 and scalar.min() > 0
     se = math.hypot(engine.std(ddof=1), scalar.std(ddof=1)) / math.sqrt(trials)
     assert abs(engine.mean() - scalar.mean()) < 4.0 * se
     assert ks_2samp(engine, scalar).pvalue > 1e-3
