@@ -19,15 +19,9 @@ from importlib import resources
 import numpy as np
 
 from . import analysis, montecarlo, scenario as scn, stats
-from .consensus import ConsensusRun, WeightMode
+from .consensus import WeightMode, centralized_weight
 from .detectors import fss_threshold, sequential_design
-from .network import (
-    NetworkTopology,
-    TopologyError,
-    effective_eigenvalues,
-    expected_gossip_matrix,
-    sample_gossip_matrix,
-)
+from .network import NetworkTopology, TopologyError, effective_eigenvalues, expected_gossip_matrix
 from .scenario import ScenarioError, ScenarioFile
 from .stats import QuadratureError
 
@@ -76,10 +70,13 @@ def with_suffix(path: str, suffix: str) -> str:
 # ---------------------------------------------------------------------------
 
 def model_from_scenario(sc: ScenarioFile, theta: float | None = None) -> stats.HypothesisModel:
+    """The scenario's model; theta (a location parameter) moves its alternative."""
     section = sc.sections.get("model")
     if section is None:
         raise ScenarioError("missing required section [model]")
     family = section.get("family")
+    if theta is not None and family == "variance_change":
+        raise ScenarioError(f"{sc.kind} experiments need a location family; variance_change has none")
     theta0 = float(section.get("theta0", 0.0))
     if family == "gaussian":
         variance = float(sc.require("model", "variance"))
@@ -107,19 +104,6 @@ def nonlinearity_from_scenario(sc: ScenarioFile, model: stats.HypothesisModel):
     raise ScenarioError(f"unknown nonlinearity {name!r}")
 
 
-def noise_variance(sc: ScenarioFile) -> float:
-    """Variance of the raw observation under the no-signal parameter."""
-    family = sc.get("model", "family")
-    if family == "gaussian":
-        return float(sc.require("model", "variance"))
-    if family == "gaussian_mixture":
-        w = float(sc.require("model", "weight"))
-        return w * float(sc.require("model", "variance1")) + (1.0 - w) * float(
-            sc.require("model", "variance2")
-        )
-    raise ScenarioError(f"noise variance undefined for model family {family!r}")
-
-
 @dataclass(frozen=True)
 class Setting:
     """What every simulating subcommand reads first: network, node, Monte Carlo sizes."""
@@ -141,8 +125,11 @@ def _setting(sc: ScenarioFile, args) -> Setting:
     trials = args.trials if args.trials is not None else int(section.get("trials", 10000))
     if trials < 1:
         raise ScenarioError(f"montecarlo.trials must be >= 1, got {trials}")
+    v = int(sc.get("topology", "v", 1))
+    if v < 1:
+        raise ScenarioError(f"topology.v must be >= 1, got {v}")
     return Setting(
-        topology=topology, v=int(sc.get("topology", "v", 1)), node=node, trials=trials,
+        topology=topology, v=v, node=node, trials=trials,
         seed=args.seed if args.seed is not None else int(section.get("seed", 0)),
         threads=args.threads if args.threads is not None else int(section.get("threads", 1)),
     )
@@ -177,18 +164,15 @@ def dump_trajectory(
     """One trial's states under the null law, every node at every slot."""
     model = model_from_scenario(sc)
     nonlin = nonlinearity_from_scenario(sc, model)
-    topology, v, dist = setting.topology, setting.v, model.null
-    rng = montecarlo.chunk_rng(setting.seed, 10**6)
-    run = ConsensusRun(topology.M, mode, include_new_sample)
+    M = setting.topology.M
+    paths = montecarlo.consensus_paths(
+        montecarlo.chunk_rng(setting.seed, 10**6), setting.topology, setting.v, 1, n_slots,
+        lambda rng, shape: nonlin(model.null.sample(rng, shape)), mode, include_new_sample,
+    )
     rows = []
-    for _ in range(n_slots):
-        W = sample_gossip_matrix(topology, v, rng) if topology.M > 1 else np.eye(1)
-        x = dist.sample(rng, topology.M)
-        run.step(W, nonlin(x))
-        central = run.centralized_state()
-        err = run.error_vector()
-        for j in range(topology.M):
-            rows.append([run.n, j, run.state[j], central, err[j]])
+    for n, states, csum in paths:
+        central = centralized_weight(mode, n, M) * csum[0]
+        rows += [[n, j, state, central, state - central] for j, state in enumerate(states[0])]
     write_csv(path, ["n", "node", "state", "centralized", "error"], rows)
 
 
@@ -230,11 +214,8 @@ def run_bounds(sc: ScenarioFile, args) -> None:
         n_max,
         setting.trials,
         setting.seed,
-        mode=WeightMode.AVERAGING,
         include_new_sample=include_new,
         dist=model.null,
-        sigma2=model.null.var,
-        known_mean=model.null.mean,
         threads=setting.threads,
     )
 
@@ -279,6 +260,8 @@ def _fss_points(sc: ScenarioFile, setting: Setting) -> list[tuple]:
     M = setting.topology.M
     n_list = sc.get("experiment", "n_list") or [int(sc.get("experiment", "n_max", 100))]
     v_list = sc.get("experiment", "v_list") or [setting.v]
+    if min(v_list) < 1:
+        raise ScenarioError(f"experiment.v_list entries must be >= 1, got {min(v_list)}")
     theta0 = float(sc.get("model", "theta0", 0.0))
     gamma_scale = float(sc.get("experiment", "gamma_scale", 1.0))
     p_f = float(sc.require("detector", "p_f"))
@@ -352,13 +335,13 @@ class SequentialPoint:
     study: montecarlo.SequentialStudy
     asymptote: float  # limit of E[N] * SNR
     sprt: montecarlo.SequentialStudy | None  # probability-ratio baseline
-    matched: float | None  # fusion-center E[N] redesigned at the node's error
+    matched: montecarlo.SequentialStudy | None  # fusion center redesigned at the node's error
 
 
 def _sequential_points(sc: ScenarioFile, setting: Setting) -> list[SequentialPoint]:
     """Every (p_e, SNR) grid point of an asn/error/are sequential scenario."""
     topology, v, trials, seed = setting.topology, setting.v, setting.trials, setting.seed
-    V = noise_variance(sc)
+    V = model_from_scenario(sc).null.var  # noise variance
     points = []
     for p_e in _p_e_values(sc):
         for snr_db in _snr_db_values(sc):
@@ -381,7 +364,7 @@ def _sequential_points(sc: ScenarioFile, setting: Setting) -> list[SequentialPoi
                 matched = montecarlo.estimate_stopping(
                     model, nonlin, topology, v, detector, trials, seed + 2,
                     max_n=max_n, threads=setting.threads,
-                ).mean_sample_number("centralized")
+                )
             asymptote = 0.5 * (asn[0] + asn[1]) / V
             points.append(SequentialPoint(p_e, snr_db, snr, study, asymptote, sprt, matched))
     return points
@@ -392,7 +375,11 @@ def _sequential_measure(sc: ScenarioFile) -> str:
 
 
 def _p_e_values(sc: ScenarioFile) -> list:
-    return sc.get("detector", "p_e_list") or [float(sc.require("detector", "p_e"))]
+    values = sc.get("detector", "p_e_list") or [float(sc.require("detector", "p_e"))]
+    for value in values:
+        if not 0.0 < value < 0.5:
+            raise ScenarioError(f"detector.p_e and p_e_list entries must be in (0, 0.5), got {value:g}")
+    return values
 
 
 def _snr_db_values(sc: ScenarioFile) -> list:
@@ -422,8 +409,9 @@ def run_sequential(sc: ScenarioFile, args) -> None:
             outputs.append(("en_snr_sprt", sprt.mean_sample_number() * snr, 0.0, sprt.truncated_count()))
             outputs.append(("pe_sprt", sprt.error_probability(), 0.0, 0))
         if point.matched is not None:
-            outputs.append(("en_matched_centralized", point.matched, 0.0, 0))
-            outputs.append(("are_node", point.matched / study.mean_sample_number("node"), 0.0, 0))
+            matched = point.matched.mean_sample_number()
+            outputs.append(("en_matched_centralized", matched, 0.0, point.matched.truncated_count()))
+            outputs.append(("are_node", matched / study.mean_sample_number("node"), 0.0, 0))
         for stat_name, value, se, trunc in outputs:
             rows.append([label, point.p_e, point.snr_db, snr, stat_name, value, se, setting.trials, trunc])
     out = resolve_output(str(sc.require("output", "path")), args.out)
@@ -441,32 +429,28 @@ def run_sequential(sc: ScenarioFile, args) -> None:
 
 def _sequential_trajectory(sc: ScenarioFile, args, setting: Setting) -> None:
     """Single-trial centered statistic paths for every node and the oracle."""
-    topology, v, M = setting.topology, setting.v, setting.topology.M
+    M = setting.topology.M
     p_e, snr_db = float(_p_e_values(sc)[0]), float(_snr_db_values(sc)[0])
-    r = 1.0 / (10.0 ** (snr_db / 10.0) * noise_variance(sc))
+    r = 1.0 / (10.0 ** (snr_db / 10.0) * model_from_scenario(sc).null.var)
     model, nonlin, detector, _, _ = _sequential_design(sc, M, p_e, r)
-    rng = montecarlo.chunk_rng(setting.seed, 0)
-    run = ConsensusRun(M, WeightMode.ACCUMULATING, True)
-    csum = 0.0
+    paths = montecarlo.consensus_paths(
+        montecarlo.chunk_rng(setting.seed, 0), setting.topology, setting.v, 1, 100_000,
+        lambda rng, shape: nonlin(model.alt.sample(rng, shape)), WeightMode.ACCUMULATING, True,
+    )
     rows = []
     crossed: dict[int | str, int] = {}
-    slot = 0
-    while len(crossed) < M + 1 and slot < 100_000:
-        slot += 1
-        W = sample_gossip_matrix(topology, v, rng) if M > 1 else np.eye(1)
-        x = model.alt.sample(rng, M)
-        t = nonlin(x)
-        run.step(W, t)
-        csum += float(t.sum())
+    for slot, states, csum in paths:
         shift = slot * M * detector.eta_r
-        central = csum - shift
-        nodes = run.state - shift
+        central = csum[0] - shift
+        nodes = states[0] - shift
         if "centralized" not in crossed and (central >= detector.b_r or central <= detector.a_r):
             crossed["centralized"] = slot
         for j in range(M):
             if j not in crossed and (nodes[j] >= detector.b_r or nodes[j] <= detector.a_r):
                 crossed[j] = slot
         rows.append([slot, central, *nodes.tolist()])
+        if len(crossed) == M + 1:
+            break
     out = resolve_output(str(sc.require("output", "path")), args.out)
     write_csv(out, ["n", "centralized", *[f"node_{j}" for j in range(M)]], rows)
     times = [crossed.get(j) for j in range(M)]
@@ -483,16 +467,18 @@ def _change_quantities(sc: ScenarioFile):
     return model, d01, d10, var1
 
 
-def _change_points(sc: ScenarioFile, setting: Setting, measure: str):
+def _change_points(sc: ScenarioFile, setting: Setting):
     """Theory for every family and threshold, and run lengths of the simulated ones.
 
     Returns the operating points (family-major, in analysis.CUSUM_FAMILIES
     order), the simulated families, and {(family, gamma): {under: (stops,
-    max_n)}}.  "rate" simulates false alarms (under="null"), "delay" detection
-    delays (under="alt"), "both" both.  Horizons are 100 predicted mean run
-    lengths, from the family's own accurate rate or delay.
+    max_n)}}.  experiment.measure "rate" simulates false alarms
+    (under="null"), "delay" detection delays (under="alt"), "both" (the
+    default) both.  Horizons are 100 predicted mean run lengths, from the
+    family's own accurate rate or delay.
     """
     M = setting.topology.M
+    measure = str(sc.get("experiment", "measure", "both"))
     gamma_offset = float(sc.get("detector", "gamma_offset", 0.0))
     gamma_list = _positive_list(sc, "gamma_list", "change")
     families = [str(f) for f in (sc.get("experiment", "families") or ["centralized"])]
@@ -530,7 +516,7 @@ def _change_points(sc: ScenarioFile, setting: Setting, measure: str):
 def run_change(sc: ScenarioFile, args) -> None:
     setting = _setting(sc, args)
     label = scenario_label(sc)
-    theory, families, runs = _change_points(sc, setting, str(sc.get("experiment", "measure", "both")))
+    theory, families, runs = _change_points(sc, setting)
     out = resolve_output(str(sc.require("output", "path")), args.out)
     write_csv(
         with_suffix(out, "theory"),
@@ -575,6 +561,9 @@ def run_efficiency(sc: ScenarioFile, args) -> None:
     rate_list = _positive_list(sc, "rate_list", "efficiency")
     m_list = sc.get("experiment", "m_list")
     _, d01, d10, var1 = _change_quantities(sc)
+    if max(rate_list) >= d01:
+        raise ScenarioError(
+            f"experiment.rate_list entries must be below delta01 = {d01:.6g}, got {max(rate_list):g}")
     header = ["M", "R", "eta_cr", "eta_sr", "eta_br", "eta_bs"]
     rows = [
         [int(M), p.R, p.eta_cr, p.eta_sr, p.eta_br, p.eta_bs]
@@ -649,7 +638,8 @@ def figure_sequential(sc: ScenarioFile, args) -> None:
         if point.sprt is not None:
             row += [point.sprt.mean_sample_number() * snr, point.sprt.error_probability()]
         if point.matched is not None:
-            row += [en_n, point.matched, point.matched / en_n]
+            matched = point.matched.mean_sample_number()
+            row += [en_n, matched, matched / en_n]
         rows.append(row)
     out = resolve_output(str(sc.require("output", "path")), args.out)
     write_csv(out, header, rows)
@@ -658,19 +648,20 @@ def figure_sequential(sc: ScenarioFile, args) -> None:
 def figure_change(sc: ScenarioFile, args) -> None:
     """Operating-characteristic table: theory plus simulated (R, D) points."""
     setting = _setting(sc, args)
-    # the figure always simulates false alarms; "both" adds the delays
-    measure = "both" if sc.get("experiment", "measure", "rate") == "both" else "rate"
-    theory, families, runs = _change_points(sc, setting, measure)
+    theory, families, runs = _change_points(sc, setting)
     rows = []
     for p in theory:
         sim = [None, None, None, None, 0, 0]
         if p.family in families:
-            by_under = runs[p.family, p.gamma]
-            est = montecarlo.Estimate.from_run_lengths(by_under["null"][0])
-            sim = [1.0 / est.value, est.std_err / est.value**2, None, None, setting.trials, est.truncated_count]
-            if "alt" in by_under:
-                est_d = montecarlo.Estimate.from_run_lengths(by_under["alt"][0])
-                sim[2:4] = [est_d.value, est_d.std_err]
+            est = {under: montecarlo.Estimate.from_run_lengths(stops)
+                   for under, (stops, _) in runs[p.family, p.gamma].items()}
+            null, alt = est.get("null"), est.get("alt")
+            if null is not None:
+                sim[:2] = [1.0 / null.value, null.std_err / null.value**2]
+            if alt is not None:
+                sim[2:4] = [alt.value, alt.std_err]
+            # truncations of the false-alarm run if there is one, else of the delay run
+            sim[4:] = [setting.trials, (null or alt).truncated_count]
         rows.append([p.family, p.gamma, p.rate_accurate, p.rate_large_gamma,
                      p.delay_accurate, p.delay_large_gamma, *sim])
     out = resolve_output(str(sc.require("output", "path")), args.out)

@@ -1,11 +1,13 @@
-"""Running-consensus state recursion and its ideal centralized benchmark.
+"""Running-consensus weight schedules and the dense reference recursion.
 
 Each slot mixes neighbor states through a doubly stochastic gossip matrix and
 injects the slot's new measurements, so sensing and communication happen
 simultaneously.  The centralized oracle is the statistic a fusion center with
 every raw sample would hold; the per-node error is the difference between the
 two and is tracked by definition, never through its theoretical product
-expansion.
+expansion.  The engines and the command line run the batched slot of
+:mod:`runcons.montecarlo` on these schedules; :class:`ConsensusRun` is the
+same recursion with dense matrices, kept as the tests' reference.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ def centralized_weight(mode: WeightMode, n: int, M: int) -> float:
 
 
 class ConsensusRun:
-    """Mutable single-threaded state of one running-consensus trajectory.
+    """Dense reference recursion of one running-consensus trajectory.
 
-    Parallel Monte Carlo uses one run plus one random stream per worker; a run
-    is never shared across threads.
+    Each step multiplies by an explicit M x M gossip matrix; the tests replay
+    the engine's draws through it to check the batched slot.
     """
 
     def __init__(

@@ -3,9 +3,9 @@
 Trials are partitioned into fixed-size chunks; chunk c draws from a generator
 seeded by (base_seed, c), so reruns are bit-identical no matter how many
 workers execute the chunks or in which order.  Inside a chunk, trials advance
-in lockstep as numpy arrays; every stopping experiment runs on one engine
-(`_lockstep`) that takes its per-slot update and stopping rule and compacts
-finished trials away.
+in lockstep as numpy arrays, every consensus state through one slot step
+(`_slot`); every stopping experiment runs on one engine (`_lockstep`) that
+takes its per-slot update and stopping rule and compacts finished trials away.
 
 Ratio-type metrics (variance ratios, consensus coefficients) get their
 standard errors from fixed sub-groups of trials; everything that is a plain
@@ -16,6 +16,7 @@ counted separately and never folded into means.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .consensus import WeightMode, step_weights
 from .detectors import SequentialDetector
-from .network import NetworkTopology, sample_gossip_matrix
+from .network import NetworkTopology
 from .stats import Gaussian, HypothesisModel, llr_nonlinearity
 
 CHUNK_SIZE = 2500
@@ -137,25 +138,38 @@ def _gossip_batch(states: np.ndarray, pair_array: np.ndarray, idx: np.ndarray) -
         states[rows, j] = mean
 
 
-def _advance_state(
-    states: np.ndarray,
-    t: np.ndarray,
-    n: int,
-    mode: WeightMode,
-    include_new_sample: bool,
-    pair_array: np.ndarray,
-    idx: np.ndarray | None,
-) -> np.ndarray:
-    """One lockstep consensus slot for a batch of trials."""
+def _slot(rng, topology: NetworkTopology, v: int, states: np.ndarray, sample, n: int,
+          mode: WeightMode, include_new_sample: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The one lockstep consensus slot for a batch of trials: returns (states, t).
+
+    Draws v admissible pairs per trial, then t = sample(rng, states.shape),
+    then mixes.  With the new sample exchanged the result is
+    W (alpha s + beta t); otherwise alpha W s + beta t, gossiping the given
+    states in place.
+    """
+    idx = _pair_draws(rng, topology, v, states.shape[0])
+    t = sample(rng, states.shape)
     alpha, beta = step_weights(mode, n, states.shape[1])
     if include_new_sample:
-        mixed = alpha * states + beta * t
-        if idx is not None:
-            _gossip_batch(mixed, pair_array, idx)
-        return mixed
+        states = alpha * states + beta * t
     if idx is not None:
-        _gossip_batch(states, pair_array, idx)
-    return alpha * states + beta * t
+        _gossip_batch(states, topology.pair_array, idx)
+    return (states if include_new_sample else alpha * states + beta * t), t
+
+
+def consensus_paths(rng, topology: NetworkTopology, v: int, lanes: int, n_max: int, sample,
+                    mode: WeightMode, include_new_sample: bool):
+    """Yield (n, states, csum) after each of slots 1..n_max of lanes trials from rest.
+
+    csum is each trial's running sum of t over nodes and slots, the
+    fusion center's statistic before weighting.
+    """
+    states = np.zeros((lanes, topology.M))
+    csum = np.zeros(lanes)
+    for n in range(1, n_max + 1):
+        states, t = _slot(rng, topology, v, states, sample, n, mode, include_new_sample)
+        csum += t.sum(axis=1)
+        yield n, states, csum
 
 
 # ---------------------------------------------------------------------------
@@ -180,25 +194,20 @@ def estimate_covariance(
     trials: int,
     seed: int,
     *,
-    mode: WeightMode = WeightMode.AVERAGING,
     include_new_sample: bool = False,
     dist: Gaussian | None = None,
-    sigma2: float | None = None,
-    known_mean: float = 0.0,
     threads: int = 1,
 ) -> CovarianceStudy:
-    """Sample covariance of the state across trials at every slot.
+    """Sample covariance of the averaging-schedule state across trials at every slot.
 
-    States are centered by the known mean rather than the sample mean, which
-    matches the zero-mean experimental setup and removes a bias term.  The
+    States are centered by the known mean of dist rather than the sample
+    mean, which removes a bias term; gamma is scaled by dist's variance.  The
     per-slot summaries average gamma over nodes and rho over admissible pairs.
     """
     if trials < 2:
         raise ValueError(f"covariance estimation needs >= 2 trials, got {trials}")
     dist = dist if dist is not None else Gaussian(0.0, 1.0)
-    sigma2 = sigma2 if sigma2 is not None else dist.variance
     M = topology.M
-    pair_array = topology.pair_array
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
         # group size shrinks with small chunks so several groups back the
@@ -207,16 +216,9 @@ def estimate_covariance(
         n_groups = math.ceil(size / group)
         sums = np.zeros((n_groups, n_max, M, M))
         bounds = [(g * group, min((g + 1) * group, size)) for g in range(n_groups)]
-        states = np.zeros((size, M))
-        for n in range(1, n_max + 1):
-            idx = _pair_draws(rng, topology, v, size)
-            x = dist.sample(rng, (size, M))
-            states = _advance_state(states, x, n, mode, include_new_sample, pair_array, idx)
-            if mode is WeightMode.AVERAGING:
-                center = known_mean
-            else:
-                center = n * M * known_mean
-            centered = states - center
+        paths = consensus_paths(rng, topology, v, size, n_max, dist.sample, WeightMode.AVERAGING, include_new_sample)
+        for n, states, _ in paths:
+            centered = states - dist.mean
             for g, (lo, hi) in enumerate(bounds):
                 block = centered[lo:hi]
                 sums[g, n - 1] += block.T @ block
@@ -228,14 +230,14 @@ def estimate_covariance(
     group_sizes = np.concatenate([r[1] for r in results], axis=0)
 
     slots = np.arange(1, n_max + 1, dtype=float)
-    sigma2_n = sigma2 / (slots * M)
+    sigma2_n = dist.var / (slots * M)
 
     group_cov = group_sums / group_sizes[:, None, None, None]
     diag = np.einsum("gnii->gni", group_cov)
     gamma_groups = diag.mean(axis=2) / sigma2_n[None, :]
 
-    pi = pair_array[:, 0]
-    pj = pair_array[:, 1]
+    pi = topology.pair_array[:, 0]
+    pj = topology.pair_array[:, 1]
     cij = group_cov[:, :, pi, pj]
     cii = diag[:, :, pi]
     cjj = diag[:, :, pj]
@@ -288,20 +290,13 @@ def estimate_error_moments(
     dist = dist if dist is not None else Gaussian(0.0, 1.0)
     slots = np.asarray(sorted(slots), dtype=int)
     n_max = int(slots.max())
-    M = topology.M
-    pair_array = topology.pair_array
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
-        states = np.zeros((size, M))
-        csum = np.zeros(size)
         out2 = np.zeros((slots.size, size))
         out3 = np.zeros((slots.size, size))
         pos = 0
-        for n in range(1, n_max + 1):
-            idx = _pair_draws(rng, topology, v, size)
-            x = dist.sample(rng, (size, M))
-            states = _advance_state(states, x, n, WeightMode.ACCUMULATING, True, pair_array, idx)
-            csum += x.sum(axis=1)
+        paths = consensus_paths(rng, topology, v, size, n_max, dist.sample, WeightMode.ACCUMULATING, True)
+        for n, states, csum in paths:
             if pos < slots.size and n == slots[pos]:
                 err = states - csum[:, None]
                 out2[pos] = (err ** 2).mean(axis=1)
@@ -353,22 +348,17 @@ def estimate_error_probabilities(
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    M = topology.M
-    pair_array = topology.pair_array
     laws = [(label, dist) for label, dist, wanted in (
         ("null", model.null, run_null), ("alt", model.alt, run_alt)) if wanted]
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
         counts = {}
         for label, dist in laws:
-            states = np.zeros((size, M))
-            csum = np.zeros(size)
-            for slot in range(1, n + 1):
-                idx = _pair_draws(rng, topology, v, size)
-                x = dist.sample(rng, (size, M))
-                t = nonlinearity(x)
-                states = _advance_state(states, t, slot, WeightMode.ACCUMULATING, True, pair_array, idx)
-                csum += t.sum(axis=1)
+            def sample(rng: np.random.Generator, shape) -> np.ndarray:
+                return nonlinearity(dist.sample(rng, shape))
+
+            paths = consensus_paths(rng, topology, v, size, n, sample, WeightMode.ACCUMULATING, True)
+            _, states, csum = deque(paths, maxlen=1)[0]  # the last slot
             counts[label] = (
                 int((csum >= threshold).sum()),
                 int((states[:, node] >= threshold).sum()),
@@ -443,7 +433,7 @@ def _sequential_trials(dist, nonlinearity, topology, v, detector, size, rng, max
     the centralized statistic and the one node statistic.  A trial finishes
     once all of its tracked statistics have left (a_r, b_r).
     """
-    M, pair_array = topology.M, topology.pair_array
+    M = topology.M
     eta, a_r, b_r = detector.eta_r, detector.a_r, detector.b_r
     states = np.zeros((size, M))
     csum = np.zeros(size)
@@ -451,10 +441,11 @@ def _sequential_trials(dist, nonlinearity, topology, v, detector, size, rng, max
     stops = np.zeros((size, width), dtype=np.int64)
     decs = np.zeros((size, width), dtype=np.int8)
 
+    def sample(rng: np.random.Generator, shape) -> np.ndarray:
+        return nonlinearity(dist.sample(rng, shape))
+
     def advance(slot: int, alive: np.ndarray) -> np.ndarray:
-        idx = _pair_draws(rng, topology, v, alive.size)
-        t = nonlinearity(dist.sample(rng, (alive.size, M)))
-        states_a = _advance_state(states[alive], t, slot, WeightMode.ACCUMULATING, True, pair_array, idx)
+        states_a, t = _slot(rng, topology, v, states[alive], sample, slot, WeightMode.ACCUMULATING, True)
         states[alive] = states_a
         shift = slot * M * eta
         if node is None:
@@ -620,13 +611,10 @@ def page_run_lengths(
                 return (block >= gamma).any(axis=1)
 
         else:  # running consensus: gossip the updated statistic, then reset
-            states, pair_array = np.zeros((size, M)), topology.pair_array
+            states = np.zeros((size, M))
 
             def advance(slot: int, alive: np.ndarray) -> np.ndarray:
-                idx = _pair_draws(rng, topology, v, alive.size)
-                updated = states[alive] + M * draw(rng, (alive.size, M))
-                if idx is not None:
-                    _gossip_batch(updated, pair_array, idx)
+                updated, _ = _slot(rng, topology, v, states[alive], draw, slot, WeightMode.ACCUMULATING, True)
                 updated = np.maximum(0.0, updated)
                 states[alive] = updated
                 return updated[:, node] >= gamma
@@ -705,6 +693,9 @@ def estimate_expected_square(
     M = topology.M
     acc = np.zeros((M, M))
     for _ in range(trials):
-        W = sample_gossip_matrix(topology, v, rng)
-        acc += W @ W.T
+        # gossiping the rows of I with one pair sequence gives W^T
+        idx = np.repeat(_pair_draws(rng, topology, v, 1), M, axis=0)
+        W_T = np.eye(M)
+        _gossip_batch(W_T, topology.pair_array, idx)
+        acc += W_T.T @ W_T
     return acc / trials

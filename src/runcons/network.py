@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -58,10 +59,12 @@ class NetworkTopology:
                 "(pass allow_disconnected=True for deliberate experiments)"
             )
 
-    @property
+    @cached_property
     def pair_array(self) -> np.ndarray:
-        """Pairs as an integer array of shape (J, 2)."""
-        return np.array(self.pairs, dtype=np.int64).reshape(len(self.pairs), 2)
+        """Pairs as a read-only integer array of shape (J, 2), built once."""
+        array = np.array(self.pairs, dtype=np.int64).reshape(len(self.pairs), 2)
+        array.flags.writeable = False
+        return array
 
 
 def is_connected(M: int, pairs: tuple[Pair, ...]) -> bool:

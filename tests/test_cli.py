@@ -1,9 +1,17 @@
+import csv
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from runcons import cli
-from runcons.scenario import ScenarioError, apply_override, parse, serialize
+from runcons.consensus import ConsensusRun, WeightMode
+from runcons.montecarlo import chunk_rng
+from runcons.network import sample_gossip_matrix
+from runcons.scenario import ScenarioError, apply_override, load, parse, serialize, topology_from_scenario
+
+SCENARIOS = Path(cli.__file__).with_name("scenarios")
 
 MINIMAL_SPECTRAL = """\
 [experiment]
@@ -373,3 +381,124 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "rate_list" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("runs", [
+    [(["reproduce", "fig:PerrGauss", "--set", "detector.p_e_list=0.7"], "p_e")],
+    [(["reproduce", "fig:RE1", "--set", "experiment.rate_list=10"], "rate_list")],
+    [(["reproduce", "fig:FSS3", "--set", "experiment.v_list=1,0"], "v_list"),
+     (["sequential", "fig_nmed_gauss.scn", "--set", "topology.v=0"], "topology.v")],
+    [([kind, name, "--set", "model.family=variance_change", "--set", "model.variance0=1",
+       "--set", "model.variance1=2"], "variance_change")
+     for kind, name in (("fss", "fig_fss3.scn"), ("sequential", "fig_nmed_gauss.scn"))],
+], ids=["p_e-above-half", "rate-above-d01", "v-below-1", "no-location-family"])
+def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, capsys):
+    for command, message in runs:
+        if command[0] != "reproduce":
+            command = [command[0], str(SCENARIOS / command[1]), *command[2:]]
+        code = run_cli([*command, "--trials", "20"], tmp_path, monkeypatch)
+        err = capsys.readouterr().err
+        assert code == 2, command
+        assert message in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+def _read_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def test_change_figure_honours_delay_measure(tmp_path, monkeypatch):
+    # the figure's delay points are the long table's mean delays, with no rates
+    small = ["--trials", "25", "--set", "experiment.gamma_list=1.2,2.0", "--set", "experiment.measure=delay"]
+    assert run_cli(["reproduce", "fig:sim1", *small], tmp_path, monkeypatch) == 0
+    assert run_cli(["change", str(SCENARIOS / "fig_sim1.scn"), *small, "--out", "long.csv"],
+                   tmp_path, monkeypatch) == 0
+    delays = {(row["family"], row["gamma"]): row for row in _read_rows(tmp_path / "long.csv")}
+    figure = [row for row in _read_rows(tmp_path / "fig_sim1.csv") if row["family"] != "single"]
+    assert len(figure) == len(delays) == 6
+    for row in figure:
+        long = delays[row["family"], row["gamma"]]
+        assert long["statistic"] == "mean_delay"
+        assert row["R_sim"] == row["R_sim_se"] == ""
+        assert (row["D_sim"], row["D_sim_se"], row["n_truncated"]) == (
+            long["estimate"], long["std_err"], long["n_truncated"])
+
+
+def test_matched_row_reports_the_matched_runs_truncations(tmp_path, monkeypatch):
+    # at a horizon of 3 asymptotic sample numbers the redesigned fusion test truncates
+    code = run_cli(["sequential", str(SCENARIOS / "fig_are_gauss.scn"), "--trials", "200",
+                    "--set", "experiment.snr_db_list=-20", "--set", "detector.p_e_list=0.01",
+                    "--set", "experiment.max_n_factor=3"], tmp_path, monkeypatch)
+    assert code == 0
+    rows = {row["statistic"]: row for row in _read_rows(tmp_path / "fig_are_gauss.csv")}
+    assert 0 < int(rows["en_matched_centralized"]["n_truncated"]) < 2 * 200
+
+
+def _dense_replay(sc, slots: int, dist, nonlin, stream: int, mode: WeightMode, include: bool):
+    """(states, centralized statistics) of the dense recursion fed a dump's draws.
+
+    Each slot draws W by sample_gossip_matrix and then the sample, from the
+    generator the dump uses, so both sides see the same pairs and values.
+    """
+    topology = topology_from_scenario(sc)
+    rng = chunk_rng(int(sc.get("montecarlo", "seed")), stream)
+    run = ConsensusRun(topology.M, mode, include_new_sample_in_exchange=include)
+    states, central = [], []
+    for _ in range(slots):
+        run.step(sample_gossip_matrix(topology, int(sc.get("topology", "v")), rng),
+                 nonlin(dist.sample(rng, topology.M)))
+        states.append(run.state.copy())
+        central.append(run.centralized_state())
+    return np.array(states), np.array(central)
+
+
+def _assert_close(actual, expected):
+    # 1e-9 relative to the trajectory's scale, so that values near zero do
+    # not turn last-bit differences of the pairwise sums into large ratios
+    np.testing.assert_allclose(actual, expected, rtol=1e-9, atol=1e-9 * np.abs(expected).max())
+
+
+def _scenario(name: str, overrides: list[str]):
+    sc = load(str(SCENARIOS / name))
+    for item in overrides:
+        apply_override(sc, *item.split("=", 1))
+    return sc
+
+
+@pytest.mark.parametrize("command, mode, include", [
+    (["bounds", "fig_bound1_kneighbor.scn", "experiment.n_max=30"], WeightMode.AVERAGING, False),
+    (["fss", "fig_fss3.scn", "experiment.n_list=10,30"], WeightMode.ACCUMULATING, True),
+], ids=["bounds-new-sample-held", "fss-new-sample-exchanged"])
+def test_dump_trajectory_matches_dense_recursion(command, mode, include, tmp_path, monkeypatch):
+    kind, name, *overrides = [*command, "topology.v=3"]
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    code = run_cli([kind, str(SCENARIOS / name), *sets, "--trials", "10", "--dump-trajectory", "traj.csv"],
+                   tmp_path, monkeypatch)
+    assert code == 0
+    sc = _scenario(name, overrides)
+    model = cli.model_from_scenario(sc)
+    M = topology_from_scenario(sc).M
+    dump = np.loadtxt(tmp_path / "traj.csv", delimiter=",", skiprows=1).reshape(-1, M, 5)
+    assert dump.shape[0] == 30
+    states, central = _dense_replay(sc, 30, model.null, cli.nonlinearity_from_scenario(sc, model),
+                                    10**6, mode, include)
+    assert (dump[:, :, 0] == np.arange(1, 31)[:, None]).all() and (dump[:, :, 1] == np.arange(M)).all()
+    _assert_close(dump[:, :, 2], states)
+    _assert_close(dump[:, :, 3], np.repeat(central[:, None], M, axis=1))
+    _assert_close(dump[:, :, 4], states - central[:, None])
+
+
+def test_sequential_trajectory_matches_dense_recursion(tmp_path, monkeypatch):
+    assert run_cli(["sequential", str(SCENARIOS / "fig_stopping.scn"), "--set", "topology.v=3"],
+                   tmp_path, monkeypatch) == 0
+    sc = _scenario("fig_stopping.scn", ["topology.v=3"])
+    M = topology_from_scenario(sc).M
+    dump = np.loadtxt(tmp_path / "fig_stopping.csv", delimiter=",", skiprows=1)
+    snr_db = float(sc.get("experiment", "snr_db_list")[0])
+    r = 1.0 / (10.0 ** (snr_db / 10.0) * cli.model_from_scenario(sc).null.var)
+    model, nonlin, detector, _, _ = cli._sequential_design(sc, M, float(sc.get("detector", "p_e")), r)
+    states, central = _dense_replay(sc, len(dump), model.alt, nonlin, 0, WeightMode.ACCUMULATING, True)
+    shift = np.arange(1, len(dump) + 1) * M * detector.eta_r
+    _assert_close(dump[:, 1], central - shift)
+    _assert_close(dump[:, 2:], states - shift[:, None])

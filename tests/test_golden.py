@@ -44,6 +44,11 @@ SUBCOMMANDS = {
                "--set", "experiment.n_max=30", "--dump-trajectory", "trajectory.csv"],
     "fss": ["fss", "fig_fss3.scn", "--trials", "40", "--set", "experiment.n_list=10,30",
             "--dump-trajectory", "trajectory.csv"],
+    # several exchanges per slot in both dump branches: new sample held, exchanged
+    "bounds-dump-v3": ["bounds", "fig_bound1_kneighbor.scn", "--trials", "40", "--set", "experiment.n_max=30",
+                       "--set", "topology.v=3", "--dump-trajectory", "trajectory.csv"],
+    "fss-dump-v3": ["fss", "fig_fss3.scn", "--trials", "40", "--set", "experiment.n_list=10,30",
+                    "--set", "topology.v=3", "--dump-trajectory", "trajectory.csv"],
     "sequential-asn": ["sequential", "fig_nmed_gauss.scn", *_SEQUENTIAL_SMALL,
                        "--set", "detector.p_e_list=0.05,0.1", "--dump-trajectory", "trajectory.csv"],
     "sequential-are": ["sequential", "fig_are_gauss.scn", *_SEQUENTIAL_SMALL,
@@ -87,7 +92,8 @@ def test_every_reproduce_tag_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_bytes_match_golden_hashes(name, tmp_path):
-    expected = json.loads(HASH_FILE.read_text(encoding="utf-8"))[name]
+    # a new case has no entry yet: it fails and prints the entry to paste
+    expected = json.loads(HASH_FILE.read_text(encoding="utf-8")).get(name, {})
     actual = run_case(name, tmp_path)
     problems = [
         f"{name}/{file}: expected {expected.get(file)}, new hash {actual.get(file)}"

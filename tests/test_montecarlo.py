@@ -9,8 +9,8 @@ from runcons.consensus import ConsensusRun, WeightMode
 from runcons.detectors import SequentialDetector, sequential_design
 from runcons.montecarlo import (
     Estimate,
-    _advance_state,
     _gossip_batch,
+    _slot,
     chunk_rng,
     estimate_covariance,
     estimate_error_moments,
@@ -22,7 +22,7 @@ from runcons.montecarlo import (
     node_stopping_spread,
     page_run_lengths,
 )
-from runcons.network import apply_pair_sequence, full_ring, k_neighbor_ring, pairwise_matrix
+from runcons.network import apply_pair_sequence, full_ring, k_neighbor_ring, sample_gossip_matrix
 from runcons.stats import (
     Gaussian,
     Identity,
@@ -58,20 +58,21 @@ def test_gossip_batch_matches_sequential_application():
 
 
 def test_advance_state_matches_consensus_run():
+    # the engine's slot replayed through the dense recursion: twin generators
+    # give the oracle the same draws, v pair indices first, then the sample
     top = full_ring(4)
-    rng = np.random.default_rng(5)
     for mode in WeightMode:
         for include in (True, False):
+            engine_rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
             run = ConsensusRun(4, mode, include_new_sample_in_exchange=include)
             states = np.zeros((1, 4))
             for n in range(1, 8):
-                idx = rng.integers(0, len(top.pairs), size=(1, 2))
-                t = rng.standard_normal(4)
-                W = np.eye(4)
-                for i, j in top.pair_array[idx[0]]:
-                    W = pairwise_matrix(i, j, 4) @ W
-                run.step(W, t)
-                states = _advance_state(states, t[None, :], n, mode, include, top.pair_array, idx)
+                states, t = _slot(engine_rng, top, 2, states, lambda rng, shape: rng.standard_normal(shape),
+                                  n, mode, include)
+                W = sample_gossip_matrix(top, 2, oracle_rng)
+                t_oracle = oracle_rng.standard_normal(4)
+                run.step(W, t_oracle)
+                assert np.array_equal(t[0], t_oracle)
                 assert np.allclose(states[0], run.state, atol=1e-12)
 
 
