@@ -116,32 +116,23 @@ class Setting:
     threads: int
 
 
-def _setting(sc: ScenarioFile, args) -> Setting:
+def _setting(sc: ScenarioFile) -> Setting:
     topology = scn.topology_from_scenario(sc)
     node = int(sc.get("detector", "node", 0))
     if not 0 <= node < topology.M:
         raise ScenarioError(f"detector.node must be in 0..{topology.M - 1}, got {node}")
-    section = sc.sections.get("montecarlo", {})
-    trials = args.trials if args.trials is not None else int(section.get("trials", 10000))
-    if trials < 1:
-        raise ScenarioError(f"montecarlo.trials must be >= 1, got {trials}")
-    v = int(sc.get("topology", "v", 1))
-    if v < 1:
-        raise ScenarioError(f"topology.v must be >= 1, got {v}")
     return Setting(
-        topology=topology, v=v, node=node, trials=trials,
-        seed=args.seed if args.seed is not None else int(section.get("seed", 0)),
-        threads=args.threads if args.threads is not None else int(section.get("threads", 1)),
+        topology=topology, v=int(sc.get("topology", "v", 1)), node=node,
+        trials=int(sc.get("montecarlo", "trials", 10000)),
+        seed=int(sc.get("montecarlo", "seed", 0)),
+        threads=int(sc.get("montecarlo", "threads", 1)),
     )
 
 
-def _positive_list(sc: ScenarioFile, key: str, kind: str) -> list[float]:
+def _required_list(sc: ScenarioFile, key: str, kind: str) -> list[float]:
     values = [float(x) for x in (sc.get("experiment", key) or [])]
     if not values:
         raise ScenarioError(f"{kind} experiments need experiment.{key}")
-    for value in values:
-        if not value > 0.0:
-            raise ScenarioError(f"experiment.{key} entries must be positive, got {value:g}")
     return values
 
 
@@ -193,7 +184,7 @@ def run_spectral(sc: ScenarioFile, args) -> None:
 
 
 def run_bounds(sc: ScenarioFile, args) -> None:
-    setting = _setting(sc, args)
+    setting = _setting(sc)
     topology, v = setting.topology, setting.v
     n_max = int(sc.get("experiment", "n_max", 200))
     include_new = bool(sc.get("experiment", "include_new_sample", False))
@@ -260,8 +251,6 @@ def _fss_points(sc: ScenarioFile, setting: Setting) -> list[tuple]:
     M = setting.topology.M
     n_list = sc.get("experiment", "n_list") or [int(sc.get("experiment", "n_max", 100))]
     v_list = sc.get("experiment", "v_list") or [setting.v]
-    if min(v_list) < 1:
-        raise ScenarioError(f"experiment.v_list entries must be >= 1, got {min(v_list)}")
     theta0 = float(sc.get("model", "theta0", 0.0))
     gamma_scale = float(sc.get("experiment", "gamma_scale", 1.0))
     p_f = float(sc.require("detector", "p_f"))
@@ -270,7 +259,7 @@ def _fss_points(sc: ScenarioFile, setting: Setting) -> list[tuple]:
         for n in n_list:
             model = model_from_scenario(sc, theta=theta0 + gamma_scale / math.sqrt(n))
             nonlin = nonlinearity_from_scenario(sc, model)
-            m0 = stats.moments(model, nonlin, theta0, M=1)
+            m0 = stats.moments(model, nonlin, theta0)
             threshold = fss_threshold(p_f, n, m0, M)
             study = montecarlo.estimate_error_probabilities(
                 model, nonlin, setting.topology, v, n, threshold, setting.trials, setting.seed,
@@ -282,7 +271,7 @@ def _fss_points(sc: ScenarioFile, setting: Setting) -> list[tuple]:
 
 
 def run_fss(sc: ScenarioFile, args) -> None:
-    setting = _setting(sc, args)
+    setting = _setting(sc)
     label = scenario_label(sc)
     points = _fss_points(sc, setting)
     rows = [
@@ -318,8 +307,8 @@ def _sequential_design(sc: ScenarioFile, M: int, p_e: float, r: float):
     theta_r = theta0 + 1.0 / math.sqrt(r)
     model = model_from_scenario(sc, theta=theta_r)
     nonlin = nonlinearity_from_scenario(sc, model)
-    m0 = stats.moments(model, nonlin, theta0, M=1)
-    mr = stats.moments(model, nonlin, theta_r, M=1)
+    m0 = stats.moments(model, nonlin, theta0)
+    mr = stats.moments(model, nonlin, theta_r)
     detector = sequential_design(p_e, 1.0 - p_e, r, m0, mr, M)
     asn = analysis.sequential_asymptotics(p_e, 1.0 - p_e, stats.efficacy(m0, M))
     factor = float(sc.get("experiment", "max_n_factor", 100.0))
@@ -371,15 +360,14 @@ def _sequential_points(sc: ScenarioFile, setting: Setting) -> list[SequentialPoi
 
 
 def _sequential_measure(sc: ScenarioFile) -> str:
-    return str(sc.get("experiment", "measure", "asn"))
+    measure = str(sc.get("experiment", "measure", "asn"))
+    if measure not in ("asn", "error", "are", "trajectory"):
+        raise ScenarioError(f"unknown sequential measure {measure!r}")
+    return measure
 
 
 def _p_e_values(sc: ScenarioFile) -> list:
-    values = sc.get("detector", "p_e_list") or [float(sc.require("detector", "p_e"))]
-    for value in values:
-        if not 0.0 < value < 0.5:
-            raise ScenarioError(f"detector.p_e and p_e_list entries must be in (0, 0.5), got {value:g}")
-    return values
+    return sc.get("detector", "p_e_list") or [float(sc.require("detector", "p_e"))]
 
 
 def _snr_db_values(sc: ScenarioFile) -> list:
@@ -387,8 +375,10 @@ def _snr_db_values(sc: ScenarioFile) -> list:
 
 
 def run_sequential(sc: ScenarioFile, args) -> None:
-    setting = _setting(sc, args)
+    setting = _setting(sc)
     if _sequential_measure(sc) == "trajectory":
+        if args.dump_trajectory:
+            raise ScenarioError("--dump-trajectory does not apply to measure 'trajectory'")
         _sequential_trajectory(sc, args, setting)
         return
     label = scenario_label(sc)
@@ -463,7 +453,7 @@ def _change_quantities(sc: ScenarioFile):
     llr = stats.llr_nonlinearity(model)
     d01 = stats.kl_divergence(model.null, model.alt)
     d10 = stats.kl_divergence(model.alt, model.null)
-    var1 = stats.moments(model, llr, model.theta, M=1).sigma2
+    var1 = stats.moments(model, llr, model.theta).sigma2
     return model, d01, d10, var1
 
 
@@ -480,7 +470,7 @@ def _change_points(sc: ScenarioFile, setting: Setting):
     M = setting.topology.M
     measure = str(sc.get("experiment", "measure", "both"))
     gamma_offset = float(sc.get("detector", "gamma_offset", 0.0))
-    gamma_list = _positive_list(sc, "gamma_list", "change")
+    gamma_list = _required_list(sc, "gamma_list", "change")
     families = [str(f) for f in (sc.get("experiment", "families") or ["centralized"])]
     for family in families:
         if family not in analysis.CUSUM_FAMILIES:
@@ -514,7 +504,7 @@ def _change_points(sc: ScenarioFile, setting: Setting):
 
 
 def run_change(sc: ScenarioFile, args) -> None:
-    setting = _setting(sc, args)
+    setting = _setting(sc)
     label = scenario_label(sc)
     theory, families, runs = _change_points(sc, setting)
     out = resolve_output(str(sc.require("output", "path")), args.out)
@@ -558,7 +548,7 @@ def run_change(sc: ScenarioFile, args) -> None:
 
 def run_efficiency(sc: ScenarioFile, args) -> None:
     topology = scn.topology_from_scenario(sc)
-    rate_list = _positive_list(sc, "rate_list", "efficiency")
+    rate_list = _required_list(sc, "rate_list", "efficiency")
     m_list = sc.get("experiment", "m_list")
     _, d01, d10, var1 = _change_quantities(sc)
     if max(rate_list) >= d01:
@@ -597,7 +587,7 @@ def figure_fss(sc: ScenarioFile, args) -> None:
          study.p_d["node"].value, study.p_d["node"].std_err,
          study.p_d["centralized"].value, study.p_d["centralized"].std_err,
          p_d_limit]
-        for v, n, threshold, study, p_d_limit in _fss_points(sc, _setting(sc, args))
+        for v, n, threshold, study, p_d_limit in _fss_points(sc, _setting(sc))
     ]
     out = resolve_output(str(sc.require("output", "path")), args.out)
     write_csv(
@@ -610,7 +600,7 @@ def figure_fss(sc: ScenarioFile, args) -> None:
 
 def figure_sequential(sc: ScenarioFile, args) -> None:
     """Wide scaled-sample-number / error-probability table per grid point."""
-    setting = _setting(sc, args)
+    setting = _setting(sc)
     measure = _sequential_measure(sc)
     if measure == "trajectory":
         _sequential_trajectory(sc, args, setting)
@@ -647,7 +637,7 @@ def figure_sequential(sc: ScenarioFile, args) -> None:
 
 def figure_change(sc: ScenarioFile, args) -> None:
     """Operating-characteristic table: theory plus simulated (R, D) points."""
-    setting = _setting(sc, args)
+    setting = _setting(sc)
     theory, families, runs = _change_points(sc, setting)
     rows = []
     for p in theory:
@@ -719,11 +709,15 @@ def run_reproduce(tag: str, args) -> None:
 # ---------------------------------------------------------------------------
 
 def _apply_overrides(sc: ScenarioFile, args) -> None:
+    """Every --set in turn, then --seed, --trials and --threads, which win."""
     for item in args.set or []:
         if "=" not in item:
             raise ScenarioError(f"--set expects section.key=value, got '{item}'")
         dotted, _, value = item.partition("=")
         scn.apply_override(sc, dotted.strip(), value.strip())
+    for key in ("seed", "trials", "threads"):
+        if getattr(args, key) is not None:
+            scn.apply_override(sc, f"montecarlo.{key}", str(getattr(args, key)))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -733,10 +727,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="override output.path")
     parser.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                         help="override any scenario key (repeatable)")
-    parser.add_argument("--dump-trajectory", default=None, metavar="PATH",
-                        help="also dump one state trajectory as CSV")
-    parser.add_argument("--dump-trials", default=None, metavar="PATH",
-                        help="also dump per-trial records (change experiments)")
+    parser.set_defaults(dump_trajectory=None, dump_trials=None)  # each dump flag only where it is written
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -749,6 +740,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=f"run a '{name}' scenario file")
         cmd.add_argument("scenario", help="path to the scenario file")
         _add_common(cmd)
+        if name in ("bounds", "fss", "sequential"):
+            cmd.add_argument("--dump-trajectory", metavar="PATH", help="also dump one state trajectory as CSV")
+        if name == "change":
+            cmd.add_argument("--dump-trials", metavar="PATH", help="also dump per-trial records as CSV")
     rep = sub.add_parser("reproduce", help="run a bundled experiment by tag")
     rep.add_argument("tag", help="experiment tag, e.g. fig:bound1")
     _add_common(rep)

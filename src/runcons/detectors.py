@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .stats import MomentSet, q_inverse
+from .stats import MomentSet, efficacy, q_inverse
 
 
 def fss_threshold(p_f: float, n: int, moments_at_theta0: MomentSet, M: int) -> float:
@@ -61,7 +61,7 @@ def sequential_design(
     Thresholds scale the Wiener-limit exit levels by sqrt(r M) sigma(theta0).
     """
     m0 = moments_at_theta0
-    d = math.sqrt(M) * m0.mu_prime_at_theta0 / math.sqrt(m0.sigma2)
+    d = efficacy(m0, M)
     scale = math.sqrt(r * M * m0.sigma2)
     alpha, beta = continuous_time_thresholds(p_f, p_d, d)
     eta_r = 0.5 * (moments_at_theta_r.mu + m0.mu)

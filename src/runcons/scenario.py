@@ -75,6 +75,19 @@ SCHEMA: dict[str, dict[str, str]] = {
     },
 }
 
+# range rules, checked after parse and after every override
+_COUNT = (lambda x: x >= 1, "must be >= 1")
+_POSITIVE = (lambda x: x > 0.0, "must be positive")
+_PROBABILITY = (lambda x: 0.0 < x < 1.0, "must be in (0, 1)")
+RANGES = {
+    **dict.fromkeys(("experiment.n_max", "experiment.n_list", "experiment.v_list", "experiment.m_list",
+                     "topology.v", "montecarlo.trials"), _COUNT),
+    **dict.fromkeys(("experiment.gamma_list", "experiment.rate_list", "model.variance", "model.variance0",
+                     "model.variance1", "model.variance2"), _POSITIVE),
+    **dict.fromkeys(("model.weight", "detector.p_f"), _PROBABILITY),
+    **dict.fromkeys(("detector.p_e", "detector.p_e_list"), (lambda x: 0.0 < x < 0.5, "must be in (0, 0.5)")),
+}
+
 SECTION_ORDER = ("experiment", "topology", "model", "detector", "montecarlo", "output")
 
 REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
@@ -182,6 +195,11 @@ def validate(scenario: ScenarioFile) -> None:
             raise ScenarioError(f"missing required section [{section}] for kind '{kind}'")
     if scenario.edges and scenario.sections.get("topology", {}).get("kind") != "explicit_edges":
         raise ScenarioError("edge lines are only valid for topology kind 'explicit_edges'")
+    for dotted, (ok, wording) in RANGES.items():
+        value = scenario.get(*dotted.split("."))
+        for item in value if isinstance(value, list) else [] if value is None else [value]:
+            if not ok(item):
+                raise ScenarioError(f"{dotted} {wording}, got {item:g}")
 
 
 def _format_value(value, type_tag: str) -> str:

@@ -2,8 +2,9 @@
 
 Everything here is pure and immutable after construction.  Closed forms are
 used where they exist; otherwise adaptive quadrature over the real line at
-relative tolerance 1e-8, with the vector third moment falling back to Monte
-Carlo (its only consumer already carries Monte Carlo error bars).
+relative tolerance 1e-8, with the vector third moment over M > 1 samples
+falling back to Monte Carlo (its only consumer, the error-moment bound,
+already carries Monte Carlo error bars).
 """
 
 from __future__ import annotations
@@ -314,19 +315,46 @@ def integrate_real_line(fn, hint: tuple[float, float], rel_tol: float = QUAD_REL
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Mean, variance, vector third moment and local mean slope of t(x)."""
+    """Mean, variance and local mean slope of t(x)."""
 
     mu: float
     sigma2: float
-    xi3: float
     mu_prime_at_theta0: float
-    xi3_std_err: float = 0.0
 
     def __post_init__(self) -> None:
         if self.sigma2 <= 0.0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.xi3 + 3.0 * self.xi3_std_err < self.sigma2 ** 1.5:
-            raise ValueError("xi3 below the single-coordinate lower bound sigma^3")
+
+
+def moments(model: HypothesisModel, nonlinearity, theta: float) -> MomentSet:
+    """Moments of t(x) under the sampling law at parameter theta.
+
+    Closed forms cover the identity and the score on Gaussian data; the rest
+    runs through quadrature.
+    """
+    dist = model.at(theta)
+    if isinstance(nonlinearity, Identity):
+        return MomentSet(dist.mean, dist.var, 1.0)
+
+    if isinstance(nonlinearity, Score) and isinstance(model.family, GaussianLocationFamily):
+        v = model.family.variance
+        return MomentSet((theta - model.theta0) / v, 1.0 / v, 1.0 / v)
+
+    # quadrature path
+    hint = dist.quad_hint()
+    t = nonlinearity
+    mu = integrate_real_line(lambda x: t(x) * dist.pdf(x), hint)
+    second = integrate_real_line(lambda x: t(x) ** 2 * dist.pdf(x), hint)
+
+    if isinstance(t, Score):
+        # slope of the mean at theta0 equals the second moment of the score
+        mu_prime = fisher_information(model)
+    elif model.family is None:
+        mu_prime = float("nan")  # no parametric family: the slope is undefined
+    else:
+        mu_prime = _mu_prime_central_difference(model, t, hint)
+
+    return MomentSet(mu, second - mu * mu, mu_prime)
 
 
 def _chi_third_moment(M: int) -> float:
@@ -334,86 +362,38 @@ def _chi_third_moment(M: int) -> float:
     return math.exp(1.5 * math.log(2.0) + gammaln((M + 3) / 2.0) - gammaln(M / 2.0))
 
 
-def _abs_third_moment_gaussian(variance: float) -> float:
-    return variance ** 1.5 * _chi_third_moment(1)
+def vector_third_moment(model: HypothesisModel, nonlinearity, theta: float, M: int) -> tuple[float, float]:
+    """(xi3, standard error): E||t(x) - mu||^3 over an M-vector of iid samples at theta.
 
-
-def _xi3_monte_carlo(dist, t, mu: float, M: int, rng: np.random.Generator) -> tuple[float, float]:
-    draws = _XI3_MC_DRAWS // M
-    x = dist.sample(rng, (draws, M))
-    norms = np.linalg.norm(t(x) - mu, axis=1) ** 3
-    return float(norms.mean()), float(norms.std(ddof=1) / math.sqrt(draws))
-
-
-def moments(
-    model: HypothesisModel,
-    nonlinearity,
-    theta: float,
-    M: int = 1,
-    rng: np.random.Generator | None = None,
-) -> MomentSet:
-    """Moments of t(x) under the sampling law at parameter theta.
-
-    The vector third moment is over an M-vector of iid samples.  Closed forms
-    cover identity and score nonlinearities on Gaussian data; the rest runs
-    through quadrature, with Monte Carlo (fixed default stream) for the
-    M-dimensional norm integral.
+    Closed forms cover the identity and the score on Gaussian data, and the
+    identity on mixture data at M = 1; otherwise quadrature at M = 1 and Monte
+    Carlo on a fixed stream for the M-dimensional norm integral.
     """
+    m = moments(model, nonlinearity, theta)
     dist = model.at(theta)
-    fam = model.family
-
-    if isinstance(nonlinearity, Identity) and isinstance(dist, Gaussian):
-        sigma2 = dist.variance
-        xi3 = sigma2 ** 1.5 * _chi_third_moment(M)
-        return MomentSet(mu=dist.mean, sigma2=sigma2, xi3=xi3, mu_prime_at_theta0=1.0)
-
-    if isinstance(nonlinearity, Identity) and isinstance(dist, GaussianMixture):
-        sigma2 = dist.var
-        if M == 1:
-            p = dist.weight
-            xi3 = p * _abs_third_moment_gaussian(dist.variance1) + (1.0 - p) * _abs_third_moment_gaussian(dist.variance2)
-            xi3_se = 0.0
-        else:
-            gen = rng if rng is not None else np.random.default_rng(_XI3_MC_SEED)
-            xi3, xi3_se = _xi3_monte_carlo(dist, nonlinearity, dist.mean, M, gen)
-        return MomentSet(dist.mean, sigma2, xi3, 1.0, xi3_se)
-
-    if isinstance(nonlinearity, Score) and isinstance(fam, GaussianLocationFamily):
-        v = fam.variance
-        mu = (theta - model.theta0) / v
-        sigma2 = 1.0 / v
-        xi3 = sigma2 ** 1.5 * _chi_third_moment(M)
-        return MomentSet(mu, sigma2, xi3, mu_prime_at_theta0=1.0 / v)
-
-    # quadrature path
-    hint = dist.quad_hint()
     t = nonlinearity
-    mu = integrate_real_line(lambda x: t(x) * dist.pdf(x), hint)
-    second = integrate_real_line(lambda x: t(x) ** 2 * dist.pdf(x), hint)
-    sigma2 = second - mu * mu
-
-    if isinstance(t, Score):
-        # slope of the mean at theta0 equals the second moment of the score
-        null = model.at(model.theta0)
-        mu_prime = integrate_real_line(lambda x: t(x) ** 2 * null.pdf(x), null.quad_hint())
-    elif model.family is None:
-        mu_prime = float("nan")  # no parametric family: the slope is undefined
+    linear = isinstance(t, Identity) or (isinstance(t, Score) and isinstance(model.family, GaussianLocationFamily))
+    xi3_se = 0.0
+    if linear and isinstance(dist, Gaussian):
+        xi3 = m.sigma2 ** 1.5 * _chi_third_moment(M)
+    elif isinstance(t, Identity) and M == 1:
+        # mixture: each component's absolute third moment, weighted
+        c = _chi_third_moment(1)
+        p = dist.weight
+        xi3 = p * (dist.variance1 ** 1.5 * c) + (1.0 - p) * (dist.variance2 ** 1.5 * c)
+    elif M == 1:
+        xi3 = integrate_real_line(lambda x: np.abs(t(x) - m.mu) ** 3 * dist.pdf(x), dist.quad_hint())
     else:
-        mu_prime = _mu_prime_central_difference(model, t, hint)
-
-    if M == 1:
-        xi3 = integrate_real_line(lambda x: np.abs(t(x) - mu) ** 3 * dist.pdf(x), hint)
-        xi3_se = 0.0
-    else:
-        gen = rng if rng is not None else np.random.default_rng(_XI3_MC_SEED)
-        xi3, xi3_se = _xi3_monte_carlo(dist, t, mu, M, gen)
-
-    return MomentSet(mu, sigma2, xi3, mu_prime, xi3_se)
+        draws = _XI3_MC_DRAWS // M
+        x = dist.sample(np.random.default_rng(_XI3_MC_SEED), (draws, M))
+        norms = np.linalg.norm(t(x) - m.mu, axis=1) ** 3
+        xi3, xi3_se = float(norms.mean()), float(norms.std(ddof=1) / math.sqrt(draws))
+    if xi3 + 3.0 * xi3_se < m.sigma2 ** 1.5:
+        raise ValueError("xi3 below the single-coordinate lower bound sigma^3")
+    return xi3, xi3_se
 
 
 def _mu_prime_central_difference(model: HypothesisModel, t, hint) -> float:
-    if model.family is None:
-        raise ValueError("mu'(theta0) needs a parametric family")
     h = 1e-5 * max(1.0, abs(model.theta0))
     lo = model.at(model.theta0 - h)
     hi = model.at(model.theta0 + h)

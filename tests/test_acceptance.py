@@ -164,10 +164,10 @@ def test_c05_error_moment_bounds():
     summary = expected_gossip_matrix(top)
     constants = analysis.moment_bound_constants(M, summary.lambda_U)
     model = stats.gaussian_shift_model(1.0, theta=0.0)
-    m = stats.moments(model, stats.Identity(), 0.0, M=M)
+    xi3, _ = stats.vector_third_moment(model, stats.Identity(), 0.0, M)
     study = mc.estimate_error_moments(top, 1, [10, 100, 1000], 10_000, 51)
     second_cap = constants.C1 * 1.0
-    third_cap = constants.C1 * m.xi3 + constants.C2 * 1.0
+    third_cap = constants.C1 * xi3 + constants.C2 * 1.0
     for k, n in enumerate(study.slots):
         e2 = study.second_moment[k]
         e3 = study.third_abs_moment[k]
@@ -189,7 +189,7 @@ def test_c06_fss_detection_probability_converges():
     for n in (20, 500):
         theta_n = 1.0 / math.sqrt(n)
         model = stats.gaussian_shift_model(1.0, theta=theta_n)
-        m0 = stats.moments(model, stats.Identity(), 0.0, M=1)
+        m0 = stats.moments(model, stats.Identity(), 0.0)
         threshold = fss_threshold(p_f, n, m0, M)
         study = mc.estimate_error_probabilities(
             model, stats.Identity(), top, 1, n, threshold, trials, 61, run_null=False
@@ -209,8 +209,8 @@ def _sequential_point(p_e: float, snr: float, M: int, v: int, trials: int, seed:
     r = 1.0 / snr  # unit noise variance
     theta_r = 1.0 / math.sqrt(r)
     model = stats.gaussian_shift_model(1.0, theta=theta_r)
-    m0 = stats.moments(model, stats.Identity(), 0.0, M=1)
-    mr = stats.moments(model, stats.Identity(), theta_r, M=1)
+    m0 = stats.moments(model, stats.Identity(), 0.0)
+    mr = stats.moments(model, stats.Identity(), theta_r)
     detector = sequential_design(p_e, 1.0 - p_e, r, m0, mr, M)
     d = stats.efficacy(m0, M)
     asn0, asn1 = analysis.sequential_asymptotics(p_e, 1.0 - p_e, d)
@@ -286,8 +286,8 @@ def test_c08_mixture_score_detector():
         theta_r = 1.0 / math.sqrt(r)
         model = stats.mixture_shift_model(weight, v1, v2, theta=theta_r)
         nonlin = stats.score_nonlinearity(model)
-        m0 = stats.moments(model, nonlin, 0.0, M=1)
-        mr = stats.moments(model, nonlin, theta_r, M=1)
+        m0 = stats.moments(model, nonlin, 0.0)
+        mr = stats.moments(model, nonlin, theta_r)
         detector = sequential_design(p_e, 1.0 - p_e, r, m0, mr, M)
         d = stats.efficacy(m0, M)
         asn0, asn1 = analysis.sequential_asymptotics(p_e, 1.0 - p_e, d)
@@ -406,7 +406,7 @@ def test_c11_bank_delay_integral():
     model = stats.variance_change_model(1.0, sig2)
     d10 = stats.kl_divergence(model.alt, model.null)
     llr = stats.llr_nonlinearity(model)
-    var1 = stats.moments(model, llr, model.theta, M=1).sigma2
+    var1 = stats.moments(model, llr, model.theta).sigma2
     delta = d10 / var1
     gamma = 21.0
     assert gamma * delta >= 10.0
@@ -431,7 +431,7 @@ def _efficiency_inputs():
     d01 = stats.kl_divergence(model.null, model.alt)
     d10 = stats.kl_divergence(model.alt, model.null)
     llr = stats.llr_nonlinearity(model)
-    var1 = stats.moments(model, llr, model.theta, M=1).sigma2
+    var1 = stats.moments(model, llr, model.theta).sigma2
     return d01, d10, var1
 
 

@@ -391,7 +391,22 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
     [([kind, name, "--set", "model.family=variance_change", "--set", "model.variance0=1",
        "--set", "model.variance1=2"], "variance_change")
      for kind, name in (("fss", "fig_fss3.scn"), ("sequential", "fig_nmed_gauss.scn"))],
-], ids=["p_e-above-half", "rate-above-d01", "v-below-1", "no-location-family"])
+    [(["reproduce", "fig:FSS3", "--set", "detector.p_f=1.5"], "detector.p_f"),
+     (["fss", "fig_fss3.scn", "--set", "detector.p_f=0"], "detector.p_f")],
+    [(["reproduce", "fig:FSS3", "--set", "model.variance=0"], "model.variance"),
+     (["reproduce", "fig:PerrMixt", "--set", "model.weight=1.5"], "model.weight"),
+     (["reproduce", "fig:NmedMixt", "--set", "model.variance2=0"], "model.variance2"),
+     (["reproduce", "fig:sim2", "--set", "model.variance0=-1"], "model.variance0"),
+     (["change", "fig_sim1.scn", "--set", "model.variance1=0"], "model.variance1")],
+    [(["reproduce", "fig:FSS3", "--set", "experiment.n_list=0", "--set", "experiment.v_list=1"], "n_list"),
+     (["reproduce", "fig:FSS3", "--set", "experiment.n_list=10,-4"], "n_list"),
+     (["reproduce", "fig:RE1", "--set", "experiment.m_list=0"], "m_list"),
+     (["reproduce", "fig:bound1", "--set", "experiment.n_max=-1"], "n_max"),
+     (["bounds", "fig_bound1_complete.scn", "--set", "experiment.n_max=0"], "n_max")],
+    [(["reproduce", "fig:NmedGauss", "--set", "experiment.measure=aer"], "measure"),
+     (["sequential", "fig_perr_gauss.scn", "--set", "experiment.measure=eror"], "measure")],
+], ids=["p_e-above-half", "rate-above-d01", "v-below-1", "no-location-family", "p_f-outside-unit",
+        "model-parameters", "counts-below-1", "unknown-sequential-measure"])
 def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, capsys):
     for command, message in runs:
         if command[0] != "reproduce":
@@ -401,6 +416,28 @@ def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, caps
         assert code == 2, command
         assert message in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["reproduce", "fig:FSS3", "--dump-trajectory", "t.csv"],
+    ["reproduce", "fig:bound1", "--dump-trajectory", "t.csv"],
+    ["reproduce", "fig:sim2", "--dump-trials", "t.csv"],
+    ["change", "fig_sim2.scn", "--dump-trajectory", "t.csv"],
+    ["bounds", "fig_bound1_complete.scn", "--dump-trials", "t.csv"],
+    ["sequential", "fig_stopping.scn", "--dump-trajectory", "t.csv"],
+], ids=["reproduce-fss", "reproduce-bounds", "reproduce-change", "change-trajectory", "bounds-trials",
+        "sequential-trajectory-measure"])
+def test_dump_flags_exit_2_where_not_honoured(command, tmp_path, monkeypatch, capsys):
+    # each dump belongs to the subcommands that write it; elsewhere it is an error, not a no-op
+    if command[0] != "reproduce":
+        command = [command[0], str(SCENARIOS / command[1]), *command[2:]]
+    try:
+        code = run_cli([*command, "--trials", "20"], tmp_path, monkeypatch)
+    except SystemExit as exc:  # argparse: unrecognized argument
+        code = exc.code
+    assert code == 2
+    assert "dump-tr" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _read_rows(path):

@@ -48,13 +48,13 @@ def _constant(value):
 
 def test_fss_threshold_median_at_zero_mean():
     model = gaussian_shift_model(1.0, theta=0.1)
-    m0 = moments(model, Identity(), 0.0, M=1)
+    m0 = moments(model, Identity(), 0.0)
     assert fss_threshold(0.5, 25, m0, 4) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fss_threshold_gaussian_value():
     model = gaussian_shift_model(1.0, theta=0.1)
-    m0 = moments(model, Identity(), 0.0, M=1)
+    m0 = moments(model, Identity(), 0.0)
     delta = fss_threshold(0.05, 100, m0, 10)
     assert delta == pytest.approx(math.sqrt(1000.0) * q_inverse(0.05), rel=1e-12)
     assert delta == pytest.approx(52.02, abs=0.01)
@@ -96,8 +96,8 @@ def test_fss_detector_validation():
 def _gaussian_detector(p_f, p_d, r, M, sigma2=1.0):
     theta_r = 1.0 / math.sqrt(r)
     model = gaussian_shift_model(sigma2, theta=theta_r)
-    m0 = moments(model, Identity(), 0.0, M=1)
-    mr = moments(model, Identity(), theta_r, M=1)
+    m0 = moments(model, Identity(), 0.0)
+    mr = moments(model, Identity(), theta_r)
     return sequential_design(p_f, p_d, r, m0, mr, M)
 
 

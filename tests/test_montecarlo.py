@@ -170,7 +170,7 @@ def test_fss_matches_closed_form_roc_centralized():
 
     n, M, sigma2, theta = 20, 4, 1.0, 0.25
     model = gaussian_shift_model(sigma2, theta=theta)
-    m0 = moments(model, Identity(), 0.0, M=1)
+    m0 = moments(model, Identity(), 0.0)
     from runcons.detectors import fss_threshold
 
     threshold = fss_threshold(0.1, n, m0, M)
@@ -199,8 +199,8 @@ def test_fss_single_node_equals_centralized_when_m_is_one():
 def _design(p_e, r, M):
     theta_r = 1.0 / math.sqrt(r)
     model = gaussian_shift_model(1.0, theta=theta_r)
-    m0 = moments(model, Identity(), 0.0, M=1)
-    mr = moments(model, Identity(), theta_r, M=1)
+    m0 = moments(model, Identity(), 0.0)
+    mr = moments(model, Identity(), theta_r)
     return model, sequential_design(p_e, 1.0 - p_e, r, m0, mr, M)
 
 
@@ -226,7 +226,7 @@ def test_sequential_error_rates_near_nominal_centralized():
     from runcons.analysis import sequential_asymptotics
     from runcons.stats import efficacy
 
-    m0 = moments(model, Identity(), 0.0, M=1)
+    m0 = moments(model, Identity(), 0.0)
     h0, _ = sequential_asymptotics(0.05, 0.95, efficacy(m0, 5))
     assert asn == pytest.approx(400.0 * h0, rel=0.08)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scistats
 
+from runcons import stats as stats_module
 from runcons.stats import (
     Gaussian,
     GaussianMixture,
@@ -24,6 +25,7 @@ from runcons.stats import (
     score_nonlinearity,
     variance_change,
     variance_change_model,
+    vector_third_moment,
     wald_cdf,
     wald_cdf_inverse,
 )
@@ -221,31 +223,33 @@ def test_variance_change_is_zero_mean_gaussian():
 
 def test_identity_gaussian_moments_closed_form():
     model = gaussian_shift_model(2.0, theta=0.7)
-    m = moments(model, Identity(), 0.7, M=1)
+    m = moments(model, Identity(), 0.7)
     assert m.mu == pytest.approx(0.7)
     assert m.sigma2 == pytest.approx(2.0)
     assert m.mu_prime_at_theta0 == pytest.approx(1.0)
     # single coordinate: sigma^3 times the absolute third moment of a unit normal
-    assert m.xi3 == pytest.approx(2.0**1.5 * math.sqrt(8.0 / math.pi), rel=1e-10)
+    xi3, se = vector_third_moment(model, Identity(), 0.7, 1)
+    assert xi3 == pytest.approx(2.0**1.5 * math.sqrt(8.0 / math.pi), rel=1e-10)
+    assert se == 0.0
 
 
 def test_identity_gaussian_vector_third_moment_against_quadrature():
     # E[ chi_M^3 ] via the radial density as an independent oracle
     model = gaussian_shift_model(1.0, theta=0.0)
     for M in (1, 3, 10):
-        m = moments(model, Identity(), 0.0, M=M)
+        xi3, _ = vector_third_moment(model, Identity(), 0.0, M)
         from scipy import integrate as si
 
         radial, _ = si.quad(
             lambda r: r**3 * (r ** (M - 1)) * np.exp(-r * r / 2.0), 0.0, np.inf
         )
         norm, _ = si.quad(lambda r: (r ** (M - 1)) * np.exp(-r * r / 2.0), 0.0, np.inf)
-        assert m.xi3 == pytest.approx(radial / norm, rel=1e-9)
+        assert xi3 == pytest.approx(radial / norm, rel=1e-9)
 
 
 def test_moments_closed_form_agrees_with_quadrature():
     model = gaussian_shift_model(1.7, theta=0.4)
-    closed = moments(model, Identity(), 0.4, M=1)
+    closed = moments(model, Identity(), 0.4)
     dist = model.at(0.4)
     mu = integrate_real_line(lambda x: x * dist.pdf(x), dist.quad_hint())
     second = integrate_real_line(lambda x: x * x * dist.pdf(x), dist.quad_hint())
@@ -256,7 +260,7 @@ def test_moments_closed_form_agrees_with_quadrature():
 def test_score_gaussian_variance_is_fisher_information():
     model = gaussian_shift_model(2.5, theta=0.3)
     score = score_nonlinearity(model)
-    m0 = moments(model, score, 0.0, M=1)
+    m0 = moments(model, score, 0.0)
     assert m0.mu == pytest.approx(0.0, abs=1e-12)
     assert m0.sigma2 == pytest.approx(1 / 2.5, rel=1e-12)
     assert fisher_information(model) == pytest.approx(1 / 2.5, rel=1e-8)
@@ -285,7 +289,7 @@ def test_mixture_score_fisher_information_stable():
 def test_mixture_score_mu_prime_matches_central_difference():
     model = mixture_shift_model(0.3, 1.0, 25.0, theta=0.1)
     score = score_nonlinearity(model)
-    m0 = moments(model, score, 0.0, M=1)
+    m0 = moments(model, score, 0.0)
     h = 1e-4
     mu = []
     for theta in (-h, h):
@@ -298,7 +302,7 @@ def test_mixture_score_mu_prime_matches_central_difference():
 def test_mixture_score_moments_match_monte_carlo():
     model = mixture_shift_model(0.3, 1.0, 25.0, theta=0.25)
     score = score_nonlinearity(model)
-    m = moments(model, score, 0.25, M=1)
+    m = moments(model, score, 0.25)
     draws = model.at(0.25).sample(np.random.default_rng(8), 2_000_000)
     values = score(draws)
     assert m.mu == pytest.approx(values.mean(), abs=4 * values.std() / math.sqrt(values.size))
@@ -307,32 +311,45 @@ def test_mixture_score_moments_match_monte_carlo():
 
 def test_vector_third_moment_monte_carlo_reports_std_err():
     model = mixture_shift_model(0.3, 1.0, 25.0, theta=0.0)
-    m = moments(model, Identity(), 0.0, M=4)
-    assert m.xi3_std_err > 0.0
-    assert m.xi3 > m.sigma2**1.5
+    xi3, se = vector_third_moment(model, Identity(), 0.0, 4)
+    assert se > 0.0
+    assert xi3 > moments(model, Identity(), 0.0).sigma2**1.5
 
 
-def test_moment_set_rejects_impossible_third_moment():
-    with pytest.raises(ValueError):
-        MomentSet(mu=0.0, sigma2=4.0, xi3=1.0, mu_prime_at_theta0=1.0)
+def test_vector_third_moment_mixture_score_quadrature_matches_monte_carlo():
+    # M = 1 on a nonlinearity without a closed form: the quadrature path
+    model = mixture_shift_model(0.3, 1.0, 25.0, theta=0.25)
+    score = score_nonlinearity(model)
+    xi3, se = vector_third_moment(model, score, 0.25, 1)
+    values = score(model.at(0.25).sample(np.random.default_rng(9), 2_000_000))
+    cubes = np.abs(values - values.mean()) ** 3
+    assert se == 0.0
+    assert xi3 == pytest.approx(cubes.mean(), abs=4 * cubes.std() / math.sqrt(cubes.size))
+
+
+def test_vector_third_moment_rejects_impossible_value(monkeypatch):
+    # E|t - mu|^3 >= sigma^3 by Jensen; a broken closed form must not pass
+    monkeypatch.setattr(stats_module, "_chi_third_moment", lambda M: 0.5)
+    with pytest.raises(ValueError, match="xi3 below"):
+        vector_third_moment(gaussian_shift_model(4.0, theta=0.0), Identity(), 0.0, 1)
 
 
 def test_efficacy_gaussian_shift():
     model = gaussian_shift_model(1.0, theta=0.1)
-    m0 = moments(model, Identity(), 0.0, M=1)
+    m0 = moments(model, Identity(), 0.0)
     assert efficacy(m0, 10) == pytest.approx(math.sqrt(10.0), rel=1e-12)
     assert efficacy(m0, 40) == pytest.approx(2 * efficacy(m0, 10), rel=1e-12)
 
 
 def test_efficacy_mixture_score_attains_fisher_bound():
     model = mixture_shift_model(0.3, 1.0, 25.0, theta=0.1)
-    m0 = moments(model, score_nonlinearity(model), 0.0, M=1)
+    m0 = moments(model, score_nonlinearity(model), 0.0)
     i0 = fisher_information(model)
     assert efficacy(m0, 10) == pytest.approx(math.sqrt(10 * i0), rel=1e-6)
 
 
 def test_efficacy_rejects_flat_mean():
-    m = MomentSet(mu=0.0, sigma2=1.0, xi3=2.0, mu_prime_at_theta0=0.0)
+    m = MomentSet(mu=0.0, sigma2=1.0, mu_prime_at_theta0=0.0)
     with pytest.raises(ValueError):
         efficacy(m, 4)
 
@@ -369,6 +386,6 @@ def test_llr_moments_variance_change():
     # variance of the log ratio under the post-change law, by quadrature
     model = variance_change_model(1.0, 1.065024)
     llr = llr_nonlinearity(model)
-    m1 = moments(model, llr, model.theta, M=1)
+    m1 = moments(model, llr, model.theta)
     assert m1.sigma2 == pytest.approx((1.065024 - 1.0) ** 2 / 2.0, rel=1e-8)
     assert m1.mu == pytest.approx(kl_divergence(model.alt, model.null), rel=1e-8)
