@@ -535,7 +535,8 @@ def _llr_sampler(model: HypothesisModel, under: str, dof: int):
 
     dof is M for the fusion-center sum and 1 for one sensor's own increment.
     Zero-mean Gaussian pairs admit an exact sufficient form: the summed
-    increment is affine in a chi-square draw with dof degrees of freedom.
+    increment is affine in a chi-square draw with dof degrees of freedom, a
+    squared standard normal at dof 1 (about 3x cheaper than chisquare(1)).
     Anything else falls back to sampling dof raw values per increment.
     """
     dist = model.null if under == "null" else model.alt
@@ -551,7 +552,8 @@ def _llr_sampler(model: HypothesisModel, under: str, dof: int):
         scale = b * dist.variance
 
         def sampler(rng: np.random.Generator, shape) -> np.ndarray:
-            return dof * a + scale * rng.chisquare(float(dof), shape)
+            chi2 = np.square(rng.standard_normal(shape)) if dof == 1 else rng.chisquare(float(dof), shape)
+            return dof * a + scale * chi2
 
         return sampler
 
@@ -622,12 +624,6 @@ def page_run_lengths(
         return _lockstep(size, max_n, advance)
 
     return np.concatenate(_run_chunks(trials, seed, threads, worker))
-
-
-def estimate_page_run_length(*args, **kwargs) -> Estimate:
-    """Mean first-crossing slot of :func:`page_run_lengths` (same arguments);
-    truncated trials counted but excluded."""
-    return Estimate.from_run_lengths(page_run_lengths(*args, **kwargs))
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ SCHEMA: dict[str, dict[str, str]] = {
     "detector": {
         "kind": "str",
         "p_f": "float",
-        "p_d": "float",
         "p_e": "float",
         "p_e_list": "float_list",
         "gamma_offset": "float",
@@ -87,6 +86,8 @@ RANGES = {
     **dict.fromkeys(("model.weight", "detector.p_f"), _PROBABILITY),
     **dict.fromkeys(("detector.p_e", "detector.p_e_list"), (lambda x: 0.0 < x < 0.5, "must be in (0, 0.5)")),
 }
+
+DETECTOR_KINDS = {"fss": "fss", "sequential": "sequential", "change": "page"}  # a given detector.kind must match
 
 SECTION_ORDER = ("experiment", "topology", "model", "detector", "montecarlo", "output")
 
@@ -195,6 +196,9 @@ def validate(scenario: ScenarioFile) -> None:
             raise ScenarioError(f"missing required section [{section}] for kind '{kind}'")
     if scenario.edges and scenario.sections.get("topology", {}).get("kind") != "explicit_edges":
         raise ScenarioError("edge lines are only valid for topology kind 'explicit_edges'")
+    wanted, given = DETECTOR_KINDS.get(kind), scenario.get("detector", "kind")
+    if given not in (None, wanted):
+        raise ScenarioError(f"detector.kind must be {wanted!r} for {kind} experiments, got {given!r}")
     for dotted, (ok, wording) in RANGES.items():
         value = scenario.get(*dotted.split("."))
         for item in value if isinstance(value, list) else [] if value is None else [value]:

@@ -347,8 +347,8 @@ def moments(model: HypothesisModel, nonlinearity, theta: float) -> MomentSet:
     second = integrate_real_line(lambda x: t(x) ** 2 * dist.pdf(x), hint)
 
     if isinstance(t, Score):
-        # slope of the mean at theta0 equals the second moment of the score
-        mu_prime = fisher_information(model)
+        # slope of the mean at theta0: the score's second moment, just taken if theta is theta0
+        mu_prime = second if theta == model.theta0 else fisher_information(model)
     elif model.family is None:
         mu_prime = float("nan")  # no parametric family: the slope is undefined
     else:

@@ -313,10 +313,10 @@ def test_c09_page_false_alarm_law():
 
     for gamma in (1.2, 2.6, 4.0):
         predicted = float(analysis.false_alarm_rate_accurate(gamma, M, d01))
-        est = mc.estimate_page_run_length(
+        est = mc.Estimate.from_run_lengths(mc.page_run_lengths(
             model, "centralized", gamma, M, trials, 91, under="null",
             max_n=int(math.ceil(100.0 / predicted)),
-        )
+        ))
         simulated = 1.0 / est.value
         report("C9", f"centralized gamma={gamma}: R_sim={simulated:.3e} R_pred={predicted:.3e} "
                      f"ratio={simulated / predicted:.3f}")
@@ -331,10 +331,10 @@ def test_c09_page_false_alarm_law():
 
     gamma = 3.4  # the shared-law claim is a large-threshold statement
     predicted = float(analysis.false_alarm_rate_accurate(gamma, M, d01))  # bank uses the same law
-    est = mc.estimate_page_run_length(
+    est = mc.Estimate.from_run_lengths(mc.page_run_lengths(
         model, "bank", gamma, M, trials, 92, under="null",
         max_n=int(math.ceil(100.0 / predicted)),
-    )
+    ))
     simulated = 1.0 / est.value
     report("C9", f"bank gamma={gamma}: R_sim={simulated:.3e} R_pred={predicted:.3e} "
                  f"ratio={simulated / predicted:.3f}")
@@ -346,14 +346,14 @@ def test_c09_page_false_alarm_law():
 # ---------------------------------------------------------------------------
 
 def _oc_point(model, family, gamma, M, top, v, trials, seed, d01, d10):
-    fa = mc.estimate_page_run_length(
+    fa = mc.Estimate.from_run_lengths(mc.page_run_lengths(
         model, family, gamma, M, trials, seed, under="null",
         max_n=5_000_000, topology=top, v=v,
-    )
-    delay = mc.estimate_page_run_length(
+    ))
+    delay = mc.Estimate.from_run_lengths(mc.page_run_lengths(
         model, family, gamma, M, trials, seed + 1, under="alt",
         max_n=500_000, topology=top, v=v,
-    )
+    ))
     r_hat = 1.0 / fa.value
     d_pred = analysis.centralized_delay_at_rate(r_hat, M, d01, d10)
     return r_hat, delay.value, d_pred
@@ -412,9 +412,9 @@ def test_c11_bank_delay_integral():
     assert gamma * delta >= 10.0
     for M in (5, 10, 30):
         predicted = analysis.bank_delay(gamma, M, d10, var1)
-        est = mc.estimate_page_run_length(
+        est = mc.Estimate.from_run_lengths(mc.page_run_lengths(
             model, "bank", gamma, M, 10_000, 111, under="alt", max_n=10**7
-        )
+        ))
         ratio = est.value / predicted.integral
         report("C11", f"M={M}: D_sim={est.value:.0f}+-{est.std_err:.0f} "
                       f"D_integral={predicted.integral:.0f} ratio={ratio:.3f}")

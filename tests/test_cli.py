@@ -405,8 +405,13 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
      (["bounds", "fig_bound1_complete.scn", "--set", "experiment.n_max=0"], "n_max")],
     [(["reproduce", "fig:NmedGauss", "--set", "experiment.measure=aer"], "measure"),
      (["sequential", "fig_perr_gauss.scn", "--set", "experiment.measure=eror"], "measure")],
+    [(["reproduce", "fig:FSS3", "--set", "detector.p_d=0.9"], "detector.p_d")],
+    [(["reproduce", "fig:FSS3", "--set", "detector.kind=nonsense"], "detector.kind"),
+     (["change", "fig_sim1.scn", "--set", "detector.kind=sequential"], "detector.kind"),
+     (["sequential", "fig_nmed_gauss.scn", "--set", "detector.kind=page"], "detector.kind")],
 ], ids=["p_e-above-half", "rate-above-d01", "v-below-1", "no-location-family", "p_f-outside-unit",
-        "model-parameters", "counts-below-1", "unknown-sequential-measure"])
+        "model-parameters", "counts-below-1", "unknown-sequential-measure", "unread-p_d",
+        "detector-kind-not-the-runners"])
 def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, capsys):
     for command, message in runs:
         if command[0] != "reproduce":

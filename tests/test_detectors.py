@@ -273,8 +273,8 @@ def test_two_node_full_averaging_keeps_states_identical():
     # statistics coincide and either node alarms at the same slot
     model = variance_change_model(1.0, 1.5)
     top = full_ring(2)
-    a = page_run_lengths(model, "running", 4.0, 2, 200, 5, max_n=10_000, topology=top, v=1, node=0)
-    b = page_run_lengths(model, "running", 4.0, 2, 200, 5, max_n=10_000, topology=top, v=1, node=1)
+    a = page_run_lengths(model, "running", 4.0, 2, 200, 5, max_n=10**5, topology=top, v=1, node=0)
+    b = page_run_lengths(model, "running", 4.0, 2, 200, 5, max_n=10**5, topology=top, v=1, node=1)
     assert np.array_equal(a, b) and a.min() > 0
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import chi2, ks_2samp, kstest
 
 from runcons.analysis import BoundVariant, false_alarm_rate_accurate, theorem_bounds
 from runcons.consensus import ConsensusRun, WeightMode
@@ -10,13 +10,13 @@ from runcons.detectors import SequentialDetector, sequential_design
 from runcons.montecarlo import (
     Estimate,
     _gossip_batch,
+    _llr_sampler,
     _slot,
     chunk_rng,
     estimate_covariance,
     estimate_error_moments,
     estimate_error_probabilities,
     estimate_expected_square,
-    estimate_page_run_length,
     estimate_sprt_stopping,
     estimate_stopping,
     node_stopping_spread,
@@ -83,16 +83,16 @@ def test_advance_state_matches_consensus_run():
 def test_run_length_estimates_are_bit_identical_across_runs_and_threads():
     model = variance_change_model(1.0, 1.3)
     kwargs = dict(under="null", max_n=50_000)
-    a = estimate_page_run_length(model, "centralized", 3.0, 5, 6000, 42, threads=1, **kwargs)
-    b = estimate_page_run_length(model, "centralized", 3.0, 5, 6000, 42, threads=1, **kwargs)
-    c = estimate_page_run_length(model, "centralized", 3.0, 5, 6000, 42, threads=3, **kwargs)
+    a = Estimate.from_run_lengths(page_run_lengths(model, "centralized", 3.0, 5, 6000, 42, threads=1, **kwargs))
+    b = Estimate.from_run_lengths(page_run_lengths(model, "centralized", 3.0, 5, 6000, 42, threads=1, **kwargs))
+    c = Estimate.from_run_lengths(page_run_lengths(model, "centralized", 3.0, 5, 6000, 42, threads=3, **kwargs))
     assert a == b == c
 
 
 def test_seed_changes_output():
     model = variance_change_model(1.0, 1.3)
-    a = estimate_page_run_length(model, "centralized", 3.0, 5, 2000, 1, under="null", max_n=50_000)
-    b = estimate_page_run_length(model, "centralized", 3.0, 5, 2000, 2, under="null", max_n=50_000)
+    a = Estimate.from_run_lengths(page_run_lengths(model, "centralized", 3.0, 5, 2000, 1, under="null", max_n=50_000))
+    b = Estimate.from_run_lengths(page_run_lengths(model, "centralized", 3.0, 5, 2000, 2, under="null", max_n=50_000))
     assert a.value != b.value
 
 
@@ -252,22 +252,23 @@ def test_node_spread_is_small_fraction_of_stopping_time():
 
 def test_std_err_shrinks_like_root_trials():
     model = variance_change_model(1.0, 1.5)
-    small = estimate_page_run_length(model, "centralized", 2.0, 4, 2000, 11, under="null", max_n=100_000)
-    large = estimate_page_run_length(model, "centralized", 2.0, 4, 8000, 11, under="null", max_n=100_000)
+    kwargs = dict(under="null", max_n=100_000)
+    small = Estimate.from_run_lengths(page_run_lengths(model, "centralized", 2.0, 4, 2000, 11, **kwargs))
+    large = Estimate.from_run_lengths(page_run_lengths(model, "centralized", 2.0, 4, 8000, 11, **kwargs))
     ratio = small.std_err / large.std_err
     assert ratio == pytest.approx(2.0, rel=0.15)
 
 
 def test_no_nan_in_estimates():
     model = variance_change_model(1.0, 1.3)
-    est = estimate_page_run_length(model, "bank", 2.5, 4, 1000, 19, under="alt", max_n=100_000)
+    est = Estimate.from_run_lengths(page_run_lengths(model, "bank", 2.5, 4, 1000, 19, under="alt", max_n=100_000))
     assert np.isfinite(est.value) and np.isfinite(est.std_err)
     assert est.truncated_count == 0
 
 
 def test_truncation_excluded_from_mean():
     model = variance_change_model(1.0, 1.0001)  # nearly indistinguishable laws
-    est = estimate_page_run_length(model, "single", 50.0, 1, 50, 2, under="null", max_n=100)
+    est = Estimate.from_run_lengths(page_run_lengths(model, "single", 50.0, 1, 50, 2, under="null", max_n=100))
     assert est.truncated_count > 0
     assert est.count + est.truncated_count == 50
 
@@ -284,10 +285,10 @@ def test_page_false_alarm_interval_tracks_rate_formula():
     M = 10
     for gamma in (2.0, 3.0):
         pred = float(false_alarm_rate_accurate(gamma, M, d01))
-        est = estimate_page_run_length(
+        est = Estimate.from_run_lengths(page_run_lengths(
             model, "centralized", gamma, M, 3000, 47, under="null",
             max_n=int(100 / pred),
-        )
+        ))
         simulated = 1.0 / est.value
         assert 0.5 * pred <= simulated <= 2.0 * pred
 
@@ -315,6 +316,21 @@ def test_running_consensus_run_lengths_match_scalar_trial(family, under):
     se = math.hypot(engine.std(ddof=1), scalar.std(ddof=1)) / math.sqrt(trials)
     assert abs(engine.mean() - scalar.mean()) < 4.0 * se
     assert ks_2samp(engine, scalar).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("dof", [1, 10])
+@pytest.mark.parametrize("under", ["null", "alt"])
+def test_llr_sampler_draws_the_affine_chi_square_law(under, dof):
+    # the summed variance-change increment is dof*a + scale*chi2(dof), with
+    # a and scale from the two variances, whichever way the engine draws it
+    v0, v1 = 1.0, 1.065024
+    a = -0.5 * math.log(v1 / v0)
+    scale = 0.5 * (1.0 / v0 - 1.0 / v1) * (v0 if under == "null" else v1)
+    n = 100_000
+    draws = _llr_sampler(variance_change_model(v0, v1), under, dof)(np.random.default_rng(17), (n,))
+    assert kstest(draws, lambda x: chi2.cdf((x - dof * a) / scale, dof)).pvalue > 1e-3
+    mean, se = dof * a + scale * dof, scale * math.sqrt(2.0 * dof / n)
+    assert abs(draws.mean() - mean) < 4.0 * se
 
 
 def test_expected_square_estimate_close_to_exact_for_single_exchange():
