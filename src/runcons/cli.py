@@ -246,6 +246,15 @@ def run_bounds(sc: ScenarioFile, args) -> None:
         )
 
 
+def _shared_theta0_moments(sc: ScenarioFile) -> stats.MomentSet | None:
+    """Moments at theta0 of the statistic, the same at every theta_r; None for the LLR, which moves with it."""
+    model = model_from_scenario(sc, theta=float(sc.get("model", "theta0", 0.0)))
+    nonlin = nonlinearity_from_scenario(sc, model)
+    if isinstance(nonlin, stats.LogLikelihoodRatio):
+        return None
+    return stats.moments(model, nonlin, model.theta0)
+
+
 def _fss_points(sc: ScenarioFile, setting: Setting) -> list[tuple]:
     """(v, n, threshold, study, p_d_limit) on the (v, n) grid of an fss scenario."""
     M = setting.topology.M
@@ -254,12 +263,13 @@ def _fss_points(sc: ScenarioFile, setting: Setting) -> list[tuple]:
     theta0 = float(sc.get("model", "theta0", 0.0))
     gamma_scale = float(sc.get("experiment", "gamma_scale", 1.0))
     p_f = float(sc.require("detector", "p_f"))
+    shared_m0 = _shared_theta0_moments(sc)
     points = []
     for v in v_list:
         for n in n_list:
             model = model_from_scenario(sc, theta=theta0 + gamma_scale / math.sqrt(n))
             nonlin = nonlinearity_from_scenario(sc, model)
-            m0 = stats.moments(model, nonlin, theta0)
+            m0 = shared_m0 if shared_m0 is not None else stats.moments(model, nonlin, theta0)
             threshold = fss_threshold(p_f, n, m0, M)
             study = montecarlo.estimate_error_probabilities(
                 model, nonlin, setting.topology, v, n, threshold, setting.trials, setting.seed,
@@ -297,17 +307,19 @@ def run_fss(sc: ScenarioFile, args) -> None:
         )
 
 
-def _sequential_design(sc: ScenarioFile, M: int, p_e: float, r: float):
+def _sequential_design(sc: ScenarioFile, M: int, p_e: float, r: float, shared_m0: stats.MomentSet | None = None):
     """Model, statistic, symmetric-error test and horizon at error p_e and scale r.
 
-    The horizon is max_n_factor times r times the larger asymptotic expected
-    sample number.  Returns (model, nonlinearity, detector, (asn0, asn1), max_n).
+    A grid passes shared_m0 = `_shared_theta0_moments(sc)` to skip the moments
+    at theta0 at every point.  The horizon is max_n_factor times r times the
+    larger asymptotic expected sample number.  Returns
+    (model, nonlinearity, detector, (asn0, asn1), max_n).
     """
     theta0 = float(sc.get("model", "theta0", 0.0))
     theta_r = theta0 + 1.0 / math.sqrt(r)
     model = model_from_scenario(sc, theta=theta_r)
     nonlin = nonlinearity_from_scenario(sc, model)
-    m0 = stats.moments(model, nonlin, theta0)
+    m0 = shared_m0 if shared_m0 is not None else stats.moments(model, nonlin, theta0)
     mr = stats.moments(model, nonlin, theta_r)
     detector = sequential_design(p_e, 1.0 - p_e, r, m0, mr, M)
     asn = analysis.sequential_asymptotics(p_e, 1.0 - p_e, stats.efficacy(m0, M))
@@ -331,12 +343,13 @@ def _sequential_points(sc: ScenarioFile, setting: Setting) -> list[SequentialPoi
     """Every (p_e, SNR) grid point of an asn/error/are sequential scenario."""
     topology, v, trials, seed = setting.topology, setting.v, setting.trials, setting.seed
     V = model_from_scenario(sc).null.var  # noise variance
+    shared_m0 = _shared_theta0_moments(sc)
     points = []
     for p_e in _p_e_values(sc):
         for snr_db in _snr_db_values(sc):
             snr = 10.0 ** (float(snr_db) / 10.0)
             r = 1.0 / (snr * V)
-            model, nonlin, detector, asn, max_n = _sequential_design(sc, topology.M, float(p_e), r)
+            model, nonlin, detector, asn, max_n = _sequential_design(sc, topology.M, float(p_e), r, shared_m0)
             study = montecarlo.estimate_stopping(
                 model, nonlin, topology, v, detector, trials, seed,
                 max_n=max_n, node=setting.node, threads=setting.threads,
@@ -349,7 +362,7 @@ def _sequential_points(sc: ScenarioFile, setting: Setting) -> list[SequentialPoi
                 )
             if _sequential_measure(sc) == "are":
                 pe_hat = min(max(study.error_probability("node"), 1e-6), 0.49)
-                model, nonlin, detector, _, max_n = _sequential_design(sc, topology.M, pe_hat, r)
+                model, nonlin, detector, _, max_n = _sequential_design(sc, topology.M, pe_hat, r, shared_m0)
                 matched = montecarlo.estimate_stopping(
                     model, nonlin, topology, v, detector, trials, seed + 2,
                     max_n=max_n, threads=setting.threads,

@@ -95,24 +95,35 @@ def _run_chunks(trials: int, seed: int, threads: int, worker):
     return results
 
 
-def _lockstep(size: int, max_n: int, advance) -> np.ndarray:
+def _lockstep(size: int, max_n: int, advance, lanes: list[np.ndarray]) -> np.ndarray:
     """Step a chunk's trials in lockstep, compacting finished ones away.
 
-    advance(slot, alive) moves the live trials (indices into the chunk)
-    through one slot and returns the mask, over alive, of those that finished
-    in it.  Returns each trial's finishing slot, 0 for a trial still live at
-    max_n.
+    lanes holds per-trial arrays of the live trials only, trials on axis 0.
+    advance(slot, alive, lanes) moves them through one slot, in place or by
+    rebinding lanes[k], and returns the mask, over alive (their indices into
+    the chunk), of those that finished in it, or None when none did; only
+    then are alive and every lane compacted.  Returns each trial's finishing
+    slot, 0 for a trial still live at max_n.
     """
     stop = np.zeros(size, dtype=np.int64)
     alive = np.arange(size)
     slot = 0
     while alive.size and slot < max_n:
         slot += 1
-        done = advance(slot, alive)
-        if done.any():
+        done = advance(slot, alive, lanes)
+        if done is not None:
             stop[alive[done]] = slot
-            alive = alive[~done]
+            rows = np.flatnonzero(~done)  # take by index beats both mask forms on 1-D and 2-D lanes
+            alive = alive.take(rows)
+            lanes[:] = [lane.take(rows, axis=0) for lane in lanes]
     return stop
+
+
+def _finished(hit: np.ndarray) -> np.ndarray | None:
+    """Per-trial crossing mask of a (trials,) or (trials, k) test; None if nothing crossed."""
+    if not hit.any():  # most slots have no crossing, and this is far cheaper than any(axis=1)
+        return None
+    return hit if hit.ndim == 1 else hit.any(axis=1)
 
 
 def _pair_draws(rng: np.random.Generator, topology: NetworkTopology, v: int, lanes: int):
@@ -125,17 +136,20 @@ def _pair_draws(rng: np.random.Generator, topology: NetworkTopology, v: int, lan
 def _gossip_batch(states: np.ndarray, pair_array: np.ndarray, idx: np.ndarray) -> None:
     """Apply per-trial sequences of pairwise averages in place.
 
-    states has shape (B, M); idx has shape (B, v) and indexes pair_array.
-    Column k is applied before column k+1, matching apply_pair_sequence.
+    states has shape (B, M) and must be C-contiguous, since the averages are
+    written through its flat view; idx has shape (B, v) and indexes
+    pair_array.  Column k is applied before column k+1, matching
+    apply_pair_sequence.
     """
-    rows = np.arange(states.shape[0])
-    for k in range(idx.shape[1]):
-        chosen = pair_array[idx[:, k]]
-        i = chosen[:, 0]
-        j = chosen[:, 1]
-        mean = 0.5 * (states[rows, i] + states[rows, j])
-        states[rows, i] = mean
-        states[rows, j] = mean
+    if not states.flags.c_contiguous:
+        raise ValueError("gossip needs C-contiguous states")
+    B, M = states.shape
+    flat = states.reshape(-1)
+    base = np.arange(0, B * M, M)
+    for i, j in zip(pair_array[:, 0][idx.T] + base, pair_array[:, 1][idx.T] + base):
+        mean = 0.5 * (flat[i] + flat[j])
+        flat[i] = mean
+        flat[j] = mean
 
 
 def _slot(rng, topology: NetworkTopology, v: int, states: np.ndarray, sample, n: int,
@@ -435,8 +449,6 @@ def _sequential_trials(dist, nonlinearity, topology, v, detector, size, rng, max
     """
     M = topology.M
     eta, a_r, b_r = detector.eta_r, detector.a_r, detector.b_r
-    states = np.zeros((size, M))
-    csum = np.zeros(size)
     width = M if node is None else 2
     stops = np.zeros((size, width), dtype=np.int64)
     decs = np.zeros((size, width), dtype=np.int8)
@@ -444,25 +456,27 @@ def _sequential_trials(dist, nonlinearity, topology, v, detector, size, rng, max
     def sample(rng: np.random.Generator, shape) -> np.ndarray:
         return nonlinearity(dist.sample(rng, shape))
 
-    def advance(slot: int, alive: np.ndarray) -> np.ndarray:
-        states_a, t = _slot(rng, topology, v, states[alive], sample, slot, WeightMode.ACCUMULATING, True)
-        states[alive] = states_a
+    def advance(slot: int, alive: np.ndarray, lanes: list[np.ndarray]) -> np.ndarray | None:
+        states, csum, undecided = lanes
+        states, t = _slot(rng, topology, v, states, sample, slot, WeightMode.ACCUMULATING, True)
+        lanes[0] = states
         shift = slot * M * eta
         if node is None:
-            values = states_a - shift
+            values = states - shift
         else:
-            csum[alive] += t.sum(axis=1)
-            values = np.column_stack((csum[alive] - shift, states_a[:, node] - shift))
+            csum += t.sum(axis=1)
+            values = np.column_stack((csum - shift, states[:, node] - shift))
         upper = values >= b_r
-        undecided = decs[alive] == _DEC_NONE
         hit = (upper | (values <= a_r)) & undecided
-        if hit.any():
-            rows, cols = np.nonzero(hit)
-            decs[alive[rows], cols] = np.where(upper[rows, cols], _DEC_H1, _DEC_H0)
-            stops[alive[rows], cols] = slot
-        return ~(undecided & ~hit).any(axis=1)
+        if not hit.any():
+            return None
+        rows, cols = np.nonzero(hit)
+        decs[alive[rows], cols] = np.where(upper[rows, cols], _DEC_H1, _DEC_H0)
+        stops[alive[rows], cols] = slot
+        undecided &= ~hit
+        return ~undecided.any(axis=1)
 
-    _lockstep(size, max_n, advance)
+    _lockstep(size, max_n, advance, [np.zeros((size, M)), np.zeros(size), np.ones((size, width), dtype=bool)])
     return stops, decs
 
 
@@ -552,8 +566,15 @@ def _llr_sampler(model: HypothesisModel, under: str, dof: int):
         scale = b * dist.variance
 
         def sampler(rng: np.random.Generator, shape) -> np.ndarray:
-            chi2 = np.square(rng.standard_normal(shape)) if dof == 1 else rng.chisquare(float(dof), shape)
-            return dof * a + scale * chi2
+            # dof * a + scale * chi2, built in place (bit for bit the same)
+            if dof == 1:
+                out = rng.standard_normal(shape)
+                np.square(out, out=out)
+            else:
+                out = rng.chisquare(float(dof), shape)
+            out *= scale
+            out += dof * a
+            return out
 
         return sampler
 
@@ -596,32 +617,22 @@ def page_run_lengths(
     draw = _llr_sampler(model, under, M if mode == "centralized" else 1)
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
-        if mode in ("centralized", "single"):
-            cusum = np.zeros(size)
+        if mode == "running":  # gossip the updated statistic, then reset
 
-            def advance(slot: int, alive: np.ndarray) -> np.ndarray:
-                cusum_a = np.maximum(0.0, cusum[alive] + draw(rng, (alive.size,)))
-                cusum[alive] = cusum_a
-                return cusum_a >= gamma
+            def advance(slot: int, alive: np.ndarray, lanes: list[np.ndarray]) -> np.ndarray | None:
+                states, _ = _slot(rng, topology, v, lanes[0], draw, slot, WeightMode.ACCUMULATING, True)
+                lanes[0] = np.maximum(0.0, states, out=states)
+                return _finished(states[:, node] >= gamma)
 
-        elif mode == "bank":
-            cusums = np.zeros((size, M))
+            return _lockstep(size, max_n, advance, [np.zeros((size, M))])
 
-            def advance(slot: int, alive: np.ndarray) -> np.ndarray:
-                block = np.maximum(0.0, cusums[alive] + draw(rng, (alive.size, M)))
-                cusums[alive] = block
-                return (block >= gamma).any(axis=1)
+        def advance(slot: int, alive: np.ndarray, lanes: list[np.ndarray]) -> np.ndarray | None:
+            block = lanes[0]
+            block += draw(rng, block.shape)
+            np.maximum(0.0, block, out=block)
+            return _finished(block >= gamma)
 
-        else:  # running consensus: gossip the updated statistic, then reset
-            states = np.zeros((size, M))
-
-            def advance(slot: int, alive: np.ndarray) -> np.ndarray:
-                updated, _ = _slot(rng, topology, v, states[alive], draw, slot, WeightMode.ACCUMULATING, True)
-                updated = np.maximum(0.0, updated)
-                states[alive] = updated
-                return updated[:, node] >= gamma
-
-        return _lockstep(size, max_n, advance)
+        return _lockstep(size, max_n, advance, [np.zeros((size, M) if mode == "bank" else size)])
 
     return np.concatenate(_run_chunks(trials, seed, threads, worker))
 
@@ -652,16 +663,19 @@ def estimate_sprt_stopping(
 
     def run(under: str, size: int, rng: np.random.Generator):
         draw = _llr_sampler(model, under, M)
-        total = np.zeros(size)
+        # a finished trial's total is compacted away, so its decision is kept when it crosses
+        decs = np.zeros(size, dtype=np.int8)
 
-        def advance(slot: int, alive: np.ndarray) -> np.ndarray:
-            total_a = total[alive] + draw(rng, (alive.size,))
-            total[alive] = total_a
-            return (total_a >= upper) | (total_a <= lower)
+        def advance(slot: int, alive: np.ndarray, lanes: list[np.ndarray]) -> np.ndarray | None:
+            total = lanes[0]
+            total += draw(rng, total.shape)
+            above = total >= upper
+            done = _finished(above | (total <= lower))
+            if done is not None:
+                decs[alive[done]] = np.where(above[done], _DEC_H1, _DEC_H0)
+            return done
 
-        stop = _lockstep(size, max_n, advance)
-        # a stopped trial's total keeps the value that crossed a barrier
-        return stop, np.where(stop == 0, _DEC_NONE, np.where(total >= upper, _DEC_H1, _DEC_H0))
+        return _lockstep(size, max_n, advance, [np.zeros(size)]), decs
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
         return run("null", size, rng), run("alt", size, rng)

@@ -10,6 +10,7 @@ from runcons.detectors import SequentialDetector, sequential_design
 from runcons.montecarlo import (
     Estimate,
     _gossip_batch,
+    _lockstep,
     _llr_sampler,
     _slot,
     chunk_rng,
@@ -45,16 +46,47 @@ def test_estimate_from_samples_and_bernoulli():
 
 
 def test_gossip_batch_matches_sequential_application():
-    top = k_neighbor_ring(7, 4)
-    rng = np.random.default_rng(3)
-    states = rng.standard_normal((5, 7))
-    idx = rng.integers(0, len(top.pairs), size=(5, 4))
-    expected = np.array([
-        apply_pair_sequence(states[b], top.pair_array[idx[b]]) for b in range(5)
-    ])
-    batch = states.copy()
-    _gossip_batch(batch, top.pair_array, idx)
-    assert np.allclose(batch, expected, atol=1e-14)
+    for top, v in ((k_neighbor_ring(7, 4), 4), (full_ring(10), 5)):
+        rng = np.random.default_rng(3)
+        states = rng.standard_normal((5, top.M))
+        idx = rng.integers(0, len(top.pairs), size=(5, v))
+        expected = np.array([
+            apply_pair_sequence(states[b], top.pair_array[idx[b]]) for b in range(5)
+        ])
+        batch = states.copy()
+        _gossip_batch(batch, top.pair_array, idx)
+        assert np.array_equal(batch, expected)
+
+
+def test_gossip_batch_rejects_non_contiguous_states():
+    # a strided view would be copied by the flat reshape and the averages lost
+    top = full_ring(10)
+    idx = np.zeros((5, 1), dtype=np.int64)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _gossip_batch(np.zeros((10, 5)).T, top.pair_array, idx)
+
+
+def test_lockstep_keeps_lanes_aligned_with_live_trials():
+    # each trial's lane holds its own id and it finishes at slot finish[id];
+    # trials 3 and 7 never finish before max_n
+    size, max_n = 12, 9
+    finish = np.array([2, 5, 5, 0, 1, 9, 3, 0, 2, 7, 4, 6])
+    seen = []
+
+    def advance(slot, alive, lanes):
+        ids = lanes[0]
+        assert np.array_equal(ids, alive)
+        assert ((finish[alive] == 0) | (finish[alive] >= slot)).all()
+        seen.append(alive.copy())
+        done = finish[ids] == slot
+        return done if done.any() else None
+
+    stop = _lockstep(size, max_n, advance, [np.arange(size)])
+    assert np.array_equal(stop, finish)
+    # a slot that returned None kept every lane; a finished trial is never stepped again
+    for slot in range(1, len(seen)):
+        assert np.array_equal(seen[slot], seen[slot - 1][finish[seen[slot - 1]] != slot])
+    assert len(seen) == max_n
 
 
 def test_advance_state_matches_consensus_run():
