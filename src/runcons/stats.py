@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln, log_ndtr, logsumexp, ndtr, ndtri
+from scipy.special import gammaln, log_ndtr, ndtr, ndtri
 
 QUAD_REL_TOL = 1e-8
 _XI3_MC_DRAWS = 1_000_000
@@ -32,11 +32,6 @@ class QuadratureError(RuntimeError):
 def q_function(x):
     """Area under the right tail of a standard Gaussian."""
     return ndtr(-np.asarray(x, dtype=float))
-
-
-def log_q_function(x):
-    """log Q(x), stable far into the tail."""
-    return log_ndtr(-np.asarray(x, dtype=float))
 
 
 def q_inverse(p: float) -> float:
@@ -61,13 +56,13 @@ def wald_cdf(x, z):
     the log domain so thresholds as large as z ~ 500 stay finite.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if (x <= 0.0).any():
         raise ValueError("wald_cdf requires x > 0")
     if z <= 0.0:
         raise ValueError(f"wald_cdf requires z > 0, got {z}")
     s = np.sqrt(z / x)
-    first = 1.0 - np.exp(log_q_function((x - 1.0) * s))
-    second = np.exp(2.0 * z + log_q_function((x + 1.0) * s))
+    first = 1.0 - np.exp(log_ndtr(-((x - 1.0) * s)))
+    second = np.exp(2.0 * z + log_ndtr(-((x + 1.0) * s)))
     return first + second
 
 
@@ -152,7 +147,12 @@ class GaussianMixture:
         u = x - self.mean
         a = np.log(self.weight) - 0.5 * (np.log(2.0 * np.pi * self.variance1) + u * u / self.variance1)
         b = np.log(1.0 - self.weight) - 0.5 * (np.log(2.0 * np.pi * self.variance2) + u * u / self.variance2)
-        return logsumexp(np.stack([a, b]), axis=0)
+        # log-sum-exp in scipy's order of operations, so bit-identical to its logsumexp
+        # (np.logaddexp is not); where both terms are -inf, -inf - -inf gives NaN
+        hi = np.maximum(a, b)
+        with np.errstate(invalid="ignore"):
+            out = np.log1p(np.exp(np.minimum(a, b) - hi)) + hi
+        return np.where(hi == -np.inf, -np.inf, out)[()]
 
     def pdf(self, x) -> np.ndarray:
         return np.exp(self.logpdf(x))

@@ -11,7 +11,9 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from runcons import cli
 
@@ -86,6 +88,21 @@ def run_case(name: str, out_dir: Path) -> dict[str, str]:
     }
 
 
+def numeric_platform() -> str:
+    """Versions and SIMD targets the hashes rest on.
+
+    The mixture density and the samplers go through numpy's own vectorised
+    exp/log1p loops, whose last bit may differ between dispatch targets.
+    """
+    try:
+        targets = np.lib.introspect.opt_func_info(func_name="^(exp|log1p)$", signature="float64")
+    except AttributeError:  # numpy without the introspection module
+        from numpy._core._multiarray_umath import __cpu_features__
+
+        targets = sorted(name for name, active in __cpu_features__.items() if active)
+    return f"numpy {np.__version__}, scipy {scipy.__version__}, SIMD targets {targets}"
+
+
 def test_every_reproduce_tag_is_pinned():
     assert set(REPRODUCE) == set(cli.REPRODUCE_TAGS)
 
@@ -101,6 +118,7 @@ def test_csv_bytes_match_golden_hashes(name, tmp_path):
         if expected.get(file) != actual.get(file)
     ]
     assert not problems, "CSV bytes changed:\n" + "\n".join(problems) + (
+        f"\non {numeric_platform()}"
         f"\nnew entry for {HASH_FILE.name}:\n" + json.dumps({name: actual}, indent=2)
     )
 

@@ -159,6 +159,21 @@ def test_wald_cdf_matches_random_walk_stopping_times():
     assert np.abs(empirical - predicted).max() < 0.02
 
 
+def test_wald_cdf_rejects_nonpositive_time_and_shape():
+    with pytest.raises(ValueError, match="x > 0"):
+        wald_cdf(0.0, 3.0)
+    with pytest.raises(ValueError, match="x > 0"):
+        wald_cdf(-1.5, 3.0)
+    with pytest.raises(ValueError, match="x > 0"):
+        wald_cdf(np.array([0.5, 1.0, 0.0, 2.0]), 3.0)
+    with pytest.raises(ValueError, match="x > 0"):
+        wald_cdf(np.array([[0.5, 1.0], [2.0, -3.0]]), 3.0)
+    with pytest.raises(ValueError, match="z > 0"):
+        wald_cdf(1.0, 0.0)
+    with pytest.raises(ValueError, match="z > 0"):
+        wald_cdf(np.array([0.5, 1.0]), -2.0)
+
+
 def test_wald_inverse_round_trip():
     for z in (0.8, 5.0, 40.0):
         y = float(wald_cdf(1.0, z))
@@ -203,6 +218,46 @@ def test_sampling_moments_mixture():
     fourth = 3 * (0.3 * 1.0 + 0.7 * 625.0)  # mixture of Gaussian fourth moments
     se_var = math.sqrt((fourth - target_var**2) / draws.size)
     assert draws.var(ddof=1) == pytest.approx(target_var, abs=4 * se_var)
+
+
+def test_mixture_logpdf_matches_scipy_logsumexp_bit_for_bit():
+    from scipy.special import logsumexp
+
+    def terms(dist, x):
+        u = np.asarray(x, dtype=float) - dist.mean
+        a = np.log(dist.weight) - 0.5 * (np.log(2.0 * np.pi * dist.variance1) + u * u / dist.variance1)
+        b = np.log(1.0 - dist.weight) - 0.5 * (np.log(2.0 * np.pi * dist.variance2) + u * u / dist.variance2)
+        return a, b
+
+    def same_bits(dist, x):
+        value = dist.logpdf(x)
+        expected = logsumexp(np.stack(terms(dist, x)), axis=0)
+        assert type(value) is type(expected)
+        return value.tobytes() == expected.tobytes()
+
+    # |x| from 0.1 to 1e200 (past ~1e154 both terms are -inf), plus a random
+    # spread on which np.logaddexp would differ from scipy in the last bit
+    dist = GaussianMixture(0.3, 0.5, 1.0, 25.0)
+    rng = np.random.default_rng(8)
+    magnitudes = np.concatenate([10.0 ** np.linspace(-1.0, 200.0, 400), 10.0 ** rng.uniform(-1.0, 2.0, 3600)])
+    xs = dist.mean + np.where(rng.random(magnitudes.size) < 0.5, -1.0, 1.0) * magnitudes
+    xs[:2] = [dist.mean, np.nan]
+    with np.errstate(over="ignore"):
+        assert same_bits(dist, xs)
+        assert same_bits(dist, xs.reshape(400, 10))
+        for x in (*xs[:100], *xs[390:410], 1e200, -1e200):
+            assert type(dist.logpdf(x)) is np.float64
+            assert same_bits(dist, x)
+        assert dist.logpdf(1e200) == -np.inf
+    assert np.isnan(dist.logpdf(np.nan))
+
+    # exact tie a == b: log1p(exp(0)) must equal scipy's log(2)
+    tie = GaussianMixture(0.5, 0.0, 2.0, 2.0)
+    grid = np.linspace(-5.0, 5.0, 101)
+    a, b = terms(tie, grid)
+    assert np.array_equal(a, b)
+    assert same_bits(tie, grid)
+    assert same_bits(tie, 1.25)
 
 
 def test_pdfs_integrate_to_one():
