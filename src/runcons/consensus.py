@@ -1,4 +1,4 @@
-"""Running-consensus weight schedules and the dense reference recursion.
+"""Running-consensus weight schedules and the centralized weight.
 
 Each slot mixes neighbor states through a doubly stochastic gossip matrix and
 injects the slot's new measurements, so sensing and communication happen
@@ -6,8 +6,9 @@ simultaneously.  The centralized oracle is the statistic a fusion center with
 every raw sample would hold; the per-node error is the difference between the
 two and is tracked by definition, never through its theoretical product
 expansion.  The engines and the command line run the batched slot of
-:mod:`runcons.montecarlo` on these schedules; :class:`ConsensusRun` is the
-same recursion with dense matrices, kept as the tests' reference.
+:mod:`runcons.montecarlo` on these schedules.  :class:`ConsensusRun` is the
+same recursion with dense matrices; only the tests replay draws through it,
+and it stays here because the benchmark tracer wraps its ``step`` by name.
 """
 
 from __future__ import annotations

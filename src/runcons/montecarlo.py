@@ -138,8 +138,8 @@ def _gossip_batch(states: np.ndarray, pair_array: np.ndarray, idx: np.ndarray) -
 
     states has shape (B, M) and must be C-contiguous, since the averages are
     written through its flat view; idx has shape (B, v) and indexes
-    pair_array.  Column k is applied before column k+1, matching
-    apply_pair_sequence.
+    pair_array.  Column k is applied before column k+1, so each row ends as
+    the product W_v ... W_1 of its pairwise averaging matrices applied to it.
     """
     if not states.flags.c_contiguous:
         raise ValueError("gossip needs C-contiguous states")
@@ -353,7 +353,6 @@ def estimate_error_probabilities(
     node: int = 0,
     threads: int = 1,
     run_null: bool = True,
-    run_alt: bool = True,
 ) -> FssStudy:
     """Empirical false-alarm and detection frequencies at a fixed threshold.
 
@@ -362,8 +361,7 @@ def estimate_error_probabilities(
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    laws = [(label, dist) for label, dist, wanted in (
-        ("null", model.null, run_null), ("alt", model.alt, run_alt)) if wanted]
+    laws = ([("null", model.null)] if run_null else []) + [("alt", model.alt)]
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
         counts = {}

@@ -1,8 +1,8 @@
-"""Sensor-network topologies and random pairwise-averaging gossip matrices.
+"""Sensor-network topologies and the spectrum of the expected gossip matrix.
 
 A topology is a node count plus the set of admissible communication pairs.
-Each communication slot applies a doubly stochastic matrix built as a product
-of pairwise-averaging matrices over uniformly selected admissible pairs.  The
+Each communication slot averages v uniformly selected admissible pairs, one
+after another (the batched gossip of :mod:`runcons.montecarlo`).  The
 spectral summary of the expected matrix (second-largest and smallest
 eigenvalues) drives every convergence bound in :mod:`runcons.analysis`.
 """
@@ -15,8 +15,6 @@ from functools import cached_property
 from enum import Enum
 
 import numpy as np
-
-DOUBLY_STOCHASTIC_TOL = 1e-12
 
 Pair = tuple[int, int]
 
@@ -138,62 +136,6 @@ def build_topology(
     return explicit_edges(M, edges, allow_disconnected=allow_disconnected)
 
 
-def pairwise_matrix(i: int, j: int, M: int) -> np.ndarray:
-    """Averaging matrix that replaces entries i and j with their mean.
-
-    The result is symmetric, idempotent and doubly stochastic.
-    """
-    if i == j:
-        raise TopologyError(f"pairwise matrix needs two distinct nodes, got i=j={i}")
-    if not (0 <= i < M and 0 <= j < M):
-        raise TopologyError(f"node index out of range for M={M}: ({i},{j})")
-    W = np.eye(M)
-    d = np.zeros(M)
-    d[i] = 1.0
-    d[j] = -1.0
-    return W - 0.5 * np.outer(d, d)
-
-
-def sample_pairs(topology: NetworkTopology, v: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw v admissible pairs uniformly with replacement; shape (v, 2)."""
-    if v < 1:
-        raise TopologyError(f"v must be >= 1, got {v}")
-    if not topology.pairs:
-        raise TopologyError("topology has no admissible pairs")
-    idx = rng.integers(0, len(topology.pairs), size=v)
-    return topology.pair_array[idx]
-
-def apply_pair_sequence(x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Apply pairwise averages to a state vector, first row of `pairs` first."""
-    out = np.array(x, dtype=float)
-    for i, j in pairs:
-        m = 0.5 * (out[i] + out[j])
-        out[i] = m
-        out[j] = m
-    return out
-
-
-def sample_gossip_matrix(topology: NetworkTopology, v: int, rng: np.random.Generator) -> np.ndarray:
-    """Product of v uniformly selected pairwise matrices.
-
-    The matrix acts on a state vector exactly like applying the drawn pairs in
-    order, so it equals W_v ... W_2 W_1 for draws W_1..W_v.
-    """
-    pairs = sample_pairs(topology, v, rng)
-    W = np.eye(topology.M)
-    for i, j in pairs:
-        W = pairwise_matrix(i, j, topology.M) @ W
-    return W
-
-
-def is_doubly_stochastic(W: np.ndarray, tol: float = DOUBLY_STOCHASTIC_TOL) -> bool:
-    if np.any(W < -tol):
-        return False
-    row = np.abs(W.sum(axis=1) - 1.0).max()
-    col = np.abs(W.sum(axis=0) - 1.0).max()
-    return max(row, col) < tol
-
-
 @dataclass(frozen=True)
 class SpectralSummary:
     """Eigen-summary of the expected squared gossip matrix E[W W^T]."""
@@ -212,20 +154,25 @@ class SpectralSummary:
 def expected_gossip_matrix(topology: NetworkTopology) -> SpectralSummary:
     """Exact E[W] for the single-exchange protocol, with its eigen-summary.
 
-    Pairwise matrices are symmetric idempotent, so for v=1 the expectation of
-    W W^T equals E[W]; the uniform average over admissible pairs is formed
-    explicitly and passed to a dense symmetric eigensolver.  Tiny negative
-    eigenvalues from roundoff are clamped at zero (E[W W^T] is PSD).
+    Each admissible pair (i, j) is drawn with probability 1/J and averages
+    nodes i and j, so E[W] = I - L/(2J) with L the graph Laplacian: diagonal
+    (J - deg/2)/J, and 0.5/J in both cells of each pair.  The numerators are
+    exact, so each cell is rounded once.  Pairwise matrices are symmetric
+    idempotent, so for v=1 the expectation of W W^T equals E[W]; a dense
+    symmetric eigensolver gives its spectrum.  Tiny negative eigenvalues from
+    roundoff are clamped at zero (E[W W^T] is PSD).
     """
     M = topology.M
     if M == 1:
         return SpectralSummary(0.0, 0.0, np.eye(1))
-    if not topology.pairs:
+    J = len(topology.pairs)
+    if not J:
         raise TopologyError("topology has no admissible pairs")
+    i, j = topology.pair_array.T
     E = np.zeros((M, M))
-    for i, j in topology.pairs:
-        E += pairwise_matrix(i, j, M)
-    E /= len(topology.pairs)
+    E[i, j] = E[j, i] = 0.5
+    E[np.diag_indices(M)] = J - 0.5 * np.bincount(topology.pair_array.ravel(), minlength=M)
+    E /= J
     eigenvalues = np.linalg.eigvalsh(E)
     lambda_U = float(min(eigenvalues[-2], 1.0))
     lambda_L = float(max(eigenvalues[0], 0.0))

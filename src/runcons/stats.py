@@ -108,7 +108,8 @@ class Gaussian:
 
     def logpdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return -0.5 * (np.log(2.0 * np.pi * self.variance) + (x - self.mean) ** 2 / self.variance)
+        with np.errstate(over="ignore"):  # |x| past ~1e154 squares to inf: the right -inf
+            return -0.5 * (np.log(2.0 * np.pi * self.variance) + (x - self.mean) ** 2 / self.variance)
 
     def pdf(self, x) -> np.ndarray:
         return np.exp(self.logpdf(x))
@@ -145,12 +146,13 @@ class GaussianMixture:
     def logpdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         u = x - self.mean
-        a = np.log(self.weight) - 0.5 * (np.log(2.0 * np.pi * self.variance1) + u * u / self.variance1)
-        b = np.log(1.0 - self.weight) - 0.5 * (np.log(2.0 * np.pi * self.variance2) + u * u / self.variance2)
         # log-sum-exp in scipy's order of operations, so bit-identical to its logsumexp
-        # (np.logaddexp is not); where both terms are -inf, -inf - -inf gives NaN
-        hi = np.maximum(a, b)
-        with np.errstate(invalid="ignore"):
+        # (np.logaddexp is not); past |u| ~1e154, u * u overflows and both terms are
+        # -inf, where -inf - -inf gives NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.log(self.weight) - 0.5 * (np.log(2.0 * np.pi * self.variance1) + u * u / self.variance1)
+            b = np.log(1.0 - self.weight) - 0.5 * (np.log(2.0 * np.pi * self.variance2) + u * u / self.variance2)
+            hi = np.maximum(a, b)
             out = np.log1p(np.exp(np.minimum(a, b) - hi)) + hi
         return np.where(hi == -np.inf, -np.inf, out)[()]
 
@@ -164,11 +166,6 @@ class GaussianMixture:
     def quad_hint(self) -> tuple[float, float]:
         s = math.sqrt(max(self.variance1, self.variance2))
         return self.mean - 12.0 * s, self.mean + 12.0 * s
-
-
-def variance_change(variance: float) -> Gaussian:
-    """Zero-mean Gaussian used as the post-change law in variance-shift tests."""
-    return Gaussian(0.0, variance)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ def mixture_shift_model(
 
 def variance_change_model(variance0: float, variance1: float) -> HypothesisModel:
     """Zero-mean Gaussian pair differing only in variance (change detection)."""
-    return HypothesisModel(variance_change(variance0), variance_change(variance1), 0.0, 1.0, None)
+    return HypothesisModel(Gaussian(0.0, variance0), Gaussian(0.0, variance1), 0.0, 1.0, None)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,9 @@ from runcons import analysis, cli, montecarlo as mc, stats
 from runcons.analysis import BoundVariant, theorem_bounds
 from runcons.consensus import ConsensusRun, WeightMode
 from runcons.detectors import fss_threshold, sequential_design
-from runcons.network import (
-    expected_gossip_matrix,
-    full_ring,
-    k_neighbor_ring,
-    sample_gossip_matrix,
-)
+from runcons.network import expected_gossip_matrix, full_ring, k_neighbor_ring
+
+from dense_oracle import gossip_matrix, phi_product_state
 
 
 def report(criterion: str, message: str) -> None:
@@ -87,7 +84,7 @@ def test_c02_conservation_over_random_trajectories():
         top = full_ring(M)
         run = ConsensusRun(M, mode, include_new_sample_in_exchange=include)
         for _ in range(n):
-            W = sample_gossip_matrix(top, v, rng) if M > 1 else np.eye(1)
+            W = gossip_matrix(top, v, rng) if M > 1 else np.eye(1)
             run.step(W, rng.standard_normal(M))
             central = run.centralized_state()
             gap = abs(run.state.mean() - central) / max(1.0, abs(central))
@@ -103,8 +100,6 @@ def test_c02_conservation_over_random_trajectories():
 # ---------------------------------------------------------------------------
 
 def test_c03_recursion_matches_explicit_matrix_products():
-    from test_consensus import phi_product_state
-
     rng = np.random.default_rng(33)
     worst = 0.0
     for draw in range(50):
@@ -112,7 +107,7 @@ def test_c03_recursion_matches_explicit_matrix_products():
         n = int(rng.integers(1, 6))
         mode = WeightMode.AVERAGING if draw % 2 == 0 else WeightMode.ACCUMULATING
         top = full_ring(M)
-        matrices = [sample_gossip_matrix(top, 1, rng) for _ in range(n)]
+        matrices = [gossip_matrix(top, 1, rng) for _ in range(n)]
         t_values = [rng.standard_normal(M) for _ in range(n)]
         run = ConsensusRun(M, mode, include_new_sample_in_exchange=True)
         for W, t in zip(matrices, t_values):

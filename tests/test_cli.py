@@ -8,8 +8,9 @@ import pytest
 from runcons import cli
 from runcons.consensus import ConsensusRun, WeightMode
 from runcons.montecarlo import chunk_rng
-from runcons.network import sample_gossip_matrix
 from runcons.scenario import ScenarioError, apply_override, load, parse, serialize, topology_from_scenario
+
+from dense_oracle import gossip_matrix
 
 SCENARIOS = Path(cli.__file__).with_name("scenarios")
 
@@ -480,15 +481,16 @@ def test_matched_row_reports_the_matched_runs_truncations(tmp_path, monkeypatch)
 def _dense_replay(sc, slots: int, dist, nonlin, stream: int, mode: WeightMode, include: bool):
     """(states, centralized statistics) of the dense recursion fed a dump's draws.
 
-    Each slot draws W by sample_gossip_matrix and then the sample, from the
-    generator the dump uses, so both sides see the same pairs and values.
+    Each slot draws W by the dense oracle's gossip_matrix and then the sample,
+    from the generator the dump uses, so both sides see the same pairs and
+    values.
     """
     topology = topology_from_scenario(sc)
     rng = chunk_rng(int(sc.get("montecarlo", "seed")), stream)
     run = ConsensusRun(topology.M, mode, include_new_sample_in_exchange=include)
     states, central = [], []
     for _ in range(slots):
-        run.step(sample_gossip_matrix(topology, int(sc.get("topology", "v")), rng),
+        run.step(gossip_matrix(topology, int(sc.get("topology", "v")), rng),
                  nonlin(dist.sample(rng, topology.M)))
         states.append(run.state.copy())
         central.append(run.centralized_state())

@@ -3,24 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from runcons.consensus import ConsensusRun, WeightMode, centralized_weight, step_weights
-from runcons.network import full_ring, pairwise_matrix, sample_gossip_matrix
+from runcons.montecarlo import consensus_paths
+from runcons.network import full_ring
+
+from dense_oracle import gossip_matrix, pairwise_matrix, phi_product_state
 
 
-def phi_product_state(gossip_matrices, t_values, mode: WeightMode) -> np.ndarray:
-    """Direct evaluation of the state as a weighted sum of matrix products.
-
-    Term i carries the product W_n ... W_i applied to t(x_i); this is the
-    brute-force expansion the recursion must reproduce.
-    """
-    n = len(gossip_matrices)
-    M = t_values[0].size
-    total = np.zeros(M)
-    for i in range(1, n + 1):
-        phi = np.eye(M)
-        for k in range(i, n + 1):
-            phi = gossip_matrices[k - 1] @ phi
-        total += phi @ t_values[i - 1]
-    return total / n if mode is WeightMode.AVERAGING else M * total
+def normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape)
 
 
 def test_weights_match_schedule():
@@ -95,17 +85,11 @@ def test_full_averaging_every_slot_gives_zero_error():
 )
 def test_conservation_invariant(M, n, v, include, mode, seed):
     # gossip preserves column sums, so the state mean tracks the oracle exactly
-    top = full_ring(M)
-    rng = np.random.default_rng(seed)
-    run = ConsensusRun(M, mode, include_new_sample_in_exchange=include)
-    for _ in range(n):
-        W = sample_gossip_matrix(top, v, rng)
-        run.step(W, rng.standard_normal(M))
-    central = run.centralized_state()
-    if mode is WeightMode.ACCUMULATING:
-        assert abs(run.state.mean() - central) / max(1.0, abs(central)) < 1e-10
-    else:
-        assert abs(run.state.mean() - central) / max(1.0, abs(central)) < 1e-10
+    paths = consensus_paths(np.random.default_rng(seed), full_ring(M), v, 3, n, normal, mode, include)
+    for slot, states, csum in paths:
+        central = centralized_weight(mode, slot, M) * csum
+        gap = np.abs(states.mean(axis=1) - central) / np.maximum(1.0, np.abs(central))
+        assert gap.max() < 1e-10
 
 
 @settings(max_examples=20, deadline=None)
@@ -116,28 +100,24 @@ def test_conservation_invariant(M, n, v, include, mode, seed):
     seed=st.integers(min_value=0, max_value=10_000),
 )
 def test_recursion_equals_matrix_product_expansion(M, n, mode, seed):
+    # twin generators give the expansion the engine's draws: the pair index, then the sample
     top = full_ring(M)
-    rng = np.random.default_rng(seed)
-    matrices = [sample_gossip_matrix(top, 1, rng) for _ in range(n)]
-    t_values = [rng.standard_normal(M) for _ in range(n)]
-    run = ConsensusRun(M, mode, include_new_sample_in_exchange=True)
-    for W, t in zip(matrices, t_values):
-        run.step(W, t)
+    engine_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    *_, (_, states, _) = consensus_paths(engine_rng, top, 1, 1, n, normal, mode, True)
+    matrices, t_values = [], []
+    for _ in range(n):
+        matrices.append(gossip_matrix(top, 1, oracle_rng))
+        t_values.append(oracle_rng.standard_normal(M))
     expected = phi_product_state(matrices, t_values, mode)
-    assert np.abs(run.state - expected).max() < 1e-10
+    assert np.abs(states[0] - expected).max() < 1e-10
 
 
 def test_error_vector_is_zero_mean_monte_carlo():
-    top = full_ring(4)
-    trials = 4000
-    rng = np.random.default_rng(12)
-    errors = np.zeros((trials, 4))
-    for trial in range(trials):
-        run = ConsensusRun(4, WeightMode.ACCUMULATING, include_new_sample_in_exchange=True)
-        for _ in range(10):
-            W = sample_gossip_matrix(top, 1, rng)
-            run.step(W, rng.standard_normal(4))
-        errors[trial] = run.error_vector()
+    trials, n = 4000, 10
+    paths = consensus_paths(np.random.default_rng(12), full_ring(4), 1, trials, n, normal,
+                            WeightMode.ACCUMULATING, True)
+    *_, (_, states, csum) = paths
+    errors = states - centralized_weight(WeightMode.ACCUMULATING, n, 4) * csum[:, None]
     mean = errors.mean(axis=0)
     std_err = errors.std(axis=0, ddof=1) / np.sqrt(trials)
     assert (np.abs(mean) <= 3.0 * std_err).all()

@@ -12,6 +12,7 @@ from runcons.montecarlo import (
     _gossip_batch,
     _lockstep,
     _llr_sampler,
+    _pair_draws,
     _slot,
     chunk_rng,
     estimate_covariance,
@@ -23,7 +24,7 @@ from runcons.montecarlo import (
     node_stopping_spread,
     page_run_lengths,
 )
-from runcons.network import apply_pair_sequence, full_ring, k_neighbor_ring, sample_gossip_matrix
+from runcons.network import full_ring, k_neighbor_ring
 from runcons.stats import (
     Gaussian,
     Identity,
@@ -33,6 +34,7 @@ from runcons.stats import (
 )
 
 from cusum_oracle import run_length
+from dense_oracle import gossip_matrix
 
 
 def test_estimate_from_samples_and_bernoulli():
@@ -46,16 +48,16 @@ def test_estimate_from_samples_and_bernoulli():
 
 
 def test_gossip_batch_matches_sequential_application():
+    # each row's pairs are drawn as one trial's, so twin generators give the
+    # dense product W_v ... W_1 the same pairs in the same order
     for top, v in ((k_neighbor_ring(7, 4), 4), (full_ring(10), 5)):
-        rng = np.random.default_rng(3)
-        states = rng.standard_normal((5, top.M))
-        idx = rng.integers(0, len(top.pairs), size=(5, v))
-        expected = np.array([
-            apply_pair_sequence(states[b], top.pair_array[idx[b]]) for b in range(5)
-        ])
+        states = np.random.default_rng(3).standard_normal((5, top.M))
+        engine_rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
+        idx = np.concatenate([_pair_draws(engine_rng, top, v, 1) for _ in range(5)])
+        expected = np.array([gossip_matrix(top, v, oracle_rng) @ states[b] for b in range(5)])
         batch = states.copy()
         _gossip_batch(batch, top.pair_array, idx)
-        assert np.array_equal(batch, expected)
+        np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-12)
 
 
 def test_gossip_batch_rejects_non_contiguous_states():
@@ -101,7 +103,7 @@ def test_advance_state_matches_consensus_run():
             for n in range(1, 8):
                 states, t = _slot(engine_rng, top, 2, states, lambda rng, shape: rng.standard_normal(shape),
                                   n, mode, include)
-                W = sample_gossip_matrix(top, 2, oracle_rng)
+                W = gossip_matrix(top, 2, oracle_rng)
                 t_oracle = oracle_rng.standard_normal(4)
                 run.step(W, t_oracle)
                 assert np.array_equal(t[0], t_oracle)

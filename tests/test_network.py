@@ -3,22 +3,38 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scistats
 
+from runcons.montecarlo import _gossip_batch, _pair_draws
 from runcons.network import (
     NetworkTopology,
     TopologyError,
-    apply_pair_sequence,
     build_topology,
     effective_eigenvalues,
     expected_gossip_matrix,
     explicit_edges,
     full_ring,
     is_connected,
-    is_doubly_stochastic,
     k_neighbor_ring,
-    pairwise_matrix,
-    sample_gossip_matrix,
-    sample_pairs,
 )
+
+from dense_oracle import pairwise_matrix
+
+
+def assert_doubly_stochastic(W: np.ndarray, tol: float = 1e-12) -> None:
+    assert W.min() >= -tol
+    assert np.abs(W.sum(axis=1) - 1.0).max() < tol
+    assert np.abs(W.sum(axis=0) - 1.0).max() < tol
+
+
+def engine_gossip_matrices(top, v: int, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """The gossip matrix W of each of `trials` engine draws, shape (trials, M, M).
+
+    Gossiping the identity's rows with one trial's pairs turns row r into
+    W e_r, so the batch holds W^T.
+    """
+    idx = np.repeat(_pair_draws(rng, top, v, trials), top.M, axis=0)
+    rows = np.tile(np.eye(top.M), (trials, 1))
+    _gossip_batch(rows, top.pair_array, idx)
+    return rows.reshape(trials, top.M, top.M).transpose(0, 2, 1)
 
 
 def test_full_ring_three_nodes_is_complete_graph():
@@ -78,19 +94,12 @@ def test_pairwise_matrix_symmetric_idempotent():
         W = pairwise_matrix(i, j, M)
         assert np.abs(W - W.T).max() < 1e-15
         assert np.abs(W @ W - W).max() < 1e-12
-        assert is_doubly_stochastic(W)
-
-
-def test_pairwise_matrix_rejects_equal_nodes():
-    with pytest.raises(TopologyError):
-        pairwise_matrix(2, 2, 4)
+        assert_doubly_stochastic(W)
 
 
 def test_single_pair_topology_sample_is_deterministic():
-    top = full_ring(2)
-    rng = np.random.default_rng(0)
-    W = sample_gossip_matrix(top, 1, rng)
-    assert np.allclose(W, 0.5 * np.ones((2, 2)), atol=1e-15)
+    W = engine_gossip_matrices(full_ring(2), 1, 3, np.random.default_rng(0))
+    assert np.allclose(W, 0.5 * np.ones((3, 2, 2)), atol=1e-15)
 
 
 @settings(max_examples=25, deadline=None)
@@ -100,26 +109,9 @@ def test_single_pair_topology_sample_is_deterministic():
     seed=st.integers(min_value=0, max_value=10_000),
 )
 def test_sampled_matrices_are_doubly_stochastic(M, v, seed):
-    top = full_ring(M)
-    W = sample_gossip_matrix(top, v, np.random.default_rng(seed))
-    row = np.abs(W.sum(axis=1) - 1.0).max()
-    col = np.abs(W.sum(axis=0) - 1.0).max()
-    assert max(row, col) < 1e-12
-    assert W.min() >= -1e-12
-
-
-def test_sample_matrix_matches_sequential_pair_application():
-    top = k_neighbor_ring(9, 4)
-    seed = 123
-    pairs = sample_pairs(top, 5, np.random.default_rng(seed))
-    W = np.eye(9)
-    for i, j in pairs:
-        W = pairwise_matrix(i, j, 9) @ W
-    x = np.arange(9, dtype=float)
-    assert np.allclose(W @ x, apply_pair_sequence(x, pairs), atol=1e-12)
-    # the library sampler consumes the same draws
-    W2 = sample_gossip_matrix(top, 5, np.random.default_rng(seed))
-    assert np.allclose(W, W2, atol=0)
+    W = engine_gossip_matrices(full_ring(M), v, 4, np.random.default_rng(seed))
+    for w in W:
+        assert_doubly_stochastic(w)
 
 
 def test_full_ring_spectrum_closed_form():
@@ -153,7 +145,7 @@ def test_expected_matrix_is_symmetric_doubly_stochastic():
     summary = expected_gossip_matrix(k_neighbor_ring(12, 4))
     E = summary.expected_matrix
     assert np.abs(E - E.T).max() < 1e-14
-    assert is_doubly_stochastic(E)
+    assert_doubly_stochastic(E)
     assert np.linalg.eigvalsh(E)[-1] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -165,6 +157,8 @@ def test_connected_topologies_have_lambda_u_below_one():
 def test_disconnected_topology_has_unit_lambda_u():
     top = explicit_edges(4, [(0, 1), (2, 3)], allow_disconnected=True)
     assert expected_gossip_matrix(top).lambda_U == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(TopologyError, match="no admissible pairs"):
+        expected_gossip_matrix(NetworkTopology(3, (), allow_disconnected=True))
 
 
 def test_effective_eigenvalues_power():
@@ -176,14 +170,9 @@ def test_effective_eigenvalues_power():
 
 def test_pair_selection_is_uniform_chi_square():
     top = k_neighbor_ring(15, 4)
-    rng = np.random.default_rng(2024)
-    draws = sample_pairs(top, 100_000, rng)
-    keys = draws[:, 0] * 15 + draws[:, 1]
-    pair_ids = {(i * 15 + j): idx for idx, (i, j) in enumerate(top.pairs)}
-    counts = np.zeros(len(top.pairs))
-    for key, idx in pair_ids.items():
-        counts[idx] = (keys == key).sum()
-    assert counts.sum() == 100_000
+    draws = _pair_draws(np.random.default_rng(2024), top, 1, 100_000)
+    counts = np.bincount(draws.ravel(), minlength=len(top.pairs))
+    assert counts.size == len(top.pairs) and counts.sum() == 100_000
     _, p_value = scistats.chisquare(counts)
     assert p_value > 0.001
 
@@ -192,20 +181,14 @@ def test_sampled_mean_matches_expected_matrix():
     top = full_ring(15)
     summary = expected_gossip_matrix(top)
     rng = np.random.default_rng(2024)
-    trials = 100_000
+    trials, batch = 100_000, 10_000
     acc = np.zeros((15, 15))
     acc_sq = np.zeros((15, 15))
-    for _ in range(trials):
-        W = sample_gossip_matrix(top, 1, rng)
-        acc += W
-        acc_sq += W * W
+    for _ in range(trials // batch):
+        W = engine_gossip_matrices(top, 1, batch, rng)
+        acc += W.sum(axis=0)
+        acc_sq += (W * W).sum(axis=0)
     mean = acc / trials
     var = acc_sq / trials - mean**2
     std_err = np.sqrt(np.maximum(var, 0.0) / trials)
     assert (np.abs(mean - summary.expected_matrix) <= 3.0 * std_err + 1e-12).all()
-
-
-def test_empty_pair_sampling_rejected():
-    top = NetworkTopology(1, ())
-    with pytest.raises(TopologyError):
-        sample_pairs(top, 1, np.random.default_rng(0))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from runcons.stats import (
     q_function,
     q_inverse,
     score_nonlinearity,
-    variance_change,
     variance_change_model,
     vector_third_moment,
     wald_cdf,
@@ -225,8 +225,9 @@ def test_mixture_logpdf_matches_scipy_logsumexp_bit_for_bit():
 
     def terms(dist, x):
         u = np.asarray(x, dtype=float) - dist.mean
-        a = np.log(dist.weight) - 0.5 * (np.log(2.0 * np.pi * dist.variance1) + u * u / dist.variance1)
-        b = np.log(1.0 - dist.weight) - 0.5 * (np.log(2.0 * np.pi * dist.variance2) + u * u / dist.variance2)
+        with np.errstate(over="ignore"):  # u * u overflows past |u| ~1e154
+            a = np.log(dist.weight) - 0.5 * (np.log(2.0 * np.pi * dist.variance1) + u * u / dist.variance1)
+            b = np.log(1.0 - dist.weight) - 0.5 * (np.log(2.0 * np.pi * dist.variance2) + u * u / dist.variance2)
         return a, b
 
     def same_bits(dist, x):
@@ -242,13 +243,12 @@ def test_mixture_logpdf_matches_scipy_logsumexp_bit_for_bit():
     magnitudes = np.concatenate([10.0 ** np.linspace(-1.0, 200.0, 400), 10.0 ** rng.uniform(-1.0, 2.0, 3600)])
     xs = dist.mean + np.where(rng.random(magnitudes.size) < 0.5, -1.0, 1.0) * magnitudes
     xs[:2] = [dist.mean, np.nan]
-    with np.errstate(over="ignore"):
-        assert same_bits(dist, xs)
-        assert same_bits(dist, xs.reshape(400, 10))
-        for x in (*xs[:100], *xs[390:410], 1e200, -1e200):
-            assert type(dist.logpdf(x)) is np.float64
-            assert same_bits(dist, x)
-        assert dist.logpdf(1e200) == -np.inf
+    assert same_bits(dist, xs)
+    assert same_bits(dist, xs.reshape(400, 10))
+    for x in (*xs[:100], *xs[390:410], 1e200, -1e200):
+        assert type(dist.logpdf(x)) is np.float64
+        assert same_bits(dist, x)
+    assert dist.logpdf(1e200) == -np.inf
     assert np.isnan(dist.logpdf(np.nan))
 
     # exact tie a == b: log1p(exp(0)) must equal scipy's log(2)
@@ -260,6 +260,16 @@ def test_mixture_logpdf_matches_scipy_logsumexp_bit_for_bit():
     assert same_bits(tie, 1.25)
 
 
+def test_logpdf_far_out_is_minus_inf_without_warnings():
+    # past |x| ~1e154 the squared deviation overflows; -inf is the right result
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dist in (Gaussian(0.3, 2.2), GaussianMixture(0.3, 0.5, 1.0, 25.0)):
+            for x in (1e160, -1e160, 1e200, -1e200):
+                assert dist.logpdf(x) == -np.inf
+            assert (dist.logpdf(np.array([1e160, -1e160, 1e200, -1e200])) == -np.inf).all()
+
+
 def test_pdfs_integrate_to_one():
     for dist in (Gaussian(0.3, 2.2), GaussianMixture(0.25, -1.0, 0.5, 9.0)):
         total = integrate_real_line(dist.pdf, dist.quad_hint())
@@ -267,7 +277,7 @@ def test_pdfs_integrate_to_one():
 
 
 def test_variance_change_is_zero_mean_gaussian():
-    dist = variance_change(1.065024)
+    dist = variance_change_model(1.0, 1.065024).alt
     assert isinstance(dist, Gaussian)
     assert dist.mean == 0.0 and dist.variance == pytest.approx(1.065024)
 
