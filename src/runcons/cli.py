@@ -736,7 +736,9 @@ def _apply_overrides(sc: ScenarioFile, args) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override montecarlo.seed")
     parser.add_argument("--trials", type=int, default=None, help="override montecarlo.trials")
-    parser.add_argument("--threads", type=int, default=None, help="override montecarlo.threads")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="override montecarlo.threads: Monte Carlo worker processes (forked; at most "
+                             "one per chunk and per usable CPU)")
     parser.add_argument("--out", default=None, help="override output.path")
     parser.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                         help="override any scenario key (repeatable)")

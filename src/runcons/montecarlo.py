@@ -2,10 +2,12 @@
 
 Trials are partitioned into fixed-size chunks; chunk c draws from a generator
 seeded by (base_seed, c), so reruns are bit-identical no matter how many
-workers execute the chunks or in which order.  Inside a chunk, trials advance
-in lockstep as numpy arrays, every consensus state through one slot step
-(`_slot`); every stopping experiment runs on one engine (`_lockstep`) that
-takes its per-slot update and stopping rule and compacts finished trials away.
+workers execute the chunks or in which order.  `threads` counts worker
+processes: above 1, `_run_chunks` shares the chunks between the caller and
+forked children.  Inside a chunk, trials advance in lockstep as numpy arrays,
+every consensus state through one slot step (`_slot`); every stopping
+experiment runs on one engine (`_lockstep`) that takes its per-slot update and
+stopping rule and compacts finished trials away.
 
 Ratio-type metrics (variance ratios, consensus coefficients) get their
 standard errors from fixed sub-groups of trials; everything that is a plain
@@ -15,9 +17,12 @@ counted separately and never folded into means.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import pickle
+import signal
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +34,7 @@ from .stats import Gaussian, HypothesisModel, llr_nonlinearity
 
 CHUNK_SIZE = 2500
 GROUP_SIZE = 50
+_PR_SET_PDEATHSIG = 1  # prctl option, linux/prctl.h
 
 
 @dataclass(frozen=True)
@@ -78,21 +84,81 @@ def _chunk_plan(trials: int) -> list[tuple[int, int]]:
 
 
 def _run_chunks(trials: int, seed: int, threads: int, worker):
-    """Run worker(chunk_index, size, rng) over all chunks; ordered results."""
+    """Run worker(chunk_index, size, rng) over all chunks; ordered results.
+
+    With threads > 1 the chunks are dealt round-robin to that many workers,
+    capped by the chunk count and the usable CPUs.  The caller runs share 0
+    itself and forks one child per other share (Linux): a child inherits the
+    worker, closures included, and sends back only its pickled results, or the
+    exception it raised, which the caller re-raises.  Every child is reaped
+    before this returns or raises, and one still running then is killed.
+    """
     plan = _chunk_plan(trials)
-    results = [None] * len(plan)
+    workers = min(threads, len(plan))
+    if workers > 1:  # serial runs never reach the Linux-only calls
+        workers = min(workers, len(os.sched_getaffinity(0)))
 
-    def run_one(slot: int) -> None:
-        index, size = plan[slot]
-        results[slot] = worker(index, size, chunk_rng(seed, index))
+    def run(share: list[tuple[int, int]]) -> list:
+        return [worker(index, size, chunk_rng(seed, index)) for index, size in share]
 
-    if threads <= 1 or len(plan) == 1:
-        for slot in range(len(plan)):
-            run_one(slot)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_one, range(len(plan))))
-    return results
+    if workers <= 1:
+        return run(plan)
+    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for share in range(1, workers):
+            pid, read_end = _fork_share(run, plan[share::workers])
+            children[pid] = read_end
+        results = [run(plan[0::workers])]
+        for pid, read_end in list(children.items()):
+            with open(read_end, "rb", closefd=False) as pipe:
+                message = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            os.close(children.pop(pid))
+            if not message:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"chunk worker {pid} exited with code {code} and sent no result")
+            ok, result = pickle.loads(message)
+            if not ok:
+                raise result
+            results.append(result)
+    finally:
+        for pid, read_end in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+    return [results[slot % workers][slot // workers] for slot in range(len(plan))]
+
+
+def _fork_share(run, share: list[tuple[int, int]]) -> tuple[int, int]:
+    """Fork a child that runs one share of chunks; returns (pid, read end)."""
+    read_end, write_end = os.pipe()
+    parent = os.getpid()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    status = 1
+    try:  # the child never returns into the caller's stack
+        os.close(read_end)
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)  # so no child outlives a killed caller
+        if os.getppid() == parent:  # else the caller died before prctl took hold
+            try:
+                message = (True, run(share))
+            except Exception as exc:
+                message = (False, exc)
+            payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)  # whole first: a failure here sends nothing
+            with open(write_end, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+    finally:
+        os._exit(status)
 
 
 def _lockstep(size: int, max_n: int, advance, lanes: list[np.ndarray]) -> np.ndarray:

@@ -80,7 +80,7 @@ _POSITIVE = (lambda x: x > 0.0, "must be positive")
 _PROBABILITY = (lambda x: 0.0 < x < 1.0, "must be in (0, 1)")
 RANGES = {
     **dict.fromkeys(("experiment.n_max", "experiment.n_list", "experiment.v_list", "experiment.m_list",
-                     "topology.v", "montecarlo.trials"), _COUNT),
+                     "topology.v", "montecarlo.trials", "montecarlo.threads"), _COUNT),
     **dict.fromkeys(("experiment.gamma_list", "experiment.rate_list", "model.variance", "model.variance0",
                      "model.variance1", "model.variance2"), _POSITIVE),
     **dict.fromkeys(("model.weight", "detector.p_f"), _PROBABILITY),

@@ -410,9 +410,12 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
     [(["reproduce", "fig:FSS3", "--set", "detector.kind=nonsense"], "detector.kind"),
      (["change", "fig_sim1.scn", "--set", "detector.kind=sequential"], "detector.kind"),
      (["sequential", "fig_nmed_gauss.scn", "--set", "detector.kind=page"], "detector.kind")],
+    [(["reproduce", "fig:sim2", "--threads", "0"], "montecarlo.threads"),
+     (["reproduce", "fig:sim2", "--threads", "-3"], "montecarlo.threads"),
+     (["change", "fig_sim1.scn", "--set", "montecarlo.threads=-1"], "montecarlo.threads")],
 ], ids=["p_e-above-half", "rate-above-d01", "v-below-1", "no-location-family", "p_f-outside-unit",
         "model-parameters", "counts-below-1", "unknown-sequential-measure", "unread-p_d",
-        "detector-kind-not-the-runners"])
+        "detector-kind-not-the-runners", "threads-below-1"])
 def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, capsys):
     for command, message in runs:
         if command[0] != "reproduce":

@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -8,11 +13,13 @@ from runcons.analysis import BoundVariant, false_alarm_rate_accurate, theorem_bo
 from runcons.consensus import ConsensusRun, WeightMode
 from runcons.detectors import SequentialDetector, sequential_design
 from runcons.montecarlo import (
+    CHUNK_SIZE,
     Estimate,
     _gossip_batch,
     _lockstep,
     _llr_sampler,
     _pair_draws,
+    _run_chunks,
     _slot,
     chunk_rng,
     estimate_covariance,
@@ -374,3 +381,131 @@ def test_expected_square_estimate_close_to_exact_for_single_exchange():
     exact = expected_gossip_matrix(top).expected_matrix
     approx = estimate_expected_square(top, 1, 4000, 8)
     assert np.abs(approx - exact).max() < 0.05
+
+
+# ---------------------------------------------------------------------------
+# Worker counts: every engine, byte for byte
+# ---------------------------------------------------------------------------
+
+_TWO_CHUNKS = CHUNK_SIZE + 100
+
+
+def _engine_runs():
+    """One call per engine at two chunks with short horizons, by name; each takes threads."""
+    change = variance_change_model(1.0, 1.5)
+    shift, detector = _design(0.1, 20.0, 3)
+    top = full_ring(3)
+
+    def run_lengths(family):
+        return lambda threads: page_run_lengths(
+            change, family, 2.0, top.M, _TWO_CHUNKS, 5, under="alt", max_n=200, topology=top, v=2, threads=threads)
+
+    return {
+        **{f"page_run_lengths-{family}": run_lengths(family) for family in ("centralized", "running", "bank", "single")},
+        "estimate_stopping": lambda threads: estimate_stopping(
+            shift, Identity(), top, 1, detector, _TWO_CHUNKS, 6, max_n=500, threads=threads),
+        "node_stopping_spread": lambda threads: node_stopping_spread(
+            shift, Identity(), top, 1, detector, _TWO_CHUNKS, 7, max_n=500, threads=threads),
+        "estimate_sprt_stopping": lambda threads: estimate_sprt_stopping(
+            shift, 3, 0.1, 0.9, _TWO_CHUNKS, 8, max_n=500, threads=threads),
+        "estimate_error_probabilities": lambda threads: estimate_error_probabilities(
+            shift, Identity(), top, 1, 5, 0.5, _TWO_CHUNKS, 9, threads=threads),
+        "estimate_error_moments": lambda threads: estimate_error_moments(
+            top, 1, [1, 5], _TWO_CHUNKS, 10, threads=threads),
+        "estimate_covariance": lambda threads: estimate_covariance(top, 1, 5, _TWO_CHUNKS, 11, threads=threads),
+    }
+
+
+@pytest.mark.parametrize("engine", list(_engine_runs()))
+def test_every_engine_is_byte_identical_across_worker_counts(engine):
+    run = _engine_runs()[engine]
+    one, two = run(1), run(2)
+    if dataclasses.is_dataclass(one):
+        one, two = dataclasses.asdict(one), dataclasses.asdict(two)
+    np.testing.assert_equal(one, two)
+
+
+# ---------------------------------------------------------------------------
+# The chunk-worker contract
+# ---------------------------------------------------------------------------
+
+def _chunk_pid(chunk_index, size, rng):
+    return os.getpid()
+
+
+def _second_chunk_raises(chunk_index, size, rng):
+    if chunk_index == 1:
+        raise ValueError(f"chunk {chunk_index} of {size} trials failed")
+    return size
+
+
+def _second_chunk_exits(chunk_index, size, rng):
+    if chunk_index == 1:
+        os._exit(3)
+    return size
+
+
+def _first_chunk_raises_while_second_sleeps(chunk_index, size, rng):
+    if chunk_index == 0:
+        raise ValueError("chunk 0 failed")
+    time.sleep(60.0)
+    return size
+
+
+@pytest.mark.parametrize("worker, error, message", [
+    (_second_chunk_raises, ValueError, "chunk 1 of 100 trials failed"),
+    (_second_chunk_exits, RuntimeError, "exited with code 3 and sent no result"),
+    (_first_chunk_raises_while_second_sleeps, ValueError, "chunk 0 failed"),
+])
+def test_chunk_worker_failure_reraises_and_leaves_no_child(worker, error, message):
+    start = time.monotonic()
+    with pytest.raises(error, match=message):
+        _run_chunks(_TWO_CHUNKS, 0, 2, worker)
+    assert time.monotonic() - start < 30.0  # a sleeping child is killed, not awaited
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_count_is_capped_by_chunks_and_cpus():
+    pids = _run_chunks(2 * CHUNK_SIZE, 0, 64, _chunk_pid)
+    assert len(pids) == 2 and pids[0] == os.getpid()
+    assert len(set(pids)) <= min(2, len(os.sched_getaffinity(0)))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_CALLER = """\
+import os, time
+from runcons.montecarlo import CHUNK_SIZE, _run_chunks
+
+def worker(chunk_index, size, rng):
+    if chunk_index == 1:
+        print(os.getpid(), flush=True)
+        time.sleep(60.0)
+    return size
+
+_run_chunks(2 * CHUNK_SIZE, 0, 2, worker)
+"""
+
+
+def _runs(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_chunk_workers_die_with_a_killed_caller():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    caller = subprocess.Popen([sys.executable, "-c", _CALLER], stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        child = int(caller.stdout.readline())
+    finally:
+        caller.kill()
+        caller.wait(timeout=30)
+        caller.stdout.close()
+    deadline = time.monotonic() + 10.0
+    while _runs(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _runs(child)
