@@ -218,7 +218,7 @@ def centralized_delay_at_rate(R: float, M: int, delta01: float, delta10: float) 
 
 def survival_power_integral(z: float, M: int) -> float:
     """Integral of [1 - F_W(.; z)]^M over (0, inf), log-domain inside."""
-    if z <= 0.0 or M < 1:
+    if not z > 0.0 or M < 1:
         raise ValueError(f"need z > 0 and M >= 1, got z={z}, M={M}")
 
     def integrand(xi: float) -> float:

@@ -48,22 +48,27 @@ def kl_binary(p: float, q: float) -> float:
     return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
 
 
-def wald_cdf(x, z):
-    """CDF of the unit-mean Wald (inverse Gaussian) law with shape z.
+def wald_cdf(x: float, z: float) -> float:
+    """CDF of the unit-mean Wald (inverse Gaussian) law with shape z, at one point.
 
     This is the approximate law of a single-barrier positive-drift random-walk
     stopping time scaled to unit mean.  The e^{2z} Q(...) term is evaluated in
     the log domain so thresholds as large as z ~ 500 stay finite.
+
+    It takes and returns Python floats: its callers are the per-point
+    integrand of the bank survival integral and a bisection, and a 0-d array
+    would cost several times the arithmetic.  The exponentials stay on
+    ``np.exp``, whose SIMD loop need not round like libm's ``math.exp``, so
+    the values are bit-identical to the same expression on arrays.
     """
-    x = np.asarray(x, dtype=float)
-    if (x <= 0.0).any():
-        raise ValueError("wald_cdf requires x > 0")
-    if z <= 0.0:
+    if not x > 0.0:
+        raise ValueError(f"wald_cdf requires x > 0, got {x}")
+    if not z > 0.0:
         raise ValueError(f"wald_cdf requires z > 0, got {z}")
-    s = np.sqrt(z / x)
+    s = math.sqrt(z / x)
     first = 1.0 - np.exp(log_ndtr(-((x - 1.0) * s)))
     second = np.exp(2.0 * z + log_ndtr(-((x + 1.0) * s)))
-    return first + second
+    return float(first + second)
 
 
 def wald_cdf_inverse(y: float, z: float) -> float:

@@ -8,6 +8,7 @@ or fail reproducibly.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -20,6 +21,11 @@ from runcons.detectors import fss_threshold, sequential_design
 from runcons.network import expected_gossip_matrix, full_ring, k_neighbor_ring
 
 from dense_oracle import gossip_matrix, phi_product_state
+
+
+# The heavy Monte Carlo checks run their chunks on every usable core; the
+# engines return byte-identical results at any worker count.
+THREADS = len(os.sched_getaffinity(0))
 
 
 def report(criterion: str, message: str) -> None:
@@ -211,7 +217,8 @@ def _sequential_point(p_e: float, snr: float, M: int, v: int, trials: int, seed:
     asn0, asn1 = analysis.sequential_asymptotics(p_e, 1.0 - p_e, d)
     max_n = int(math.ceil(100.0 * r * max(asn0, asn1)))
     study = mc.estimate_stopping(
-        model, stats.Identity(), full_ring(M), v, detector, trials, seed, max_n=max_n
+        model, stats.Identity(), full_ring(M), v, detector, trials, seed, max_n=max_n,
+        threads=THREADS,
     )
     return study
 
@@ -310,7 +317,7 @@ def test_c09_page_false_alarm_law():
         predicted = float(analysis.false_alarm_rate_accurate(gamma, M, d01))
         est = mc.Estimate.from_run_lengths(mc.page_run_lengths(
             model, "centralized", gamma, M, trials, 91, under="null",
-            max_n=int(math.ceil(100.0 / predicted)),
+            max_n=int(math.ceil(100.0 / predicted)), threads=THREADS,
         ))
         simulated = 1.0 / est.value
         report("C9", f"centralized gamma={gamma}: R_sim={simulated:.3e} R_pred={predicted:.3e} "
@@ -328,7 +335,7 @@ def test_c09_page_false_alarm_law():
     predicted = float(analysis.false_alarm_rate_accurate(gamma, M, d01))  # bank uses the same law
     est = mc.Estimate.from_run_lengths(mc.page_run_lengths(
         model, "bank", gamma, M, trials, 92, under="null",
-        max_n=int(math.ceil(100.0 / predicted)),
+        max_n=int(math.ceil(100.0 / predicted)), threads=THREADS,
     ))
     simulated = 1.0 / est.value
     report("C9", f"bank gamma={gamma}: R_sim={simulated:.3e} R_pred={predicted:.3e} "
@@ -343,11 +350,11 @@ def test_c09_page_false_alarm_law():
 def _oc_point(model, family, gamma, M, top, v, trials, seed, d01, d10):
     fa = mc.Estimate.from_run_lengths(mc.page_run_lengths(
         model, family, gamma, M, trials, seed, under="null",
-        max_n=5_000_000, topology=top, v=v,
+        max_n=5_000_000, topology=top, v=v, threads=THREADS,
     ))
     delay = mc.Estimate.from_run_lengths(mc.page_run_lengths(
         model, family, gamma, M, trials, seed + 1, under="alt",
-        max_n=500_000, topology=top, v=v,
+        max_n=500_000, topology=top, v=v, threads=THREADS,
     ))
     r_hat = 1.0 / fa.value
     d_pred = analysis.centralized_delay_at_rate(r_hat, M, d01, d10)
@@ -408,7 +415,7 @@ def test_c11_bank_delay_integral():
     for M in (5, 10, 30):
         predicted = analysis.bank_delay(gamma, M, d10, var1)
         est = mc.Estimate.from_run_lengths(mc.page_run_lengths(
-            model, "bank", gamma, M, 10_000, 111, under="alt", max_n=10**7
+            model, "bank", gamma, M, 10_000, 111, under="alt", max_n=10**7, threads=THREADS,
         ))
         ratio = est.value / predicted.integral
         report("C11", f"M={M}: D_sim={est.value:.0f}+-{est.std_err:.0f} "

@@ -263,6 +263,12 @@ def test_survival_integral_single_filter_is_unit_mean():
         assert survival_power_integral(z, 1) == pytest.approx(1.0, rel=1e-8)
 
 
+def test_survival_integral_rejects_bad_shape_and_size():
+    for z, M in ((0.0, 5), (-1.0, 5), (math.nan, 5), (2.0, 0)):
+        with pytest.raises(ValueError):
+            survival_power_integral(z, M)
+
+
 def test_survival_integral_against_direct_quadrature():
     z, M = 7.0, 12
     direct, _ = si.quad(lambda x: (1.0 - wald_cdf(x, z)) ** M, 0.0, 50.0, limit=300)

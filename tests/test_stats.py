@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scistats
+from scipy.special import log_ndtr
 
 from runcons import stats as stats_module
 from runcons.stats import (
@@ -101,21 +102,38 @@ def test_kl_binary_boundary_rejected():
 # Wald / inverse Gaussian law
 # ---------------------------------------------------------------------------
 
+def _wald_cdf_on_array(x, z):
+    # the same expression on a 0-d array, through numpy's array loops
+    x = np.asarray(x, dtype=float)
+    s = np.sqrt(z / x)
+    first = 1.0 - np.exp(log_ndtr(-((x - 1.0) * s)))
+    second = np.exp(2.0 * z + log_ndtr(-((x + 1.0) * s)))
+    return first + second
+
+
 def test_wald_cdf_limits():
     assert wald_cdf(1e6, 3.0) == pytest.approx(1.0, abs=1e-9)
     assert wald_cdf(1e-6, 3.0) == pytest.approx(0.0, abs=1e-9)
+    # bit-identical to the array expression across the whole range; where
+    # numpy's exp is a SIMD kernel (AVX-512F), swapping np.exp for math.exp
+    # changes some of these values in the last place
+    for z in (0.1, 0.7, 3.0, 21.0, 50.0, 500.0):
+        for x in np.geomspace(1e-6, 1e6, 121):
+            value = wald_cdf(float(x), z)
+            assert type(value) is float
+            assert value == float(_wald_cdf_on_array(x, z)), (x, z)
 
 
 def test_wald_cdf_monotone_and_bounded():
     for z in (0.5, 5.0, 50.0):
         xs = np.linspace(0.01, 10.0, 400)
-        values = wald_cdf(xs, z)
+        values = np.array([wald_cdf(x, z) for x in xs])
         assert (np.diff(values) >= -1e-12).all()
         assert (values >= 0.0).all() and (values <= 1.0 + 1e-12).all()
 
 
 def test_wald_cdf_stable_for_huge_shape():
-    values = wald_cdf(np.array([0.5, 1.0, 2.0]), 500.0)
+    values = np.array([wald_cdf(x, 500.0) for x in (0.5, 1.0, 2.0)])
     assert np.isfinite(values).all()
     assert (values >= 0.0).all() and (values <= 1.0).all()
 
@@ -124,7 +142,7 @@ def test_wald_cdf_matches_scipy_inverse_gaussian():
     # unit-mean law with shape z == scipy invgauss(mu=1/z, scale=z)
     for z in (0.7, 4.0, 25.0):
         xs = np.linspace(0.05, 6.0, 60)
-        ours = wald_cdf(xs, z)
+        ours = np.array([wald_cdf(x, z) for x in xs])
         reference = scistats.invgauss.cdf(xs, mu=1.0 / z, scale=z)
         assert np.abs(ours - reference).max() < 1e-10
 
@@ -155,7 +173,7 @@ def test_wald_cdf_matches_random_walk_stopping_times():
     scaled = np.sort(steps / (barrier / drift))
     grid = np.unique(scaled)
     empirical = np.searchsorted(scaled, grid, side="right") / trials
-    predicted = wald_cdf(grid, z)
+    predicted = np.array([wald_cdf(x, z) for x in grid])
     assert np.abs(empirical - predicted).max() < 0.02
 
 
@@ -165,18 +183,22 @@ def test_wald_cdf_rejects_nonpositive_time_and_shape():
     with pytest.raises(ValueError, match="x > 0"):
         wald_cdf(-1.5, 3.0)
     with pytest.raises(ValueError, match="x > 0"):
-        wald_cdf(np.array([0.5, 1.0, 0.0, 2.0]), 3.0)
+        [wald_cdf(x, 3.0) for x in (0.5, 1.0, 0.0, 2.0)]
     with pytest.raises(ValueError, match="x > 0"):
-        wald_cdf(np.array([[0.5, 1.0], [2.0, -3.0]]), 3.0)
+        [wald_cdf(x, 3.0) for x in (0.5, 1.0, 2.0, -3.0)]
+    with pytest.raises(ValueError, match="x > 0"):
+        wald_cdf(math.nan, 3.0)
     with pytest.raises(ValueError, match="z > 0"):
         wald_cdf(1.0, 0.0)
     with pytest.raises(ValueError, match="z > 0"):
-        wald_cdf(np.array([0.5, 1.0]), -2.0)
+        [wald_cdf(x, -2.0) for x in (0.5, 1.0)]
+    with pytest.raises(ValueError, match="z > 0"):
+        wald_cdf(1.0, math.nan)
 
 
 def test_wald_inverse_round_trip():
     for z in (0.8, 5.0, 40.0):
-        y = float(wald_cdf(1.0, z))
+        y = wald_cdf(1.0, z)
         assert wald_cdf_inverse(y, z) == pytest.approx(1.0, abs=1e-7)
 
 
@@ -195,6 +217,10 @@ def test_wald_inverse_domain():
         wald_cdf_inverse(0.0, 1.0)
     with pytest.raises(ValueError):
         wald_cdf_inverse(1.0, 1.0)
+    with pytest.raises(ValueError, match="z > 0"):
+        wald_cdf_inverse(0.5, math.nan)
+    with pytest.raises(ValueError, match="z > 0"):
+        wald_cdf_inverse(0.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
