@@ -2,8 +2,10 @@
 error-moment constants, asymptotic detection characteristics, CUSUM operating
 characteristics, the parallel-bank delay integral, and relative efficiencies.
 
-Accurate and large-threshold approximations are always computed side by side
-and labeled, because reproducing the reference tables requires both.
+The CUSUM laws come in an accurate and a large-threshold form.  The change
+theory table writes both, labeled.  The efficiency table (`fig:RE1`,
+`fig:RE2`) writes only the large-threshold form; acceptance check C12 reads
+the accurate :func:`relative_efficiencies`.
 """
 
 from __future__ import annotations
@@ -21,28 +23,6 @@ from .stats import QuadratureError, kl_binary, q_function, q_inverse, wald_cdf, 
 # ---------------------------------------------------------------------------
 # Consensus performance metrics and their bounds
 # ---------------------------------------------------------------------------
-
-def consensus_metrics_from_covariance(
-    C: np.ndarray, sigma2: float, n: int, M: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node variance ratio gamma and pairwise consensus coefficient rho.
-
-    gamma_i normalizes the node variance by the centralized variance
-    sigma^2/(nM); rho_ij = 2 C_ij / (C_ii + C_jj) equals the correlation
-    coefficient times the geometric/arithmetic variance-ratio.
-    """
-    C = np.asarray(C, dtype=float)
-    if C.shape != (M, M):
-        raise ValueError(f"covariance must be {M}x{M}, got {C.shape}")
-    diag = np.diag(C)
-    if np.any(diag == 0.0):
-        raise ValueError("covariance has a zero diagonal entry")
-    sigma2_n = sigma2 / (n * M)
-    gamma = diag / sigma2_n
-    denom = 0.5 * (diag[:, None] + diag[None, :])
-    rho = C / denom
-    return gamma, rho
-
 
 class BoundVariant(Enum):
     """Which slot-update form the bounds describe.
@@ -205,11 +185,6 @@ def threshold_for_rate_large_gamma(R: float, M: int, delta01: float) -> float:
     if value <= 1.0:
         raise ValueError(f"rate {R} too large for the large-threshold form")
     return math.log(value)
-
-
-def centralized_delay_at_rate(R: float, M: int, delta01: float, delta10: float) -> float:
-    """Operating characteristic D(R) through the accurate formula pair."""
-    return float(delay_accurate(threshold_for_rate(R, M, delta01), M, delta10))
 
 
 # ---------------------------------------------------------------------------

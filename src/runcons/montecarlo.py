@@ -363,11 +363,9 @@ def estimate_error_moments(
     trials: int,
     seed: int,
     *,
-    dist: Gaussian | None = None,
     threads: int = 1,
 ) -> ErrorMomentStudy:
-    """Empirical E[e^2] and E[|e|^3] of the accumulating-schedule error."""
-    dist = dist if dist is not None else Gaussian(0.0, 1.0)
+    """Empirical E[e^2] and E[|e|^3] of the accumulating-schedule error, unit Gaussian samples."""
     slots = np.asarray(sorted(slots), dtype=int)
     n_max = int(slots.max())
 
@@ -375,7 +373,7 @@ def estimate_error_moments(
         out2 = np.zeros((slots.size, size))
         out3 = np.zeros((slots.size, size))
         pos = 0
-        paths = consensus_paths(rng, topology, v, size, n_max, dist.sample, WeightMode.ACCUMULATING, True)
+        paths = consensus_paths(rng, topology, v, size, n_max, Gaussian(0.0, 1.0).sample, WeightMode.ACCUMULATING, True)
         for n, states, csum in paths:
             if pos < slots.size and n == slots[pos]:
                 err = states - csum[:, None]
@@ -418,7 +416,6 @@ def estimate_error_probabilities(
     *,
     node: int = 0,
     threads: int = 1,
-    run_null: bool = True,
 ) -> FssStudy:
     """Empirical false-alarm and detection frequencies at a fixed threshold.
 
@@ -427,7 +424,7 @@ def estimate_error_probabilities(
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    laws = ([("null", model.null)] if run_null else []) + [("alt", model.alt)]
+    laws = (("null", model.null), ("alt", model.alt))
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
         counts = {}
@@ -505,17 +502,15 @@ class SequentialStudy:
 
 
 def _sequential_trials(dist, nonlinearity, topology, v, detector, size, rng, max_n, node):
-    """Per-statistic stopping slots and decisions of one chunk under one law.
+    """Stopping slots and decisions of one chunk under one law, by statistic.
 
-    With node=None every node statistic is tracked; otherwise the columns are
-    the centralized statistic and the one node statistic.  A trial finishes
-    once all of its tracked statistics have left (a_r, b_r).
+    Column 0 is the centralized statistic, column 1 the given node's.  A
+    trial finishes once both have left (a_r, b_r).
     """
     M = topology.M
     eta, a_r, b_r = detector.eta_r, detector.a_r, detector.b_r
-    width = M if node is None else 2
-    stops = np.zeros((size, width), dtype=np.int64)
-    decs = np.zeros((size, width), dtype=np.int8)
+    stops = np.zeros((size, 2), dtype=np.int64)
+    decs = np.zeros((size, 2), dtype=np.int8)
 
     def sample(rng: np.random.Generator, shape) -> np.ndarray:
         return nonlinearity(dist.sample(rng, shape))
@@ -524,12 +519,9 @@ def _sequential_trials(dist, nonlinearity, topology, v, detector, size, rng, max
         states, csum, undecided = lanes
         states, t = _slot(rng, topology, v, states, sample, slot, WeightMode.ACCUMULATING, True)
         lanes[0] = states
+        csum += t.sum(axis=1)
         shift = slot * M * eta
-        if node is None:
-            values = states - shift
-        else:
-            csum += t.sum(axis=1)
-            values = np.column_stack((csum - shift, states[:, node] - shift))
+        values = np.column_stack((csum - shift, states[:, node] - shift))
         upper = values >= b_r
         hit = (upper | (values <= a_r)) & undecided
         if not hit.any():
@@ -540,7 +532,7 @@ def _sequential_trials(dist, nonlinearity, topology, v, detector, size, rng, max
         undecided &= ~hit
         return ~undecided.any(axis=1)
 
-    _lockstep(size, max_n, advance, [np.zeros((size, M)), np.zeros(size), np.ones((size, width), dtype=bool)])
+    _lockstep(size, max_n, advance, [np.zeros((size, M)), np.zeros(size), np.ones((size, 2), dtype=bool)])
     return stops, decs
 
 
@@ -579,29 +571,6 @@ def estimate_stopping(
         }
 
     return SequentialStudy(under_null=collect(0), under_alt=collect(1))
-
-
-def node_stopping_spread(
-    model: HypothesisModel,
-    nonlinearity,
-    topology: NetworkTopology,
-    v: int,
-    detector: SequentialDetector,
-    trials: int,
-    seed: int,
-    *,
-    max_n: int,
-    threads: int = 1,
-) -> np.ndarray:
-    """Per-trial relative spread of the per-node stopping times, under H1."""
-    def worker(chunk_index: int, size: int, rng: np.random.Generator):
-        return _sequential_trials(model.alt, nonlinearity, topology, v, detector, size, rng, max_n, None)
-
-    results = _run_chunks(trials, seed, threads, worker)
-    stops = np.concatenate([r[0] for r in results], axis=0)
-    decs = np.concatenate([r[1] for r in results], axis=0)
-    times = stops[(decs != _DEC_NONE).all(axis=1)]
-    return (times.max(axis=1) - times.min(axis=1)) / times.mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -753,23 +722,3 @@ def estimate_sprt_stopping(
         )}
 
     return SequentialStudy(under_null=collect(0), under_alt=collect(1))
-
-
-# ---------------------------------------------------------------------------
-# Sample-based spectral summary for multi-exchange slots
-# ---------------------------------------------------------------------------
-
-def estimate_expected_square(
-    topology: NetworkTopology, v: int, trials: int, seed: int
-) -> np.ndarray:
-    """Monte Carlo estimate of E[W W^T] for v pairwise exchanges per slot."""
-    rng = chunk_rng(seed, 0)
-    M = topology.M
-    acc = np.zeros((M, M))
-    for _ in range(trials):
-        # gossiping the rows of I with one pair sequence gives W^T
-        idx = np.repeat(_pair_draws(rng, topology, v, 1), M, axis=0)
-        W_T = np.eye(M)
-        _gossip_batch(W_T, topology.pair_array, idx)
-        acc += W_T.T @ W_T
-    return acc / trials

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from enum import Enum
 
 import numpy as np
 
@@ -21,12 +20,6 @@ Pair = tuple[int, int]
 
 class TopologyError(ValueError):
     """Raised for invalid node pairs, disconnected graphs, or bad parameters."""
-
-
-class TopologyKind(Enum):
-    FULL_RING = "full_ring"
-    K_NEIGHBOR_RING = "k_neighbor_ring"
-    EXPLICIT_EDGES = "explicit_edges"
 
 
 @dataclass(frozen=True)
@@ -116,7 +109,7 @@ def explicit_edges(M: int, edges, allow_disconnected: bool = False) -> NetworkTo
 
 
 def build_topology(
-    kind: TopologyKind | str,
+    kind: str,
     M: int,
     *,
     k: int | None = None,
@@ -124,13 +117,15 @@ def build_topology(
     allow_disconnected: bool = False,
 ) -> NetworkTopology:
     """Dispatching constructor used by the CLI scenario loader."""
-    kind = TopologyKind(kind) if not isinstance(kind, TopologyKind) else kind
-    if kind is TopologyKind.FULL_RING:
+    if kind == "full_ring":
         return full_ring(M)
-    if kind is TopologyKind.K_NEIGHBOR_RING:
+    if kind == "k_neighbor_ring":
         if k is None:
             raise TopologyError("k_neighbor_ring requires k")
         return k_neighbor_ring(M, k)
+    if kind != "explicit_edges":
+        raise TopologyError(
+            f"topology.kind must be one of full_ring, k_neighbor_ring, explicit_edges, got {kind!r}")
     if edges is None:
         raise TopologyError("explicit_edges requires an edge list")
     return explicit_edges(M, edges, allow_disconnected=allow_disconnected)

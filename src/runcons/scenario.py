@@ -85,6 +85,7 @@ RANGES = {
                      "model.variance1", "model.variance2"), _POSITIVE),
     **dict.fromkeys(("model.weight", "detector.p_f"), _PROBABILITY),
     **dict.fromkeys(("detector.p_e", "detector.p_e_list"), (lambda x: 0.0 < x < 0.5, "must be in (0, 0.5)")),
+    "montecarlo.seed": (lambda x: x >= 0, "must be >= 0"),
 }
 
 DETECTOR_KINDS = {"fss": "fss", "sequential": "sequential", "change": "page"}  # a given detector.kind must match

@@ -2,9 +2,9 @@
 
 Everything here is pure and immutable after construction.  Closed forms are
 used where they exist; otherwise adaptive quadrature over the real line at
-relative tolerance 1e-8, with the vector third moment over M > 1 samples
-falling back to Monte Carlo (its only consumer, the error-moment bound,
-already carries Monte Carlo error bars).
+relative tolerance 1e-8.  The vector third moment xi3, read only by the
+error-moment bound, exists in closed form only, for a linear t(x) on
+Gaussian data.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from scipy import integrate
 from scipy.special import gammaln, log_ndtr, ndtr, ndtri
 
 QUAD_REL_TOL = 1e-8
-_XI3_MC_DRAWS = 1_000_000
-_XI3_MC_SEED = 20240917  # fixed stream: xi3 for M > 1 has no closed form
 
 
 class QuadratureError(RuntimeError):
@@ -364,35 +362,21 @@ def _chi_third_moment(M: int) -> float:
     return math.exp(1.5 * math.log(2.0) + gammaln((M + 3) / 2.0) - gammaln(M / 2.0))
 
 
-def vector_third_moment(model: HypothesisModel, nonlinearity, theta: float, M: int) -> tuple[float, float]:
-    """(xi3, standard error): E||t(x) - mu||^3 over an M-vector of iid samples at theta.
+def vector_third_moment(model: HypothesisModel, nonlinearity, theta: float, M: int) -> float:
+    """xi3 = E||t(x) - mu||^3 over an M-vector of iid samples at theta.
 
-    Closed forms cover the identity and the score on Gaussian data, and the
-    identity on mixture data at M = 1; otherwise quadrature at M = 1 and Monte
-    Carlo on a fixed stream for the M-dimensional norm integral.
+    Only a linear t on Gaussian data (the identity, or the score of a Gaussian
+    family) has the closed form sigma^3 E[chi_M^3]; any other input raises.
     """
-    m = moments(model, nonlinearity, theta)
-    dist = model.at(theta)
-    t = nonlinearity
-    linear = isinstance(t, Identity) or (isinstance(t, Score) and isinstance(model.family, GaussianLocationFamily))
-    xi3_se = 0.0
-    if linear and isinstance(dist, Gaussian):
-        xi3 = m.sigma2 ** 1.5 * _chi_third_moment(M)
-    elif isinstance(t, Identity) and M == 1:
-        # mixture: each component's absolute third moment, weighted
-        c = _chi_third_moment(1)
-        p = dist.weight
-        xi3 = p * (dist.variance1 ** 1.5 * c) + (1.0 - p) * (dist.variance2 ** 1.5 * c)
-    elif M == 1:
-        xi3 = integrate_real_line(lambda x: np.abs(t(x) - m.mu) ** 3 * dist.pdf(x), dist.quad_hint())
-    else:
-        draws = _XI3_MC_DRAWS // M
-        x = dist.sample(np.random.default_rng(_XI3_MC_SEED), (draws, M))
-        norms = np.linalg.norm(t(x) - m.mu, axis=1) ** 3
-        xi3, xi3_se = float(norms.mean()), float(norms.std(ddof=1) / math.sqrt(draws))
-    if xi3 + 3.0 * xi3_se < m.sigma2 ** 1.5:
+    linear = isinstance(nonlinearity, Identity) or (
+        isinstance(nonlinearity, Score) and isinstance(model.family, GaussianLocationFamily))
+    if not (linear and isinstance(model.at(theta), Gaussian)):
+        raise ValueError("xi3 has a closed form only for a linear t(x) on Gaussian data")
+    sigma3 = moments(model, nonlinearity, theta).sigma2 ** 1.5
+    xi3 = sigma3 * _chi_third_moment(M)
+    if xi3 < sigma3:
         raise ValueError("xi3 below the single-coordinate lower bound sigma^3")
-    return xi3, xi3_se
+    return xi3
 
 
 def _mu_prime_central_difference(model: HypothesisModel, t, hint) -> float:

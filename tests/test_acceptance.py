@@ -165,7 +165,7 @@ def test_c05_error_moment_bounds():
     summary = expected_gossip_matrix(top)
     constants = analysis.moment_bound_constants(M, summary.lambda_U)
     model = stats.gaussian_shift_model(1.0, theta=0.0)
-    xi3, _ = stats.vector_third_moment(model, stats.Identity(), 0.0, M)
+    xi3 = stats.vector_third_moment(model, stats.Identity(), 0.0, M)
     study = mc.estimate_error_moments(top, 1, [10, 100, 1000], 10_000, 51)
     second_cap = constants.C1 * 1.0
     third_cap = constants.C1 * xi3 + constants.C2 * 1.0
@@ -193,7 +193,7 @@ def test_c06_fss_detection_probability_converges():
         m0 = stats.moments(model, stats.Identity(), 0.0)
         threshold = fss_threshold(p_f, n, m0, M)
         study = mc.estimate_error_probabilities(
-            model, stats.Identity(), top, 1, n, threshold, trials, 61, run_null=False
+            model, stats.Identity(), top, 1, n, threshold, trials, 61
         )
         gaps[n] = abs(study.p_d["node"].value - centralized_limit)
         report("C6", f"n={n}: p_d(node)={study.p_d['node'].value:.4f} "
@@ -357,7 +357,7 @@ def _oc_point(model, family, gamma, M, top, v, trials, seed, d01, d10):
         max_n=500_000, topology=top, v=v, threads=THREADS,
     ))
     r_hat = 1.0 / fa.value
-    d_pred = analysis.centralized_delay_at_rate(r_hat, M, d01, d10)
+    d_pred = float(analysis.delay_accurate(analysis.threshold_for_rate(r_hat, M, d01), M, d10))
     return r_hat, delay.value, d_pred
 
 

@@ -10,8 +10,6 @@ from runcons.analysis import (
     CUSUM_FAMILIES,
     BoundVariant,
     bank_delay,
-    centralized_delay_at_rate,
-    consensus_metrics_from_covariance,
     delay_accurate,
     false_alarm_rate_accurate,
     false_alarm_rate_large_gamma,
@@ -28,45 +26,6 @@ from runcons.analysis import (
     threshold_for_rate_large_gamma,
 )
 from runcons.stats import kl_binary, q_function, q_inverse, wald_cdf
-
-
-# ---------------------------------------------------------------------------
-# Consensus metrics
-# ---------------------------------------------------------------------------
-
-def test_metrics_perfect_consensus():
-    M, n, sigma2 = 4, 10, 2.0
-    sigma2_n = sigma2 / (n * M)
-    C = sigma2_n * np.ones((M, M))
-    gamma, rho = consensus_metrics_from_covariance(C, sigma2, n, M)
-    assert np.allclose(gamma, 1.0, atol=1e-12)
-    assert np.allclose(rho, 1.0, atol=1e-12)
-
-
-def test_metrics_uncorrelated_states():
-    C = np.diag([1.0, 2.0, 3.0])
-    gamma, rho = consensus_metrics_from_covariance(C, 1.0, 5, 3)
-    off = rho[~np.eye(3, dtype=bool)]
-    assert np.allclose(off, 0.0, atol=1e-14)
-
-
-def test_metric_decomposition_on_random_psd_matrices():
-    # rho must equal the correlation coefficient times the geometric-to-
-    # arithmetic variance ratio, both computed independently here
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        A = rng.standard_normal((5, 5))
-        C = A @ A.T + 5e-2 * np.eye(5)
-        _, rho = consensus_metrics_from_covariance(C, 1.0, 3, 5)
-        d = np.sqrt(np.diag(C))
-        corr = C / np.outer(d, d)
-        ratio = np.outer(d, d) / (0.5 * (np.diag(C)[:, None] + np.diag(C)[None, :]))
-        assert np.allclose(rho, corr * ratio, atol=1e-12)
-
-
-def test_metrics_reject_zero_diagonal():
-    with pytest.raises(ValueError):
-        consensus_metrics_from_covariance(np.zeros((2, 2)), 1.0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +201,6 @@ def test_threshold_inversion_round_trip():
         assert threshold_for_rate(R, M, d01) == pytest.approx(gamma, abs=1e-9)
     assert threshold_for_rate_large_gamma(1e-4, M, d01) == pytest.approx(
         math.log(M * d01 / 1e-4), rel=1e-12
-    )
-
-
-def test_operating_characteristic_composition():
-    d01, d10, M = 9.7e-4, 1.01e-3, 10
-    R = 1e-3
-    gamma = threshold_for_rate(R, M, d01)
-    assert centralized_delay_at_rate(R, M, d01, d10) == pytest.approx(
-        float(delay_accurate(gamma, M, d10)), rel=1e-12
     )
 
 

@@ -413,9 +413,12 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
     [(["reproduce", "fig:sim2", "--threads", "0"], "montecarlo.threads"),
      (["reproduce", "fig:sim2", "--threads", "-3"], "montecarlo.threads"),
      (["change", "fig_sim1.scn", "--set", "montecarlo.threads=-1"], "montecarlo.threads")],
+    [(["reproduce", "fig:bound1", "--set", "topology.kind=nonsense"],
+      "topology.kind must be one of full_ring, k_neighbor_ring, explicit_edges")],
+    [(["reproduce", "fig:bound1", "--seed", "-1"], "montecarlo.seed")],
 ], ids=["p_e-above-half", "rate-above-d01", "v-below-1", "no-location-family", "p_f-outside-unit",
         "model-parameters", "counts-below-1", "unknown-sequential-measure", "unread-p_d",
-        "detector-kind-not-the-runners", "threads-below-1"])
+        "detector-kind-not-the-runners", "threads-below-1", "unknown-topology-kind", "negative-seed"])
 def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, capsys):
     for command, message in runs:
         if command[0] != "reproduce":

@@ -25,10 +25,8 @@ from runcons.montecarlo import (
     estimate_covariance,
     estimate_error_moments,
     estimate_error_probabilities,
-    estimate_expected_square,
     estimate_sprt_stopping,
     estimate_stopping,
-    node_stopping_spread,
     page_run_lengths,
 )
 from runcons.network import full_ring, k_neighbor_ring
@@ -279,18 +277,6 @@ def test_sprt_baseline_stops_and_reports():
     assert 0.02 < study.error_probability() < 0.2
 
 
-def test_node_spread_is_small_fraction_of_stopping_time():
-    # individual stopping times cluster: relative spread well below one.
-    # The clustering tightens with the design's error target; the 0.01 design
-    # is used here (at 0.05 the median relative spread sits near 0.08).
-    model, detector = _design(0.01, 1000.0, 5)
-    spread = node_stopping_spread(
-        model, Identity(), full_ring(5), 1, detector, 100, 31, max_n=500_000
-    )
-    assert spread.size == 100
-    assert float(np.median(spread)) < 0.05
-
-
 def test_std_err_shrinks_like_root_trials():
     model = variance_change_model(1.0, 1.5)
     kwargs = dict(under="null", max_n=100_000)
@@ -374,15 +360,6 @@ def test_llr_sampler_draws_the_affine_chi_square_law(under, dof):
     assert abs(draws.mean() - mean) < 4.0 * se
 
 
-def test_expected_square_estimate_close_to_exact_for_single_exchange():
-    top = full_ring(6)
-    from runcons.network import expected_gossip_matrix
-
-    exact = expected_gossip_matrix(top).expected_matrix
-    approx = estimate_expected_square(top, 1, 4000, 8)
-    assert np.abs(approx - exact).max() < 0.05
-
-
 # ---------------------------------------------------------------------------
 # Worker counts: every engine, byte for byte
 # ---------------------------------------------------------------------------
@@ -404,8 +381,6 @@ def _engine_runs():
         **{f"page_run_lengths-{family}": run_lengths(family) for family in ("centralized", "running", "bank", "single")},
         "estimate_stopping": lambda threads: estimate_stopping(
             shift, Identity(), top, 1, detector, _TWO_CHUNKS, 6, max_n=500, threads=threads),
-        "node_stopping_spread": lambda threads: node_stopping_spread(
-            shift, Identity(), top, 1, detector, _TWO_CHUNKS, 7, max_n=500, threads=threads),
         "estimate_sprt_stopping": lambda threads: estimate_sprt_stopping(
             shift, 3, 0.1, 0.9, _TWO_CHUNKS, 8, max_n=500, threads=threads),
         "estimate_error_probabilities": lambda threads: estimate_error_probabilities(

@@ -319,16 +319,15 @@ def test_identity_gaussian_moments_closed_form():
     assert m.sigma2 == pytest.approx(2.0)
     assert m.mu_prime_at_theta0 == pytest.approx(1.0)
     # single coordinate: sigma^3 times the absolute third moment of a unit normal
-    xi3, se = vector_third_moment(model, Identity(), 0.7, 1)
+    xi3 = vector_third_moment(model, Identity(), 0.7, 1)
     assert xi3 == pytest.approx(2.0**1.5 * math.sqrt(8.0 / math.pi), rel=1e-10)
-    assert se == 0.0
 
 
 def test_identity_gaussian_vector_third_moment_against_quadrature():
     # E[ chi_M^3 ] via the radial density as an independent oracle
     model = gaussian_shift_model(1.0, theta=0.0)
     for M in (1, 3, 10):
-        xi3, _ = vector_third_moment(model, Identity(), 0.0, M)
+        xi3 = vector_third_moment(model, Identity(), 0.0, M)
         from scipy import integrate as si
 
         radial, _ = si.quad(
@@ -400,25 +399,12 @@ def test_mixture_score_moments_match_monte_carlo():
     assert m.sigma2 == pytest.approx(values.var(ddof=1), rel=0.01)
 
 
-def test_vector_third_moment_monte_carlo_reports_std_err():
-    model = mixture_shift_model(0.3, 1.0, 25.0, theta=0.0)
-    xi3, se = vector_third_moment(model, Identity(), 0.0, 4)
-    assert se > 0.0
-    assert xi3 > moments(model, Identity(), 0.0).sigma2**1.5
-
-
-def test_vector_third_moment_mixture_score_quadrature_matches_monte_carlo():
-    # M = 1 on a nonlinearity without a closed form: the quadrature path
-    model = mixture_shift_model(0.3, 1.0, 25.0, theta=0.25)
-    score = score_nonlinearity(model)
-    xi3, se = vector_third_moment(model, score, 0.25, 1)
-    values = score(model.at(0.25).sample(np.random.default_rng(9), 2_000_000))
-    cubes = np.abs(values - values.mean()) ** 3
-    assert se == 0.0
-    assert xi3 == pytest.approx(cubes.mean(), abs=4 * cubes.std() / math.sqrt(cubes.size))
-
-
 def test_vector_third_moment_rejects_impossible_value(monkeypatch):
+    # only a linear t on Gaussian data has a closed form; nothing else is estimated
+    mixture = mixture_shift_model(0.3, 1.0, 25.0, theta=0.0)
+    for t, M in ((Identity(), 4), (score_nonlinearity(mixture), 1)):
+        with pytest.raises(ValueError, match="closed form only"):
+            vector_third_moment(mixture, t, 0.0, M)
     # E|t - mu|^3 >= sigma^3 by Jensen; a broken closed form must not pass
     monkeypatch.setattr(stats_module, "_chi_third_moment", lambda M: 0.5)
     with pytest.raises(ValueError, match="xi3 below"):
