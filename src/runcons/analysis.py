@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy import integrate
@@ -24,24 +23,11 @@ from .stats import QuadratureError, kl_binary, q_function, q_inverse, wald_cdf, 
 # Consensus performance metrics and their bounds
 # ---------------------------------------------------------------------------
 
-class BoundVariant(Enum):
-    """Which slot-update form the bounds describe.
-
-    NEW_SAMPLE_EXCHANGED: fresh measurements enter the same slot's gossip
-    average, so even the newest term is mixed once (psi carries a leading
-    eigenvalue factor).  NEW_SAMPLE_HELD: fresh measurements are added after
-    the averaging step and stay unmixed for one slot.
-    """
-
-    NEW_SAMPLE_EXCHANGED = "new_sample_exchanged"
-    NEW_SAMPLE_HELD = "new_sample_held"
-
-
 @dataclass(frozen=True)
 class BoundSet:
     """Per-slot bounds for gamma_i - 1 and 1 - rho_ij plus large-n forms."""
 
-    variant: BoundVariant
+    include_new_sample: bool
     n: np.ndarray
     psi_U: np.ndarray
     psi_L: np.ndarray
@@ -54,20 +40,26 @@ class BoundSet:
     rate: float
 
 
-def _psi(lam: float, n: np.ndarray, variant: BoundVariant) -> np.ndarray:
+def _psi(lam: float, n: np.ndarray, include_new_sample: bool) -> np.ndarray:
     if lam == 0.0:
         base = np.where(n >= 1, 1.0, 0.0) / n
-        return np.zeros_like(base) if variant is BoundVariant.NEW_SAMPLE_EXCHANGED else base
+        return np.zeros_like(base) if include_new_sample else base
     geometric = (1.0 - lam ** n) / (1.0 - lam)
-    if variant is BoundVariant.NEW_SAMPLE_EXCHANGED:
+    if include_new_sample:
         return lam * geometric / n
     return geometric / n
 
 
 def theorem_bounds(
-    lambda_U: float, lambda_L: float, M: int, n_max: int, variant: BoundVariant
+    lambda_U: float, lambda_L: float, M: int, n_max: int, include_new_sample: bool
 ) -> BoundSet:
     """Upper/lower envelopes for both consensus metrics on slots 1..n_max.
+
+    include_new_sample says which slot-update form the bounds describe.  True:
+    fresh measurements enter the same slot's gossip average, so even the
+    newest term is mixed once (psi carries a leading eigenvalue factor).
+    False: fresh measurements are added after the averaging step and stay
+    unmixed for one slot.
 
     The 1 - rho upper envelope uses psi_U in the numerator and psi_L in the
     denominator, the widest ratio the covariance sandwich allows.
@@ -77,13 +69,13 @@ def theorem_bounds(
     if lambda_U >= 1.0:
         raise ValueError(f"bounds require lambda_U < 1, got {lambda_U}")
     n = np.arange(1, n_max + 1, dtype=float)
-    psi_U = _psi(lambda_U, n, variant)
-    psi_L = _psi(lambda_L, n, variant)
+    psi_U = _psi(lambda_U, n, include_new_sample)
+    psi_L = _psi(lambda_L, n, include_new_sample)
     gamma_lower = (M - 1) * psi_L
     gamma_upper = (M - 1) * psi_U
     rho_lower = M * psi_L / (1.0 + (M - 1) * psi_U)
     rho_upper = M * psi_U / (1.0 + (M - 1) * psi_L)
-    if variant is BoundVariant.NEW_SAMPLE_EXCHANGED:
+    if include_new_sample:
         approx_B_L = (M / n) * lambda_L / (1.0 - lambda_L) if lambda_L < 1.0 else np.full_like(n, np.inf)
         approx_B_U = (M / n) * lambda_U / (1.0 - lambda_U)
         rate = M * lambda_U / (1.0 - lambda_U)
@@ -92,7 +84,7 @@ def theorem_bounds(
         approx_B_U = (M / n) / (1.0 - lambda_U)
         rate = M / (1.0 - lambda_U)
     return BoundSet(
-        variant=variant,
+        include_new_sample=include_new_sample,
         n=n,
         psi_U=psi_U,
         psi_L=psi_L,

@@ -1,10 +1,13 @@
 """Command-line front end: scenario files in, CSV tables out.
 
-One subcommand per experiment family plus a `reproduce` command that runs
-bundled scenarios for the named experiment tags.  All CSV output uses `.`
-decimals, `,` separators, LF line endings, a mandatory header row, and floats
-printed with 12 significant digits, so identical seeds give byte-identical
-files.
+One subcommand per experiment family plus a `reproduce` command that runs a
+tag's bundled scenarios, each by the runner of its scenario kind.  The fss,
+sequential and change experiments compute one set of named estimates per grid
+point, {statistic: montecarlo.Estimate}: the subcommand's long table writes
+all of them, the reproduce wide table selects fields of some.  All CSV output
+uses `.` decimals, `,` separators, LF line endings, a mandatory header row,
+and floats printed with 12 significant digits, so identical seeds give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -188,62 +191,50 @@ def run_bounds(sc: ScenarioFile, args) -> None:
     topology, v = setting.topology, setting.v
     n_max = int(sc.get("experiment", "n_max", 200))
     include_new = bool(sc.get("experiment", "include_new_sample", False))
-
-    summary = expected_gossip_matrix(topology)
-    lam_u, lam_l = effective_eigenvalues(summary, v)
-    variant = (
-        analysis.BoundVariant.NEW_SAMPLE_EXCHANGED
-        if include_new
-        else analysis.BoundVariant.NEW_SAMPLE_HELD
-    )
-    bounds = analysis.theorem_bounds(lam_u, lam_l, topology.M, n_max, variant)
-
-    model = model_from_scenario(sc)
+    lam_u, lam_l = effective_eigenvalues(expected_gossip_matrix(topology), v)
+    bounds = analysis.theorem_bounds(lam_u, lam_l, topology.M, n_max, include_new)
     study = montecarlo.estimate_covariance(
-        topology,
-        v,
-        n_max,
-        setting.trials,
-        setting.seed,
-        include_new_sample=include_new,
-        dist=model.null,
-        threads=setting.threads,
+        topology, v, n_max, setting.trials, setting.seed,
+        include_new_sample=include_new, dist=model_from_scenario(sc).null, threads=setting.threads,
     )
-
+    columns = {
+        "n": bounds.n.astype(int), "psi_U": bounds.psi_U, "psi_L": bounds.psi_L,
+        "gamma_minus1_lower": bounds.gamma_lower, "gamma_minus1_upper": bounds.gamma_upper,
+        "one_minus_rho_lower": bounds.rho_lower, "one_minus_rho_upper": bounds.rho_upper,
+        "approx_lower": bounds.approx_B_L, "approx_upper": bounds.approx_B_U,
+        "gamma_est": study.gamma_est, "gamma_se": study.gamma_se, "rho_est": study.rho_est, "rho_se": study.rho_se,
+    }
     out = resolve_output(str(sc.require("output", "path")), args.out)
-    rows = []
-    for k in range(n_max):
-        rows.append([
-            int(bounds.n[k]),
-            bounds.psi_U[k],
-            bounds.psi_L[k],
-            bounds.gamma_lower[k],
-            bounds.gamma_upper[k],
-            bounds.rho_lower[k],
-            bounds.rho_upper[k],
-            bounds.approx_B_L[k],
-            bounds.approx_B_U[k],
-            study.gamma_est[k],
-            study.gamma_se[k],
-            study.rho_est[k],
-            study.rho_se[k],
-        ])
-    write_csv(
-        out,
-        [
-            "n", "psi_U", "psi_L",
-            "gamma_minus1_lower", "gamma_minus1_upper",
-            "one_minus_rho_lower", "one_minus_rho_upper",
-            "approx_lower", "approx_upper",
-            "gamma_est", "gamma_se", "rho_est", "rho_se",
-        ],
-        rows,
-    )
+    write_csv(out, list(columns), list(zip(*columns.values())))
     if args.dump_trajectory:
         dump_trajectory(
             sc, setting, resolve_output(args.dump_trajectory, None),
             min(n_max, 200), WeightMode.AVERAGING, include_new,
         )
+
+
+# ---------------------------------------------------------------------------
+# Named estimates: one set per grid point, the long and wide tables write it
+# ---------------------------------------------------------------------------
+
+def _write_long(sc: ScenarioFile, args, key_names: list[str], points: list[tuple]) -> None:
+    """One row per grid point and statistic; each point starts (keys, {statistic: Estimate})."""
+    label = scenario_label(sc)
+    write_csv(
+        resolve_output(str(sc.require("output", "path")), args.out),
+        ["scenario", *key_names, "statistic", "estimate", "std_err", "n_trials", "n_truncated"],
+        [[label, *keys, name, est.value, est.std_err, est.count, est.truncated_count]
+         for keys, estimates, *_ in points for name, est in estimates.items()],
+    )
+
+
+def _wide_cell(estimates: dict[str, montecarlo.Estimate], column: str):
+    """Wide column S is statistic S's estimate, S_se its std_err, n_truncated_X en_X's truncations."""
+    if column.startswith("n_truncated_"):
+        return estimates["en_" + column.removeprefix("n_truncated_")].truncated_count
+    if column.endswith("_se"):
+        return estimates[column.removesuffix("_se")].std_err
+    return estimates[column].value
 
 
 def _shared_theta0_moments(sc: ScenarioFile) -> stats.MomentSet | None:
@@ -256,7 +247,7 @@ def _shared_theta0_moments(sc: ScenarioFile) -> stats.MomentSet | None:
 
 
 def _fss_points(sc: ScenarioFile, setting: Setting) -> list[tuple]:
-    """(v, n, threshold, study, p_d_limit) on the (v, n) grid of an fss scenario."""
+    """((v, n, threshold), named estimates, p_d_limit) on the (v, n) grid of an fss scenario."""
     M = setting.topology.M
     n_list = sc.get("experiment", "n_list") or [int(sc.get("experiment", "n_max", 100))]
     v_list = sc.get("experiment", "v_list") or [setting.v]
@@ -275,35 +266,22 @@ def _fss_points(sc: ScenarioFile, setting: Setting) -> list[tuple]:
                 model, nonlin, setting.topology, v, n, threshold, setting.trials, setting.seed,
                 node=setting.node, threads=setting.threads,
             )
+            estimates = {f"{name}_{source}": rates[source]
+                         for name, rates in (("p_f", study.p_f), ("p_d", study.p_d))
+                         for source in ("centralized", "node")}
             p_d_limit = analysis.fss_asymptotic_pd(p_f, gamma_scale, stats.efficacy(m0, M))
-            points.append((v, n, threshold, study, p_d_limit))
+            points.append(((v, n, threshold), estimates, p_d_limit))
     return points
 
 
 def run_fss(sc: ScenarioFile, args) -> None:
     setting = _setting(sc)
-    label = scenario_label(sc)
     points = _fss_points(sc, setting)
-    rows = [
-        [label, v, n, threshold, stat_name, est.value, est.std_err, est.count, est.truncated_count]
-        for v, n, threshold, study, _ in points
-        for stat_name, est in (
-            ("p_f_centralized", study.p_f["centralized"]),
-            ("p_f_node", study.p_f["node"]),
-            ("p_d_centralized", study.p_d["centralized"]),
-            ("p_d_node", study.p_d["node"]),
-        )
-    ]
-    out = resolve_output(str(sc.require("output", "path")), args.out)
-    write_csv(
-        out,
-        ["scenario", "v", "n", "threshold", "statistic", "estimate", "std_err", "n_trials", "n_truncated"],
-        rows,
-    )
+    _write_long(sc, args, ["v", "n", "threshold"], points)
     if args.dump_trajectory:
         dump_trajectory(
             sc, setting, resolve_output(args.dump_trajectory, None),
-            max(point[1] for point in points), WeightMode.ACCUMULATING, True,
+            max(keys[1] for keys, *_ in points), WeightMode.ACCUMULATING, True,
         )
 
 
@@ -328,22 +306,22 @@ def _sequential_design(sc: ScenarioFile, M: int, p_e: float, r: float, shared_m0
     return model, nonlin, detector, asn, max_n
 
 
-@dataclass(frozen=True)
-class SequentialPoint:
-    p_e: float
-    snr_db: float
-    snr: float
-    study: montecarlo.SequentialStudy
-    asymptote: float  # limit of E[N] * SNR
-    sprt: montecarlo.SequentialStudy | None  # probability-ratio baseline
-    matched: montecarlo.SequentialStudy | None  # fusion center redesigned at the node's error
+def _sequential_points(sc: ScenarioFile, setting: Setting) -> list[tuple]:
+    """((p_e, snr_db, snr), named estimates) at every grid point of an asn/error/are sequential scenario.
 
-
-def _sequential_points(sc: ScenarioFile, setting: Setting) -> list[SequentialPoint]:
-    """Every (p_e, SNR) grid point of an asn/error/are sequential scenario."""
+    Every estimate reports setting.trials as its trial count.  The scaled
+    sample numbers en_snr_* are E[N] times the SNR; en_snr_asymptote is their
+    limit.  The SPRT baseline adds en_snr_sprt and pe_sprt; measure "are"
+    adds the fusion center redesigned at the node's error,
+    en_matched_centralized, and its ratio to the node's E[N], are_node.
+    """
     topology, v, trials, seed = setting.topology, setting.v, setting.trials, setting.seed
     V = model_from_scenario(sc).null.var  # noise variance
     shared_m0 = _shared_theta0_moments(sc)
+
+    def named(value: float, std_err: float = 0.0, truncated: int = 0) -> montecarlo.Estimate:
+        return montecarlo.Estimate(value, std_err, trials, truncated)
+
     points = []
     for p_e in _p_e_values(sc):
         for snr_db in _snr_db_values(sc):
@@ -354,12 +332,22 @@ def _sequential_points(sc: ScenarioFile, setting: Setting) -> list[SequentialPoi
                 model, nonlin, topology, v, detector, trials, seed,
                 max_n=max_n, node=setting.node, threads=setting.threads,
             )
-            sprt = matched = None
+            estimates = {}
+            for source in ("centralized", "node"):
+                mean_n, se = study.mean_sample_number(source), study.mean_sample_number_std_err(source)
+                trunc = study.truncated_count(source)
+                estimates[f"en_{source}"] = named(mean_n, se, trunc)
+                estimates[f"en_snr_{source}"] = named(mean_n * snr, se * snr, trunc)
+                estimates[f"pe_{source}"] = named(
+                    study.error_probability(source), study.error_probability_std_err(source), trunc)
+            estimates["en_snr_asymptote"] = named(0.5 * (asn[0] + asn[1]) / V)
             if sc.get("experiment", "include_sprt_baseline", False):
                 sprt = montecarlo.estimate_sprt_stopping(
                     model, topology.M, float(p_e), 1.0 - float(p_e), trials, seed + 1,
                     max_n=max_n, threads=setting.threads,
                 )
+                estimates["en_snr_sprt"] = named(sprt.mean_sample_number() * snr, truncated=sprt.truncated_count())
+                estimates["pe_sprt"] = named(sprt.error_probability())
             if _sequential_measure(sc) == "are":
                 pe_hat = min(max(study.error_probability("node"), 1e-6), 0.49)
                 model, nonlin, detector, _, max_n = _sequential_design(sc, topology.M, pe_hat, r, shared_m0)
@@ -367,8 +355,10 @@ def _sequential_points(sc: ScenarioFile, setting: Setting) -> list[SequentialPoi
                     model, nonlin, topology, v, detector, trials, seed + 2,
                     max_n=max_n, threads=setting.threads,
                 )
-            asymptote = 0.5 * (asn[0] + asn[1]) / V
-            points.append(SequentialPoint(p_e, snr_db, snr, study, asymptote, sprt, matched))
+                en_matched = matched.mean_sample_number()
+                estimates["en_matched_centralized"] = named(en_matched, truncated=matched.truncated_count())
+                estimates["are_node"] = named(en_matched / study.mean_sample_number("node"))
+            points.append(((p_e, snr_db, snr), estimates))
     return points
 
 
@@ -394,35 +384,7 @@ def run_sequential(sc: ScenarioFile, args) -> None:
             raise ScenarioError("--dump-trajectory does not apply to measure 'trajectory'")
         _sequential_trajectory(sc, args, setting)
         return
-    label = scenario_label(sc)
-    rows = []
-    for point in _sequential_points(sc, setting):
-        study, snr = point.study, point.snr
-        outputs = []
-        for source in ("centralized", "node"):
-            mean_n, se = study.mean_sample_number(source), study.mean_sample_number_std_err(source)
-            trunc = study.truncated_count(source)
-            outputs.append((f"en_{source}", mean_n, se, trunc))
-            outputs.append((f"en_snr_{source}", mean_n * snr, se * snr, trunc))
-            outputs.append((f"pe_{source}", study.error_probability(source),
-                            study.error_probability_std_err(source), trunc))
-        outputs.append(("en_snr_asymptote", point.asymptote, 0.0, 0))
-        if point.sprt is not None:
-            sprt = point.sprt
-            outputs.append(("en_snr_sprt", sprt.mean_sample_number() * snr, 0.0, sprt.truncated_count()))
-            outputs.append(("pe_sprt", sprt.error_probability(), 0.0, 0))
-        if point.matched is not None:
-            matched = point.matched.mean_sample_number()
-            outputs.append(("en_matched_centralized", matched, 0.0, point.matched.truncated_count()))
-            outputs.append(("are_node", matched / study.mean_sample_number("node"), 0.0, 0))
-        for stat_name, value, se, trunc in outputs:
-            rows.append([label, point.p_e, point.snr_db, snr, stat_name, value, se, setting.trials, trunc])
-    out = resolve_output(str(sc.require("output", "path")), args.out)
-    write_csv(
-        out,
-        ["scenario", "p_e", "snr_db", "snr", "statistic", "estimate", "std_err", "n_trials", "n_truncated"],
-        rows,
-    )
+    _write_long(sc, args, ["p_e", "snr_db", "snr"], _sequential_points(sc, setting))
     if args.dump_trajectory:
         dump_trajectory(
             sc, setting, resolve_output(args.dump_trajectory, None),
@@ -471,14 +433,16 @@ def _change_quantities(sc: ScenarioFile):
 
 
 def _change_points(sc: ScenarioFile, setting: Setting):
-    """Theory for every family and threshold, and run lengths of the simulated ones.
+    """Theory for every family and threshold, and named estimates of the simulated ones.
 
     Returns the operating points (family-major, in analysis.CUSUM_FAMILIES
-    order), the simulated families, and {(family, gamma): {under: (stops,
-    max_n)}}.  experiment.measure "rate" simulates false alarms
-    (under="null"), "delay" detection delays (under="alt"), "both" (the
-    default) both.  Horizons are 100 predicted mean run lengths, from the
-    family's own accurate rate or delay.
+    order) and, for each simulated family and threshold in the scenario's
+    order, ((family, gamma), named estimates, [(decision, stops, max_n)]).
+    experiment.measure "rate" simulates false alarms under the null law
+    (false_alarm_rate, mean_run_length_null), "delay" detection delays under
+    the alternative (mean_delay), "both" (the default) both.  Horizons are
+    100 predicted mean run lengths, from the family's own accurate rate or
+    delay.
     """
     M = setting.topology.M
     measure = str(sc.get("experiment", "measure", "both"))
@@ -496,30 +460,43 @@ def _change_points(sc: ScenarioFile, setting: Setting):
         for family in analysis.CUSUM_FAMILIES
         for gamma in gamma_list
     ]
-    runs = {}
-    for point in theory:
-        if point.family not in families:
-            continue
-        plan = []
-        if measure in ("rate", "both"):
-            plan.append(("null", setting.seed, int(math.ceil(100.0 / point.rate_accurate))))
-        if measure in ("delay", "both"):
-            plan.append(("alt", setting.seed + 1, int(math.ceil(100.0 * max(point.delay_accurate, 10.0)))))
-        runs[point.family, point.gamma] = {
-            under: (montecarlo.page_run_lengths(
-                model, point.family, point.gamma + gamma_offset, M, setting.trials, run_seed,
+    operating = {(p.family, p.gamma): p for p in theory}
+    simulated = [operating[family, gamma] for family in families for gamma in gamma_list]
+    plan = []
+    if measure in ("rate", "both"):
+        for p in simulated:
+            if p.rate_accurate * sys.float_info.max < 100.0:  # 100 / rate overflows
+                raise ScenarioError(
+                    f"experiment.gamma_list entry {p.gamma:g} predicts a {p.family} false-alarm rate of "
+                    f"{p.rate_accurate:g}, too small for a false-alarm run")
+        plan.append(("false_alarm", "null", setting.seed))
+    if measure in ("delay", "both"):
+        plan.append(("detection", "alt", setting.seed + 1))
+    points = []
+    for p in simulated:
+        estimates, runs = {}, []
+        for decision, under, run_seed in plan:
+            horizon = 100.0 / p.rate_accurate if under == "null" else 100.0 * max(p.delay_accurate, 10.0)
+            max_n = int(math.ceil(horizon))
+            stops = montecarlo.page_run_lengths(
+                model, p.family, p.gamma + gamma_offset, M, setting.trials, run_seed,
                 under=under, max_n=max_n, topology=setting.topology, v=setting.v, node=setting.node,
                 threads=setting.threads,
-            ), max_n)
-            for under, run_seed, max_n in plan
-        }
-    return theory, families, runs
+            )
+            est = montecarlo.Estimate.from_run_lengths(stops)
+            if under == "null":
+                estimates["false_alarm_rate"] = montecarlo.Estimate(
+                    1.0 / est.value, est.std_err / est.value**2, est.count, est.truncated_count)
+                estimates["mean_run_length_null"] = est
+            else:
+                estimates["mean_delay"] = est
+            runs.append((decision, stops, max_n))
+        points.append(((p.family, p.gamma), estimates, runs))
+    return theory, points
 
 
 def run_change(sc: ScenarioFile, args) -> None:
-    setting = _setting(sc)
-    label = scenario_label(sc)
-    theory, families, runs = _change_points(sc, setting)
+    theory, points = _change_points(sc, _setting(sc))
     out = resolve_output(str(sc.require("output", "path")), args.out)
     write_csv(
         with_suffix(out, "theory"),
@@ -527,35 +504,15 @@ def run_change(sc: ScenarioFile, args) -> None:
         [[p.family, p.gamma, p.rate_accurate, p.rate_large_gamma, p.delay_accurate, p.delay_large_gamma]
          for p in theory],
     )
-    mc_rows = []
-    trial_rows = []
-    for family in families:
-        for gamma in (p.gamma for p in theory if p.family == family):
-            for under, (stops, max_n) in runs[family, gamma].items():
-                est = montecarlo.Estimate.from_run_lengths(stops)
-                counts = [est.count, est.truncated_count]
-                if under == "null":
-                    rate, rate_se = 1.0 / est.value, est.std_err / est.value**2
-                    mc_rows.append([label, family, gamma, "false_alarm_rate", rate, rate_se, *counts])
-                    mc_rows.append([label, family, gamma, "mean_run_length_null", est.value, est.std_err, *counts])
-                else:
-                    mc_rows.append([label, family, gamma, "mean_delay", est.value, est.std_err, *counts])
-                if args.dump_trials:
-                    decision = "false_alarm" if under == "null" else "detection"
-                    trial_rows += [
-                        [family, gamma, t, int(stop) if stop > 0 else max_n, decision if stop > 0 else "truncated"]
-                        for t, stop in enumerate(stops)
-                    ]
-    write_csv(
-        out,
-        ["scenario", "family", "gamma", "statistic", "estimate", "std_err", "n_trials", "n_truncated"],
-        mc_rows,
-    )
-    if args.dump_trials:
+    _write_long(sc, args, ["family", "gamma"], points)
+    if args.dump_trials:  # rows only when asked: a false-alarm run can hold thousands of trials per point
         write_csv(
             resolve_output(args.dump_trials, None),
             ["mode", "gamma", "trial", "alarm_time", "decision"],
-            trial_rows,
+            [[family, gamma, t, int(stop) if stop > 0 else max_n, decision if stop > 0 else "truncated"]
+             for (family, gamma), _, runs in points
+             for decision, stops, max_n in runs
+             for t, stop in enumerate(stops)],
         )
 
 
@@ -589,84 +546,56 @@ RUNNERS = {
 
 
 # ---------------------------------------------------------------------------
-# Figure-ready writers for the reproduce registry
+# Figure-ready writers for the reproduce registry: wide tables over the named
+# estimates, one row per grid point
 # ---------------------------------------------------------------------------
 
 def figure_fss(sc: ScenarioFile, args) -> None:
     """Wide detection-probability table: one row per (v, n)."""
+    columns = ["p_f_node", "p_f_node_se", "p_d_node", "p_d_node_se", "p_d_centralized", "p_d_centralized_se"]
     rows = [
-        [v, n, threshold,
-         study.p_f["node"].value, study.p_f["node"].std_err,
-         study.p_d["node"].value, study.p_d["node"].std_err,
-         study.p_d["centralized"].value, study.p_d["centralized"].std_err,
-         p_d_limit]
-        for v, n, threshold, study, p_d_limit in _fss_points(sc, _setting(sc))
+        [*keys, *(_wide_cell(estimates, column) for column in columns), p_d_limit]
+        for keys, estimates, p_d_limit in _fss_points(sc, _setting(sc))
     ]
     out = resolve_output(str(sc.require("output", "path")), args.out)
-    write_csv(
-        out,
-        ["v", "n", "threshold", "p_f_node", "p_f_node_se", "p_d_node", "p_d_node_se",
-         "p_d_centralized", "p_d_centralized_se", "p_d_limit"],
-        rows,
-    )
+    write_csv(out, ["v", "n", "threshold", *columns, "p_d_limit"], rows)
 
 
 def figure_sequential(sc: ScenarioFile, args) -> None:
     """Wide scaled-sample-number / error-probability table per grid point."""
     setting = _setting(sc)
-    measure = _sequential_measure(sc)
-    if measure == "trajectory":
+    if _sequential_measure(sc) == "trajectory":
         _sequential_trajectory(sc, args, setting)
         return
-    header = ["p_e", "snr_db", "snr",
-              "en_snr_centralized", "en_snr_centralized_se",
-              "en_snr_node", "en_snr_node_se", "en_snr_asymptote",
-              "pe_centralized", "pe_node",
-              "n_truncated_centralized", "n_truncated_node"]
-    if sc.get("experiment", "include_sprt_baseline", False):
-        header += ["en_snr_sprt", "pe_sprt"]
-    if measure == "are":
-        header += ["en_node", "en_matched_centralized", "are_node"]
-    rows = []
-    for point in _sequential_points(sc, setting):
-        study, snr = point.study, point.snr
-        en_n = study.mean_sample_number("node")
-        row = [
-            point.p_e, point.snr_db, snr,
-            study.mean_sample_number("centralized") * snr, study.mean_sample_number_std_err("centralized") * snr,
-            en_n * snr, study.mean_sample_number_std_err("node") * snr, point.asymptote,
-            study.error_probability("centralized"), study.error_probability("node"),
-            study.truncated_count("centralized"), study.truncated_count("node"),
-        ]
-        if point.sprt is not None:
-            row += [point.sprt.mean_sample_number() * snr, point.sprt.error_probability()]
-        if point.matched is not None:
-            matched = point.matched.mean_sample_number()
-            row += [en_n, matched, matched / en_n]
-        rows.append(row)
+    points = _sequential_points(sc, setting)
+    columns = ["en_snr_centralized", "en_snr_centralized_se", "en_snr_node", "en_snr_node_se", "en_snr_asymptote",
+               "pe_centralized", "pe_node", "n_truncated_centralized", "n_truncated_node"]
+    if "pe_sprt" in points[0][1]:
+        columns += ["en_snr_sprt", "pe_sprt"]
+    if "are_node" in points[0][1]:
+        columns += ["en_node", "en_matched_centralized", "are_node"]
+    rows = [[*keys, *(_wide_cell(estimates, column) for column in columns)] for keys, estimates in points]
     out = resolve_output(str(sc.require("output", "path")), args.out)
-    write_csv(out, header, rows)
+    write_csv(out, ["p_e", "snr_db", "snr", *columns], rows)
 
 
 def figure_change(sc: ScenarioFile, args) -> None:
     """Operating-characteristic table: theory plus simulated (R, D) points."""
     setting = _setting(sc)
-    theory, families, runs = _change_points(sc, setting)
+    theory, points = _change_points(sc, setting)
+    simulated = {keys: estimates for keys, estimates, _ in points}
     rows = []
     for p in theory:
-        sim = [None, None, None, None, 0, 0]
-        if p.family in families:
-            est = {under: montecarlo.Estimate.from_run_lengths(stops)
-                   for under, (stops, _) in runs[p.family, p.gamma].items()}
-            null, alt = est.get("null"), est.get("alt")
-            if null is not None:
-                sim[:2] = [1.0 / null.value, null.std_err / null.value**2]
-            if alt is not None:
-                sim[2:4] = [alt.value, alt.std_err]
-            # truncations of the false-alarm run if there is one, else of the delay run
-            sim[4:] = [setting.trials, (null or alt).truncated_count]
-        rows.append([p.family, p.gamma, p.rate_accurate, p.rate_large_gamma,
-                     p.delay_accurate, p.delay_large_gamma, *sim])
+        row = [p.family, p.gamma, p.rate_accurate, p.rate_large_gamma, p.delay_accurate, p.delay_large_gamma]
+        estimates = simulated.get((p.family, p.gamma))
+        if estimates is None:
+            rows.append([*row, None, None, None, None, 0, 0])
+            continue
+        for name in ("false_alarm_rate", "mean_delay"):
+            est = estimates.get(name)
+            row += [None, None] if est is None else [est.value, est.std_err]
+        # truncations of the false-alarm run if there is one, else of the delay run
+        rows.append([*row, setting.trials, next(iter(estimates.values())).truncated_count])
     out = resolve_output(str(sc.require("output", "path")), args.out)
     write_csv(
         out,
@@ -676,28 +605,28 @@ def figure_change(sc: ScenarioFile, args) -> None:
     )
 
 
-REPRODUCE_TAGS: dict[str, list[tuple[str, str]]] = {
-    "fig:bound1": [("fig_bound1_complete.scn", "bounds"), ("fig_bound1_kneighbor.scn", "bounds")],
-    "fig:bound2": [("fig_bound2_complete.scn", "bounds"), ("fig_bound2_kneighbor.scn", "bounds")],
-    "fig:FSS3": [("fig_fss3.scn", "figure_fss")],
-    "fig:NmedGauss": [("fig_nmed_gauss.scn", "figure_sequential")],
-    "fig:PerrGauss": [("fig_perr_gauss.scn", "figure_sequential")],
-    "fig:AREGauss": [("fig_are_gauss.scn", "figure_sequential")],
-    "fig:NmedMixt": [("fig_nmed_mixt.scn", "figure_sequential")],
-    "fig:PerrMixt": [("fig_perr_mixt.scn", "figure_sequential")],
-    "fig:stopping": [("fig_stopping.scn", "figure_sequential")],
-    "fig:sim2": [("fig_sim2.scn", "figure_change")],
-    "fig:sim1": [("fig_sim1.scn", "figure_change")],
-    "fig:RE1": [("fig_re1.scn", "efficiency")],
-    "fig:RE2": [("fig_re2.scn", "efficiency")],
+REPRODUCE_TAGS: dict[str, list[str]] = {
+    "fig:bound1": ["fig_bound1_complete.scn", "fig_bound1_kneighbor.scn"],
+    "fig:bound2": ["fig_bound2_complete.scn", "fig_bound2_kneighbor.scn"],
+    "fig:FSS3": ["fig_fss3.scn"],
+    "fig:NmedGauss": ["fig_nmed_gauss.scn"],
+    "fig:PerrGauss": ["fig_perr_gauss.scn"],
+    "fig:AREGauss": ["fig_are_gauss.scn"],
+    "fig:NmedMixt": ["fig_nmed_mixt.scn"],
+    "fig:PerrMixt": ["fig_perr_mixt.scn"],
+    "fig:stopping": ["fig_stopping.scn"],
+    "fig:sim2": ["fig_sim2.scn"],
+    "fig:sim1": ["fig_sim1.scn"],
+    "fig:RE1": ["fig_re1.scn"],
+    "fig:RE2": ["fig_re2.scn"],
 }
 
-FIGURE_RUNNERS = {
+FIGURE_RUNNERS = {  # by scenario kind
     "bounds": run_bounds,
     "efficiency": run_efficiency,
-    "figure_fss": figure_fss,
-    "figure_sequential": figure_sequential,
-    "figure_change": figure_change,
+    "fss": figure_fss,
+    "sequential": figure_sequential,
+    "change": figure_change,
 }
 
 
@@ -711,10 +640,12 @@ def run_reproduce(tag: str, args) -> None:
         raise ScenarioError(
             f"unknown experiment tag {tag!r}; known tags: {', '.join(sorted(REPRODUCE_TAGS))}"
         )
-    for resource_name, runner_name in REPRODUCE_TAGS[tag]:
-        sc = load_bundled_scenario(resource_name)
+    scenarios = [load_bundled_scenario(name) for name in REPRODUCE_TAGS[tag]]
+    for sc in scenarios:  # every scenario of the tag is resolved before the first one writes
         _apply_overrides(sc, args)
-        FIGURE_RUNNERS[runner_name](sc, args)
+        _setting(sc)
+    for sc in scenarios:
+        FIGURE_RUNNERS[sc.kind](sc, args)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from runcons import analysis, cli, montecarlo as mc, stats
-from runcons.analysis import BoundVariant, theorem_bounds
+from runcons.analysis import theorem_bounds
 from runcons.consensus import ConsensusRun, WeightMode
 from runcons.detectors import fss_threshold, sequential_design
 from runcons.network import expected_gossip_matrix, full_ring, k_neighbor_ring
@@ -132,7 +132,7 @@ def test_c04_bound_containment_complete_and_four_neighbor_ring():
     M, n_max, trials = 15, 200, 1000
 
     lam = (M - 2) / (M - 1)
-    bounds = theorem_bounds(lam, lam, M, n_max, BoundVariant.NEW_SAMPLE_HELD)
+    bounds = theorem_bounds(lam, lam, M, n_max, include_new_sample=False)
     study = mc.estimate_covariance(full_ring(M), 1, n_max, trials, 303)
     gamma_exact = 1.0 + bounds.gamma_upper
     rho_exact = 1.0 - bounds.rho_upper
@@ -143,7 +143,7 @@ def test_c04_bound_containment_complete_and_four_neighbor_ring():
     assert (z_rho <= 3.0).all()
 
     summary = expected_gossip_matrix(k_neighbor_ring(M, 4))
-    bk = theorem_bounds(summary.lambda_U, summary.lambda_L, M, n_max, BoundVariant.NEW_SAMPLE_HELD)
+    bk = theorem_bounds(summary.lambda_U, summary.lambda_L, M, n_max, include_new_sample=False)
     sk = mc.estimate_covariance(k_neighbor_ring(M, 4), 1, n_max, trials, 303)
     g_lo = 1.0 + bk.gamma_lower - 3.0 * sk.gamma_se
     g_hi = 1.0 + bk.gamma_upper + 3.0 * sk.gamma_se

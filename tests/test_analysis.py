@@ -8,7 +8,6 @@ from scipy import integrate as si
 
 from runcons.analysis import (
     CUSUM_FAMILIES,
-    BoundVariant,
     bank_delay,
     delay_accurate,
     false_alarm_rate_accurate,
@@ -34,20 +33,20 @@ from runcons.stats import kl_binary, q_function, q_inverse, wald_cdf
 
 def test_bounds_first_slot_reaches_node_count():
     # held-sample variant at n=1: psi_U = 1, so gamma is bounded by M
-    b = theorem_bounds(0.9868, 0.8921, 15, 5, BoundVariant.NEW_SAMPLE_HELD)
+    b = theorem_bounds(0.9868, 0.8921, 15, 5, include_new_sample=False)
     assert b.psi_U[0] == pytest.approx(1.0, rel=1e-12)
     assert b.gamma_upper[0] + 1.0 == pytest.approx(15.0, rel=1e-12)
 
 
 def test_bounds_coincide_when_eigenvalues_match():
     lam = 13.0 / 14.0
-    b = theorem_bounds(lam, lam, 15, 50, BoundVariant.NEW_SAMPLE_HELD)
+    b = theorem_bounds(lam, lam, 15, 50, include_new_sample=False)
     assert np.allclose(b.gamma_lower, b.gamma_upper, rtol=1e-12)
     assert np.allclose(b.rho_lower, b.rho_upper, rtol=1e-12)
 
 
 def test_bounds_decay_to_zero_like_one_over_n():
-    b = theorem_bounds(0.95, 0.9, 10, 4000, BoundVariant.NEW_SAMPLE_HELD)
+    b = theorem_bounds(0.95, 0.9, 10, 4000, include_new_sample=False)
     assert b.gamma_upper[-1] < 0.05
     assert b.rho_upper[-1] < 0.06
     # large-n: n * eps approaches the rate constant
@@ -60,7 +59,7 @@ def test_scaled_bound_approaches_rate_constant():
     # once n clears 50/(1-lambda_U)
     lam_u, lam_l, M = 0.9868, 0.8921, 15
     n_max = 8000
-    b = theorem_bounds(lam_u, lam_l, M, n_max, BoundVariant.NEW_SAMPLE_HELD)
+    b = theorem_bounds(lam_u, lam_l, M, n_max, include_new_sample=False)
     start = int(50.0 / (1.0 - lam_u))
     scaled = b.n[start:] * b.gamma_upper[start:]
     assert (np.abs(scaled - b.rate) / b.rate < 0.10).all()
@@ -69,8 +68,8 @@ def test_scaled_bound_approaches_rate_constant():
 
 
 def test_bound_variants_differ_by_leading_eigenvalue_factor():
-    held = theorem_bounds(0.9, 0.8, 6, 20, BoundVariant.NEW_SAMPLE_HELD)
-    mixed = theorem_bounds(0.9, 0.8, 6, 20, BoundVariant.NEW_SAMPLE_EXCHANGED)
+    held = theorem_bounds(0.9, 0.8, 6, 20, include_new_sample=False)
+    mixed = theorem_bounds(0.9, 0.8, 6, 20, include_new_sample=True)
     assert np.allclose(mixed.psi_U, 0.9 * held.psi_U, rtol=1e-12)
     assert np.allclose(mixed.psi_L, 0.8 * held.psi_L, rtol=1e-12)
     assert held.rate == pytest.approx(6 / 0.1, rel=1e-12)
@@ -79,7 +78,7 @@ def test_bound_variants_differ_by_leading_eigenvalue_factor():
 
 def test_bounds_reject_unit_eigenvalue():
     with pytest.raises(ValueError):
-        theorem_bounds(1.0, 0.5, 4, 10, BoundVariant.NEW_SAMPLE_HELD)
+        theorem_bounds(1.0, 0.5, 4, 10, include_new_sample=False)
 
 
 @settings(max_examples=40, deadline=None)
@@ -90,7 +89,7 @@ def test_bounds_reject_unit_eigenvalue():
 )
 def test_bounds_ordering_property(lam_u, gap, M):
     lam_l = max(lam_u - gap, 0.0)
-    b = theorem_bounds(lam_u, lam_l, M, 64, BoundVariant.NEW_SAMPLE_HELD)
+    b = theorem_bounds(lam_u, lam_l, M, 64, include_new_sample=False)
     assert (b.gamma_lower <= b.gamma_upper + 1e-12).all()
     assert (b.rho_lower <= b.rho_upper + 1e-12).all()
     assert (b.gamma_lower >= -1e-12).all()

@@ -136,7 +136,7 @@ def test_round_trip_is_stable():
 
 def test_bundled_scenarios_round_trip():
     for tag, entries in cli.REPRODUCE_TAGS.items():
-        for resource, _ in entries:
+        for resource in entries:
             sc = cli.load_bundled_scenario(resource)
             text = serialize(sc)
             assert serialize(parse(text)) == text, f"round trip failed for {resource}"
@@ -416,9 +416,15 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
     [(["reproduce", "fig:bound1", "--set", "topology.kind=nonsense"],
       "topology.kind must be one of full_ring, k_neighbor_ring, explicit_edges")],
     [(["reproduce", "fig:bound1", "--seed", "-1"], "montecarlo.seed")],
+    # the tag's second scenario rejects the override, so the first must not be written either
+    [(["reproduce", "fig:bound2", "--set", "topology.k=3"], "k must be even"),
+     (["reproduce", "fig:bound1", "--set", "topology.m=1"], "k must satisfy")],
+    # exp(gamma) overflows, so the predicted false-alarm rate is 0 and no horizon exists
+    [(["reproduce", "fig:sim2", "--set", "experiment.gamma_list=1e6"], "experiment.gamma_list")],
 ], ids=["p_e-above-half", "rate-above-d01", "v-below-1", "no-location-family", "p_f-outside-unit",
         "model-parameters", "counts-below-1", "unknown-sequential-measure", "unread-p_d",
-        "detector-kind-not-the-runners", "threads-below-1", "unknown-topology-kind", "negative-seed"])
+        "detector-kind-not-the-runners", "threads-below-1", "unknown-topology-kind", "negative-seed",
+        "second-scenario-of-tag", "false-alarm-rate-underflows"])
 def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, capsys):
     for command, message in runs:
         if command[0] != "reproduce":
@@ -457,21 +463,58 @@ def _read_rows(path):
         return list(csv.DictReader(handle))
 
 
-def test_change_figure_honours_delay_measure(tmp_path, monkeypatch):
-    # the figure's delay points are the long table's mean delays, with no rates
-    small = ["--trials", "25", "--set", "experiment.gamma_list=1.2,2.0", "--set", "experiment.measure=delay"]
-    assert run_cli(["reproduce", "fig:sim1", *small], tmp_path, monkeypatch) == 0
-    assert run_cli(["change", str(SCENARIOS / "fig_sim1.scn"), *small, "--out", "long.csv"],
-                   tmp_path, monkeypatch) == 0
-    delays = {(row["family"], row["gamma"]): row for row in _read_rows(tmp_path / "long.csv")}
-    figure = [row for row in _read_rows(tmp_path / "fig_sim1.csv") if row["family"] != "single"]
-    assert len(figure) == len(delays) == 6
-    for row in figure:
-        long = delays[row["family"], row["gamma"]]
-        assert long["statistic"] == "mean_delay"
-        assert row["R_sim"] == row["R_sim_se"] == ""
-        assert (row["D_sim"], row["D_sim_se"], row["n_truncated"]) == (
-            long["estimate"], long["std_err"], long["n_truncated"])
+_SIM_COLUMNS = {  # change: the simulated cells of a delay-only run
+    "R_sim": ("false_alarm_rate", "estimate"), "R_sim_se": ("false_alarm_rate", "std_err"),
+    "D_sim": ("mean_delay", "estimate"), "D_sim_se": ("mean_delay", "std_err"),
+    "n_trials": ("mean_delay", "n_trials"), "n_truncated": ("mean_delay", "n_truncated"),
+}
+
+
+def _long_field(column: str) -> tuple[str, str]:
+    """(statistic, long-table field) of a wide column: S, S_se, or n_truncated_X for en_X."""
+    if column in _SIM_COLUMNS:
+        return _SIM_COLUMNS[column]
+    if column.startswith("n_truncated_"):
+        return "en_" + column[len("n_truncated_"):], "n_truncated"
+    if column.endswith("_se"):
+        return column[:-len("_se")], "std_err"
+    return column, "estimate"
+
+
+@pytest.mark.parametrize("command, scenario, extra, keys, exempt, statistics", [
+    ("change", "fig_sim1.scn",
+     ["--trials", "25", "--set", "experiment.gamma_list=1.2,2.0", "--set", "experiment.measure=delay"],
+     ("family", "gamma"), {"R_accurate", "R_largegamma", "D_accurate", "D_largegamma"}, {"mean_delay"}),
+    ("fss", "fig_fss3.scn",
+     ["--trials", "40", "--set", "experiment.n_list=10,30", "--set", "experiment.v_list=1"],
+     ("v", "n", "threshold"), {"p_d_limit"}, {"p_f_centralized", "p_f_node", "p_d_centralized", "p_d_node"}),
+    ("sequential", "fig_are_gauss.scn",
+     ["--trials", "40", "--set", "experiment.snr_db_list=-20", "--set", "detector.p_e_list=0.1",
+      "--set", "experiment.include_sprt_baseline=true"],
+     ("p_e", "snr_db", "snr"), set(),
+     {*(f"{name}_{source}" for name in ("en", "en_snr", "pe") for source in ("centralized", "node")),
+      "en_snr_asymptote", "en_snr_sprt", "pe_sprt", "en_matched_centralized", "are_node"}),
+], ids=["change-delay", "fss", "sequential-are-sprt"])
+def test_wide_cells_are_long_table_fields(command, scenario, extra, keys, exempt, statistics, tmp_path,
+                                          monkeypatch):
+    # a reproduce table lays out the named estimates of the subcommand's long table and nothing else
+    sc = load(str(SCENARIOS / scenario))
+    tag = next(tag for tag, names in cli.REPRODUCE_TAGS.items() if names == [scenario])
+    assert run_cli(["reproduce", tag, *extra], tmp_path, monkeypatch) == 0
+    assert run_cli([command, str(SCENARIOS / scenario), *extra, "--out", "long.csv"], tmp_path, monkeypatch) == 0
+    long: dict[tuple, dict[str, dict]] = {}
+    for row in _read_rows(tmp_path / "long.csv"):
+        long.setdefault(tuple(row[k] for k in keys), {})[row["statistic"]] = row
+    wide = [row for row in _read_rows(tmp_path / sc.require("output", "path"))
+            if tuple(row[k] for k in keys) in long]  # change: the theory-only families drop out
+    assert len(wide) == len(long) > 0
+    assert all(set(named) == statistics for named in long.values())
+    for row in wide:
+        named = long[tuple(row[k] for k in keys)]
+        for column in row.keys() - set(keys) - exempt:
+            statistic, field = _long_field(column)
+            expected = named[statistic][field] if statistic in named else ""
+            assert row[column] == expected, (column, row)
 
 
 def test_matched_row_reports_the_matched_runs_truncations(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, ks_2samp, kstest
 
-from runcons.analysis import BoundVariant, false_alarm_rate_accurate, theorem_bounds
+from runcons.analysis import false_alarm_rate_accurate, theorem_bounds
 from runcons.consensus import ConsensusRun, WeightMode
 from runcons.detectors import SequentialDetector, sequential_design
 from runcons.montecarlo import (
@@ -173,7 +173,7 @@ def test_covariance_matches_coinciding_bounds_complete_graph():
     n_max = 40
     study = estimate_covariance(top, 1, n_max, 2000, 77)
     lam = (M - 2) / (M - 1)
-    bounds = theorem_bounds(lam, lam, M, n_max, BoundVariant.NEW_SAMPLE_HELD)
+    bounds = theorem_bounds(lam, lam, M, n_max, include_new_sample=False)
     gamma_exact = 1.0 + bounds.gamma_upper
     rho_exact = 1.0 - bounds.rho_upper
     inside_gamma = np.abs(study.gamma_est - gamma_exact) <= 3.0 * study.gamma_se
