@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .stats import QuadratureError, kl_binary, q_function, q_inverse, wald_cdf, wald_cdf_inverse
+from .stats import QuadratureError, integrate, kl_binary, q_function, q_inverse, wald_cdf, wald_cdf_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +183,12 @@ def threshold_for_rate_large_gamma(R: float, M: int, delta01: float) -> float:
 # ---------------------------------------------------------------------------
 
 def survival_power_integral(z: float, M: int) -> float:
-    """Integral of [1 - F_W(.; z)]^M over (0, inf), log-domain inside."""
+    """Integral of [1 - F_W(.; z)]^M over (0, inf), log-domain inside.
+
+    The range is cut where the integrand falls below 1e-14, and the scalar
+    integrand is mapped over each subinterval's abscissae for
+    :func:`stats.integrate`.
+    """
     if not z > 0.0 or M < 1:
         raise ValueError(f"need z > 0 and M >= 1, got z={z}, M={M}")
 
@@ -201,7 +205,8 @@ def survival_power_integral(z: float, M: int) -> float:
         hi *= 2.0
         if hi > 1e9:
             raise QuadratureError("bank-delay integrand does not decay")
-    value, err = integrate.quad(integrand, 0.0, hi, epsabs=1e-12, epsrel=1e-10, limit=400)
+    value, err = integrate(lambda xs: np.fromiter(map(integrand, xs.tolist()), float, xs.size),
+                           0.0, hi, epsabs=1e-12, epsrel=1e-10, limit=400)
     if err > max(abs(value), 1e-10) * 1e-6:
         raise QuadratureError(f"bank-delay integral error {err:.3e} for value {value:.6e}")
     return float(value)

@@ -124,6 +124,8 @@ def _setting(sc: ScenarioFile) -> Setting:
     node = int(sc.get("detector", "node", 0))
     if not 0 <= node < topology.M:
         raise ScenarioError(f"detector.node must be in 0..{topology.M - 1}, got {node}")
+    if sc.kind == "bounds" and topology.M < 2:  # 1 - rho compares two nodes
+        raise ScenarioError(f"topology.m must be at least 2 for bounds experiments, got {topology.M}")
     return Setting(
         topology=topology, v=int(sc.get("topology", "v", 1)), node=node,
         trials=int(sc.get("montecarlo", "trials", 10000)),

@@ -418,13 +418,16 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
     [(["reproduce", "fig:bound1", "--seed", "-1"], "montecarlo.seed")],
     # the tag's second scenario rejects the override, so the first must not be written either
     [(["reproduce", "fig:bound2", "--set", "topology.k=3"], "k must be even"),
-     (["reproduce", "fig:bound1", "--set", "topology.m=1"], "k must satisfy")],
+     (["reproduce", "fig:bound1", "--set", "topology.m=4"], "k must satisfy")],
     # exp(gamma) overflows, so the predicted false-alarm rate is 0 and no horizon exists
     [(["reproduce", "fig:sim2", "--set", "experiment.gamma_list=1e6"], "experiment.gamma_list")],
+    # 1 - rho between two nodes is undefined on a one-node network
+    [(["bounds", "fig_bound1_complete.scn", "--set", "topology.m=1", "--set", "experiment.n_max=3"],
+      "topology.m")],
 ], ids=["p_e-above-half", "rate-above-d01", "v-below-1", "no-location-family", "p_f-outside-unit",
         "model-parameters", "counts-below-1", "unknown-sequential-measure", "unread-p_d",
         "detector-kind-not-the-runners", "threads-below-1", "unknown-topology-kind", "negative-seed",
-        "second-scenario-of-tag", "false-alarm-rate-underflows"])
+        "second-scenario-of-tag", "false-alarm-rate-underflows", "one-node-bounds"])
 def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, capsys):
     for command, message in runs:
         if command[0] != "reproduce":

@@ -309,6 +309,95 @@ def test_variance_change_is_zero_mean_gaussian():
 
 
 # ---------------------------------------------------------------------------
+# Adaptive quadrature, against scipy's QUADPACK as the oracle
+# ---------------------------------------------------------------------------
+
+def test_integrate_rule_is_gauss10_inside_kronrod21():
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    gauss = stats_module._GAUSS_WEIGHTS != 0.0
+    np.testing.assert_allclose(stats_module._NODES[gauss], nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(stats_module._GAUSS_WEIGHTS[gauss], weights, rtol=0, atol=1e-15)
+    # K21 is exact on polynomials through degree 3*10 + 1
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert stats_module._NODES ** k @ stats_module._KRONROD_WEIGHTS == pytest.approx(exact, abs=1e-15)
+
+
+def _agrees_with_quad(fn, a, b, *, abs_floor=0.0, **tolerances):
+    from scipy import integrate as si
+
+    value, err = stats_module.integrate(fn, a, b, **tolerances)
+    expected, _ = si.quad(fn, a, b, **tolerances)
+    assert value == pytest.approx(expected, rel=1e-12, abs=abs_floor)
+    assert err <= max(tolerances["epsabs"], tolerances["epsrel"] * abs(value))
+
+
+@pytest.mark.parametrize("fn, a, b", [
+    (lambda x: np.exp(-0.5 * x * x) * np.cos(3.0 * x), -3.0, 5.0),
+    (lambda x: np.exp(-0.5 * x * x) * np.cos(3.0 * x), -np.inf, 1.0),
+    (lambda x: x * x * np.exp(-x), 0.5, np.inf),
+    (lambda x: 1.0 / (1.0 + x * x), -np.inf, -2.0),
+    (lambda x: 1.0 / (1.0 + x * x), 0.0, np.inf),
+], ids=["finite", "lower-infinite", "upper-infinite", "algebraic-lower", "algebraic-upper"])
+def test_integrate_matches_quad_on_finite_and_half_infinite_ranges(fn, a, b):
+    _agrees_with_quad(fn, a, b, epsabs=1e-14, epsrel=1e-8, limit=300)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+@pytest.mark.parametrize("kind", ["score", "llr"])
+def test_integrate_matches_quad_on_mixture_moment_integrands(kind, theta):
+    model = mixture_shift_model(0.5, 1.0, 4.0, 0.5)
+    t = score_nonlinearity(model) if kind == "score" else llr_nonlinearity(model)
+    dist = model.at(theta)
+    lo, hi = dist.quad_hint()
+    for power in (1, 2):
+        for a, b in ((-np.inf, lo), (lo, hi), (hi, np.inf)):
+            # the tails hold about 1e-32 and the score's null mean is 0: the floor is far below epsabs
+            _agrees_with_quad(lambda x: t(x) ** power * dist.pdf(x), a, b, abs_floor=1e-17,
+                              epsabs=1e-14, epsrel=1e-8, limit=300)
+
+
+def _survival_oracle(z, M):
+    from scipy import integrate as si
+
+    value, _ = si.quad(lambda x: (1.0 - wald_cdf(x, z)) ** M, 0.0, 64.0, epsabs=1e-12, epsrel=1e-10, limit=400)
+    return value
+
+
+def test_survival_power_integral_matches_quad_on_re1_corners_and_c11():
+    from runcons import analysis
+
+    model = variance_change_model(1.0, 1.065024)  # fig:RE1 and acceptance check C11
+    d01, d10 = kl_divergence(model.null, model.alt), kl_divergence(model.alt, model.null)
+    delta = d10 / moments(model, llr_nonlinearity(model), model.theta).sigma2
+    cases = [(math.log(M * d01 / R) * delta, M) for M in (2, 500) for R in (1e-4, 1e-7)]
+    cases += [(21.0 * delta, M) for M in (5, 10, 30)]
+    for z, M in cases:
+        assert analysis.survival_power_integral(z, M) == pytest.approx(_survival_oracle(z, M), rel=1e-12)
+
+
+def test_integrate_returns_its_error_when_the_subdivision_limit_runs_out():
+    # about 4e5 oscillations over the hinted bulk: 300 subintervals cannot resolve them
+    dist = Gaussian(0.0, 1.0)
+    calls = []
+
+    def fn(x):
+        calls.append(x.size)
+        return np.cos(1e5 * x) * dist.pdf(x)
+
+    value, err = stats_module.integrate(fn, -12.0, 12.0, epsabs=1e-14, epsrel=1e-8, limit=300)
+    assert calls == [21] * (2 * 300 - 1)  # the first rule, then two per bisection
+    assert err > max(1e-14, 1e-8 * abs(value))
+    with pytest.raises(stats_module.QuadratureError):
+        integrate_real_line(fn, dist.quad_hint())
+
+
+def test_integrate_rejects_two_infinite_limits():
+    with pytest.raises(ValueError, match="infinite"):
+        stats_module.integrate(np.exp, -np.inf, np.inf, epsabs=1e-14, epsrel=1e-8, limit=50)
+
+
+# ---------------------------------------------------------------------------
 # Moments and efficacy
 # ---------------------------------------------------------------------------
 
