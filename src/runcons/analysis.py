@@ -1,11 +1,12 @@
 """Closed-form predictions: convergence bounds for the consensus metrics,
-error-moment constants, asymptotic detection characteristics, CUSUM operating
-characteristics, the parallel-bank delay integral, and relative efficiencies.
+asymptotic detection characteristics, CUSUM operating characteristics, the
+parallel-bank delay integral, and relative efficiencies.
 
 The CUSUM laws come in an accurate and a large-threshold form.  The change
 theory table writes both, labeled.  The efficiency table (`fig:RE1`,
-`fig:RE2`) writes only the large-threshold form; acceptance check C12 reads
-the accurate :func:`relative_efficiencies`.
+`fig:RE2`) writes the large-threshold relative efficiencies; their accurate
+form is a composition of :func:`false_alarm_rate_accurate`,
+:func:`delay_accurate` and :func:`bank_delay` that no table writes.
 """
 
 from __future__ import annotations
@@ -97,22 +98,6 @@ def theorem_bounds(
     )
 
 
-@dataclass(frozen=True)
-class MomentBoundConstants:
-    C1: float
-    C2: float
-
-
-def moment_bound_constants(M: int, lambda_U: float) -> MomentBoundConstants:
-    """Constants bounding the second and third moments of the consensus error."""
-    if not 0.0 <= lambda_U < 1.0:
-        raise ValueError(f"need lambda_U in [0,1), got {lambda_U}")
-    c1 = M ** 3 * lambda_U / (1.0 - lambda_U)
-    root = math.sqrt(lambda_U)
-    c2 = M ** 4.5 / (1.0 - root) * (lambda_U / (1.0 - root) + 1.0 / (1.0 - lambda_U))
-    return MomentBoundConstants(C1=c1, C2=c2)
-
-
 # ---------------------------------------------------------------------------
 # Fixed-sample-size and sequential asymptotics
 # ---------------------------------------------------------------------------
@@ -149,25 +134,6 @@ def delay_accurate(gamma, M: int, delta10: float):
 
 def delay_large_gamma(gamma, M: int, delta10: float):
     return np.asarray(gamma, dtype=float) / (M * delta10)
-
-
-def threshold_for_rate(R: float, M: int, delta01: float) -> float:
-    """Invert the accurate rate formula for the threshold, by bisection."""
-    if R <= 0.0:
-        raise ValueError(f"rate must be positive, got {R}")
-    target = M * delta01 / R  # = e^g - g - 1
-    lo, hi = 1e-9, 1.0
-    while math.exp(hi) - hi - 1.0 < target:
-        hi *= 2.0
-        if hi > 1e4:
-            raise ValueError("threshold inversion out of range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.exp(mid) - mid - 1.0 < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def threshold_for_rate_large_gamma(R: float, M: int, delta01: float) -> float:
@@ -295,44 +261,15 @@ class EfficiencyPoint:
     eta_bs: float
 
 
-def relative_efficiencies(
-    R_values, M: int, delta01: float, delta10: float, var1_of_llr: float
-) -> list[EfficiencyPoint]:
-    """Delay ratios of the four architectures at matched false-alarm rate.
-
-    Accurate form: each threshold inverts the accurate rate law
-    (:func:`threshold_for_rate`), the fusion and single-sensor delays come
-    from :func:`delay_accurate` and the bank delay from the survival integral
-    of :func:`bank_delay`.  Running consensus is credited with the fusion
-    delay, so eta_cr = 1.
-    """
-    points = []
-    for R in np.asarray(R_values, dtype=float):
-        if math.log(delta01 / R) <= 0.0:
-            raise ValueError(f"rate {R} too large: log(delta01/R) must be positive")
-        gamma_s = threshold_for_rate(R, 1, delta01)
-        gamma_c = threshold_for_rate(R, M, delta01)
-        d_single = float(delay_accurate(gamma_s, 1, delta10))
-        d_central = float(delay_accurate(gamma_c, M, delta10))
-        d_bank = bank_delay(gamma_c, M, delta10, var1_of_llr).integral
-        points.append(EfficiencyPoint(
-            R=float(R),
-            eta_cr=1.0,
-            eta_sr=d_central / d_single,
-            eta_br=d_central / d_bank,
-            eta_bs=d_single / d_bank,
-        ))
-    return points
-
-
 def relative_efficiencies_large_gamma(
     R_values, M: int, delta01: float, delta10: float, var1_of_llr: float
 ) -> list[EfficiencyPoint]:
-    """Large-threshold form of :func:`relative_efficiencies`.
+    """Delay ratios of the four architectures at matched false-alarm rate R.
 
-    Thresholds are log(M delta01 / R), delays are linear in the threshold, so
-    the single-versus-fusion ratio reduces to braces = gamma_c / gamma_s and
-    the bank enters only through :func:`g_factor`.
+    Large-threshold form: thresholds are log(M delta01 / R), delays are linear
+    in the threshold, so the single-versus-fusion ratio reduces to braces =
+    gamma_c / gamma_s and the bank enters only through :func:`g_factor`.
+    Running consensus is credited with the fusion delay, so eta_cr = 1.
     """
     points = []
     for R in np.asarray(R_values, dtype=float):

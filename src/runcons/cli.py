@@ -426,7 +426,20 @@ def _sequential_trajectory(sc: ScenarioFile, args, setting: Setting) -> None:
 
 
 def _change_quantities(sc: ScenarioFile):
+    """The change model, its two divergences and the LLR variance after the change.
+
+    The null and the alternative must differ: a location family carries no
+    theta here, so its two laws coincide, as two equal variances do.  The
+    CUSUM statistic is the LLR; a given model.nonlinearity must say so.
+    """
+    family, nonlinearity = sc.get("model", "family"), sc.get("model", "nonlinearity", "llr")
+    if family != "variance_change":
+        raise ScenarioError(f"model.family must be 'variance_change' for {sc.kind} experiments, got {family!r}")
+    if nonlinearity != "llr":
+        raise ScenarioError(f"model.nonlinearity must be 'llr' for {sc.kind} experiments, got {nonlinearity!r}")
     model = model_from_scenario(sc)
+    if model.null == model.alt:
+        raise ScenarioError(f"model.variance1 must differ from model.variance0 for {sc.kind} experiments")
     llr = stats.llr_nonlinearity(model)
     d01 = stats.kl_divergence(model.null, model.alt)
     d10 = stats.kl_divergence(model.alt, model.null)

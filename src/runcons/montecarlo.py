@@ -346,53 +346,6 @@ def estimate_covariance(
 
 
 # ---------------------------------------------------------------------------
-# Consensus error moments
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ErrorMomentStudy:
-    slots: np.ndarray
-    second_moment: list[Estimate]  # per requested slot, pooled over nodes
-    third_abs_moment: list[Estimate]
-
-
-def estimate_error_moments(
-    topology: NetworkTopology,
-    v: int,
-    slots,
-    trials: int,
-    seed: int,
-    *,
-    threads: int = 1,
-) -> ErrorMomentStudy:
-    """Empirical E[e^2] and E[|e|^3] of the accumulating-schedule error, unit Gaussian samples."""
-    slots = np.asarray(sorted(slots), dtype=int)
-    n_max = int(slots.max())
-
-    def worker(chunk_index: int, size: int, rng: np.random.Generator):
-        out2 = np.zeros((slots.size, size))
-        out3 = np.zeros((slots.size, size))
-        pos = 0
-        paths = consensus_paths(rng, topology, v, size, n_max, Gaussian(0.0, 1.0).sample, WeightMode.ACCUMULATING, True)
-        for n, states, csum in paths:
-            if pos < slots.size and n == slots[pos]:
-                err = states - csum[:, None]
-                out2[pos] = (err ** 2).mean(axis=1)
-                out3[pos] = (np.abs(err) ** 3).mean(axis=1)
-                pos += 1
-        return out2, out3
-
-    results = _run_chunks(trials, seed, threads, worker)
-    second = np.concatenate([r[0] for r in results], axis=1)
-    third = np.concatenate([r[1] for r in results], axis=1)
-    return ErrorMomentStudy(
-        slots=slots,
-        second_moment=[Estimate.from_samples(second[k]) for k in range(slots.size)],
-        third_abs_moment=[Estimate.from_samples(third[k]) for k in range(slots.size)],
-    )
-
-
-# ---------------------------------------------------------------------------
 # Fixed-sample-size detection probabilities
 # ---------------------------------------------------------------------------
 

@@ -4,8 +4,8 @@ Everything here is pure and immutable after construction.  Closed forms are
 used where they exist; otherwise adaptive quadrature over the real line at
 relative tolerance 1e-8, by the package's own Gauss-Kronrod rule
 (:func:`integrate`), which calls each integrand on 21 abscissae at a time.
-The vector third moment xi3, read only by the error-moment bound, exists in
-closed form only, for a linear t(x) on Gaussian data.
+The divergence between two sampling laws is needed only for the change
+model's Gaussian pair, so it exists in closed form only.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 QUAD_REL_TOL = 1e-8
 
@@ -429,28 +429,6 @@ def moments(model: HypothesisModel, nonlinearity, theta: float) -> MomentSet:
     return MomentSet(mu, second - mu * mu, mu_prime)
 
 
-def _chi_third_moment(M: int) -> float:
-    """E[chi_M^3]: third moment of the norm of M iid standard normals."""
-    return math.exp(1.5 * math.log(2.0) + gammaln((M + 3) / 2.0) - gammaln(M / 2.0))
-
-
-def vector_third_moment(model: HypothesisModel, nonlinearity, theta: float, M: int) -> float:
-    """xi3 = E||t(x) - mu||^3 over an M-vector of iid samples at theta.
-
-    Only a linear t on Gaussian data (the identity, or the score of a Gaussian
-    family) has the closed form sigma^3 E[chi_M^3]; any other input raises.
-    """
-    linear = isinstance(nonlinearity, Identity) or (
-        isinstance(nonlinearity, Score) and isinstance(model.family, GaussianLocationFamily))
-    if not (linear and isinstance(model.at(theta), Gaussian)):
-        raise ValueError("xi3 has a closed form only for a linear t(x) on Gaussian data")
-    sigma3 = moments(model, nonlinearity, theta).sigma2 ** 1.5
-    xi3 = sigma3 * _chi_third_moment(M)
-    if xi3 < sigma3:
-        raise ValueError("xi3 below the single-coordinate lower bound sigma^3")
-    return xi3
-
-
 def _mu_prime_central_difference(model: HypothesisModel, t, hint) -> float:
     h = 1e-5 * max(1.0, abs(model.theta0))
     lo = model.at(model.theta0 - h)
@@ -479,15 +457,8 @@ def fisher_information(model: HypothesisModel) -> float:
 # Divergences between sampling laws
 # ---------------------------------------------------------------------------
 
-def kl_divergence(dist_a, dist_b) -> float:
-    """KL(dist_a || dist_b), closed form for Gaussian pairs, else quadrature."""
-    if isinstance(dist_a, Gaussian) and isinstance(dist_b, Gaussian):
-        va, vb = dist_a.variance, dist_b.variance
-        dm = dist_a.mean - dist_b.mean
-        return 0.5 * ((va + dm * dm) / vb - 1.0 + math.log(vb / va))
-    hint_a = dist_a.quad_hint()
-    hint_b = dist_b.quad_hint()
-    hint = (min(hint_a[0], hint_b[0]), max(hint_a[1], hint_b[1]))
-    return integrate_real_line(
-        lambda x: dist_a.pdf(x) * (dist_a.logpdf(x) - dist_b.logpdf(x)), hint
-    )
+def kl_divergence(dist_a: Gaussian, dist_b: Gaussian) -> float:
+    """KL(dist_a || dist_b) of two Gaussians, in closed form."""
+    va, vb = dist_a.variance, dist_b.variance
+    dm = dist_a.mean - dist_b.mean
+    return 0.5 * ((va + dm * dm) / vb - 1.0 + math.log(vb / va))

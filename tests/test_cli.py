@@ -424,10 +424,19 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
     # 1 - rho between two nodes is undefined on a one-node network
     [(["bounds", "fig_bound1_complete.scn", "--set", "topology.m=1", "--set", "experiment.n_max=3"],
       "topology.m")],
+    # a change is a variance change read through the LLR: a location family carries no theta there,
+    # so its null and alternative coincide, as equal variances do
+    [([kind, name, "--set", "model.family=gaussian", "--set", "model.variance=1"], "model.family")
+     for kind, name in (("change", "fig_sim1.scn"), ("efficiency", "fig_re1.scn"))],
+    [(["change", "fig_sim1.scn", "--set", "model.variance1=1"], "model.variance1"),
+     (["reproduce", "fig:RE1", "--set", "model.variance1=1"], "model.variance1")],
+    [(["change", "fig_sim1.scn", "--set", "model.nonlinearity=score"], "model.nonlinearity"),
+     (["efficiency", "fig_re1.scn", "--set", "model.nonlinearity=identity"], "model.nonlinearity")],
 ], ids=["p_e-above-half", "rate-above-d01", "v-below-1", "no-location-family", "p_f-outside-unit",
         "model-parameters", "counts-below-1", "unknown-sequential-measure", "unread-p_d",
         "detector-kind-not-the-runners", "threads-below-1", "unknown-topology-kind", "negative-seed",
-        "second-scenario-of-tag", "false-alarm-rate-underflows", "one-node-bounds"])
+        "second-scenario-of-tag", "false-alarm-rate-underflows", "one-node-bounds",
+        "change-on-location-family", "equal-variances", "change-nonlinearity"])
 def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, capsys):
     for command, message in runs:
         if command[0] != "reproduce":

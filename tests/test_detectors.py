@@ -27,7 +27,7 @@ from runcons.network import full_ring
 from runcons.stats import (
     Identity,
     gaussian_shift_model,
-    kl_divergence,
+    llr_nonlinearity,
     mixture_shift_model,
     moments,
     q_inverse,
@@ -300,9 +300,10 @@ def test_bank_mode_runs_disjoint_streams():
 
 
 def test_negative_drift_under_null_resets_dominate():
-    # pre-change increments have mean -dof * D(f0 || f1), for the chi-square
-    # form of the sampler and its raw-sample fallback alike, so the statistic
-    # keeps touching zero: across a long run the reset state recurs often
+    # pre-change increments have mean -dof * D(f0 || f1), the LLR's mean under
+    # the null (by quadrature here), for the chi-square form of the sampler and
+    # its raw-sample fallback alike, so the statistic keeps touching zero:
+    # across a long run the reset state recurs often
     slots = 20_000
     cases = [
         (variance_change_model(1.0, 1.065024), 10),  # chi-square form, fusion sum
@@ -313,7 +314,7 @@ def test_negative_drift_under_null_resets_dominate():
     for model, dof in cases:
         increments = _llr_sampler(model, "null", dof)(np.random.default_rng(1), (slots, 1))
         se = increments.std() / math.sqrt(slots)
-        expected = -dof * kl_divergence(model.null, model.alt)
+        expected = dof * moments(model, llr_nonlinearity(model), model.theta0).mu
         assert increments.mean() == pytest.approx(expected, abs=4 * se), dof
     fusion = _llr_sampler(cases[0][0], "null", 10)(np.random.default_rng(1), (slots, 1))
     _, resets = _reset_recursion(fusion, math.inf)

@@ -23,7 +23,6 @@ from runcons.montecarlo import (
     _slot,
     chunk_rng,
     estimate_covariance,
-    estimate_error_moments,
     estimate_error_probabilities,
     estimate_sprt_stopping,
     estimate_stopping,
@@ -180,13 +179,6 @@ def test_covariance_matches_coinciding_bounds_complete_graph():
     inside_rho = np.abs(study.rho_est - rho_exact) <= 3.0 * study.rho_se
     assert inside_gamma.mean() > 0.95
     assert inside_rho.mean() > 0.95
-
-
-def test_error_moments_zero_for_single_node():
-    top = full_ring(1)
-    study = estimate_error_moments(top, 1, [1, 5], 200, 3)
-    for est in study.second_moment:
-        assert est.value == pytest.approx(0.0, abs=1e-20)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +377,6 @@ def _engine_runs():
             shift, 3, 0.1, 0.9, _TWO_CHUNKS, 8, max_n=500, threads=threads),
         "estimate_error_probabilities": lambda threads: estimate_error_probabilities(
             shift, Identity(), top, 1, 5, 0.5, _TWO_CHUNKS, 9, threads=threads),
-        "estimate_error_moments": lambda threads: estimate_error_moments(
-            top, 1, [1, 5], _TWO_CHUNKS, 10, threads=threads),
         "estimate_covariance": lambda threads: estimate_covariance(top, 1, 5, _TWO_CHUNKS, 11, threads=threads),
     }
 

@@ -1,9 +1,12 @@
-"""Every public top-level name in the package is reached from elsewhere in it.
+"""Every top-level name in the package is reached from the package's roots.
 
 A function or class that only tests call is dead weight in `src/`: it moves
-to `tests/` or leaves.  The names kept on purpose are listed in `ALLOWED`,
-each with its reason.  An allowed name that the package reaches again, or
-that is gone, must leave the list too, so the list never outgrows the code.
+to `tests/` or leaves.  Reach is followed to a fixed point from the top-level
+statements that define no name but dunders (imports, the `__main__` guard)
+and from the names kept on purpose: a name mentioned only by dead names is
+dead too.  The names kept on purpose are listed in `ALLOWED`, each with its
+reason.  An allowed name that the package reaches again, or that is gone,
+must leave the list too, so the list never outgrows the code.
 """
 
 import ast
@@ -15,10 +18,6 @@ SRC = pathlib.Path(runcons.__file__).parent
 
 ALLOWED = {
     "consensus.ConsensusRun": "the benchmark tracer (bench/tracing.py) wraps ConsensusRun.step by name",
-    "montecarlo.estimate_error_moments": "acceptance check C05 measures the error moments with it",
-    "analysis.moment_bound_constants": "acceptance check C05 holds those moments to its caps",
-    "stats.vector_third_moment": "acceptance check C05 reads xi3 for the third-moment cap from it",
-    "analysis.relative_efficiencies": "acceptance check C12 reads the accurate efficiencies from it",
     "scenario.serialize": "the planned per-output manifest records the resolved scenario text with it",
 }
 
@@ -46,20 +45,29 @@ def _mentions(statement: ast.stmt) -> set[str]:
 
 
 def orphans() -> set[str]:
-    """module.name of each public top-level name that no other top-level statement mentions."""
+    """module.name of each top-level name that no other live top-level statement mentions.
+
+    The statements that define no name but dunders (imports, `__all__`, the
+    `__main__` guard) are live, and so are those that define an allowed name
+    or a name that another live statement mentions.
+    """
     statements = [
-        (path.stem, statement)
+        ({f"{path.stem}.{name}": name for name in _defines(statement)}, _mentions(statement))
         for path in sorted(SRC.glob("*.py"))
         for statement in ast.parse(path.read_text(encoding="utf-8")).body
     ]
-    mentions = [_mentions(statement) for _, statement in statements]
-    return {
-        f"{module}.{name}"
-        for k, (module, statement) in enumerate(statements)
-        for name in _defines(statement)
-        if not name.startswith("_")
-        and not any(name in seen for j, seen in enumerate(mentions) if j != k)
-    }
+    roots = {k for k, (defined, _) in enumerate(statements) if all(name.startswith("__") for name in defined.values())}
+    kept = {k for k, (defined, _) in enumerate(statements) if defined.keys() & ALLOWED.keys()}
+    reached: set[int] = set()
+    while True:
+        live = roots | kept | reached
+        grown = {
+            k for k, (defined, _) in enumerate(statements)
+            if any(name in statements[j][1] for j in live - {k} for name in defined.values())
+        }
+        if grown <= reached:
+            return {full for k, (defined, _) in enumerate(statements) if k not in roots | reached for full in defined}
+        reached |= grown
 
 
 def test_every_public_name_is_reached_from_the_package():

@@ -26,7 +26,6 @@ from runcons.stats import (
     q_inverse,
     score_nonlinearity,
     variance_change_model,
-    vector_third_moment,
     wald_cdf,
     wald_cdf_inverse,
 )
@@ -407,23 +406,6 @@ def test_identity_gaussian_moments_closed_form():
     assert m.mu == pytest.approx(0.7)
     assert m.sigma2 == pytest.approx(2.0)
     assert m.mu_prime_at_theta0 == pytest.approx(1.0)
-    # single coordinate: sigma^3 times the absolute third moment of a unit normal
-    xi3 = vector_third_moment(model, Identity(), 0.7, 1)
-    assert xi3 == pytest.approx(2.0**1.5 * math.sqrt(8.0 / math.pi), rel=1e-10)
-
-
-def test_identity_gaussian_vector_third_moment_against_quadrature():
-    # E[ chi_M^3 ] via the radial density as an independent oracle
-    model = gaussian_shift_model(1.0, theta=0.0)
-    for M in (1, 3, 10):
-        xi3 = vector_third_moment(model, Identity(), 0.0, M)
-        from scipy import integrate as si
-
-        radial, _ = si.quad(
-            lambda r: r**3 * (r ** (M - 1)) * np.exp(-r * r / 2.0), 0.0, np.inf
-        )
-        norm, _ = si.quad(lambda r: (r ** (M - 1)) * np.exp(-r * r / 2.0), 0.0, np.inf)
-        assert xi3 == pytest.approx(radial / norm, rel=1e-9)
 
 
 def test_moments_closed_form_agrees_with_quadrature():
@@ -486,18 +468,6 @@ def test_mixture_score_moments_match_monte_carlo():
     values = score(draws)
     assert m.mu == pytest.approx(values.mean(), abs=4 * values.std() / math.sqrt(values.size))
     assert m.sigma2 == pytest.approx(values.var(ddof=1), rel=0.01)
-
-
-def test_vector_third_moment_rejects_impossible_value(monkeypatch):
-    # only a linear t on Gaussian data has a closed form; nothing else is estimated
-    mixture = mixture_shift_model(0.3, 1.0, 25.0, theta=0.0)
-    for t, M in ((Identity(), 4), (score_nonlinearity(mixture), 1)):
-        with pytest.raises(ValueError, match="closed form only"):
-            vector_third_moment(mixture, t, 0.0, M)
-    # E|t - mu|^3 >= sigma^3 by Jensen; a broken closed form must not pass
-    monkeypatch.setattr(stats_module, "_chi_third_moment", lambda M: 0.5)
-    with pytest.raises(ValueError, match="xi3 below"):
-        vector_third_moment(gaussian_shift_model(4.0, theta=0.0), Identity(), 0.0, 1)
 
 
 def test_efficacy_gaussian_shift():
