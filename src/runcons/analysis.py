@@ -120,7 +120,8 @@ def sequential_asymptotics(p_f: float, p_d: float, d: float) -> tuple[float, flo
 
 def false_alarm_rate_accurate(gamma, M: int, delta01: float):
     g = np.asarray(gamma, dtype=float)
-    return M * delta01 / (np.exp(g) - g - 1.0)
+    with np.errstate(over="ignore"):  # exp overflows to inf at a huge threshold: the rate is 0
+        return M * delta01 / (np.exp(g) - g - 1.0)
 
 
 def false_alarm_rate_large_gamma(gamma, M: int, delta01: float):

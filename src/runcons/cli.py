@@ -16,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis, montecarlo, scenario as scn, stats
 from .consensus import WeightMode, centralized_weight
 from .detectors import fss_threshold, sequential_design
-from .network import NetworkTopology, TopologyError, effective_eigenvalues, expected_gossip_matrix
+from .network import TopologyError, effective_eigenvalues, expected_gossip_matrix
 from .scenario import ScenarioError, ScenarioFile
 from .stats import QuadratureError
 
@@ -74,100 +74,46 @@ def with_suffix(path: str, suffix: str) -> str:
 
 def model_from_scenario(sc: ScenarioFile, theta: float | None = None) -> stats.HypothesisModel:
     """The scenario's model; theta (a location parameter) moves its alternative."""
-    section = sc.sections.get("model")
-    if section is None:
-        raise ScenarioError("missing required section [model]")
-    family = section.get("family")
-    if theta is not None and family == "variance_change":
-        raise ScenarioError(f"{sc.kind} experiments need a location family; variance_change has none")
-    theta0 = float(section.get("theta0", 0.0))
-    if family == "gaussian":
-        variance = float(sc.require("model", "variance"))
-        return stats.gaussian_shift_model(variance, theta if theta is not None else theta0, theta0)
-    if family == "gaussian_mixture":
-        weight = float(sc.require("model", "weight"))
-        v1 = float(sc.require("model", "variance1"))
-        v2 = float(sc.require("model", "variance2"))
-        return stats.mixture_shift_model(weight, v1, v2, theta if theta is not None else theta0, theta0)
-    if family == "variance_change":
-        v0 = float(sc.require("model", "variance0"))
-        v1 = float(sc.require("model", "variance1"))
-        return stats.variance_change_model(v0, v1)
-    raise ScenarioError(f"unknown model family {family!r}")
+    read = partial(sc.get, "model")
+    if read("family") == "variance_change":
+        return stats.variance_change_model(read("variance0"), read("variance1"))
+    theta0 = read("theta0")
+    theta = theta0 if theta is None else theta
+    if read("family") == "gaussian":
+        return stats.gaussian_shift_model(read("variance"), theta, theta0)
+    return stats.mixture_shift_model(read("weight"), read("variance1"), read("variance2"), theta, theta0)
 
 
 def nonlinearity_from_scenario(sc: ScenarioFile, model: stats.HypothesisModel):
-    name = str(sc.get("model", "nonlinearity", "identity"))
-    if name == "identity":
-        return stats.Identity()
+    """The scenario's statistic; the identity where the kind reads none (bounds samples the raw law)."""
+    name = sc.get("model", "nonlinearity")
     if name == "score":
         return stats.score_nonlinearity(model)
     if name == "llr":
         return stats.llr_nonlinearity(model)
-    raise ScenarioError(f"unknown nonlinearity {name!r}")
+    return stats.Identity()
 
 
-@dataclass(frozen=True)
-class Setting:
-    """What every simulating subcommand reads first: network, node, Monte Carlo sizes."""
-
-    topology: NetworkTopology
-    v: int  # pairwise exchanges per slot
-    node: int
-    trials: int
-    seed: int
-    threads: int
-
-
-def _setting(sc: ScenarioFile) -> Setting:
-    topology = scn.topology_from_scenario(sc)
-    node = int(sc.get("detector", "node", 0))
-    if not 0 <= node < topology.M:
-        raise ScenarioError(f"detector.node must be in 0..{topology.M - 1}, got {node}")
-    if sc.kind == "bounds" and topology.M < 2:  # 1 - rho compares two nodes
-        raise ScenarioError(f"topology.m must be at least 2 for bounds experiments, got {topology.M}")
-    return Setting(
-        topology=topology, v=int(sc.get("topology", "v", 1)), node=node,
-        trials=int(sc.get("montecarlo", "trials", 10000)),
-        seed=int(sc.get("montecarlo", "seed", 0)),
-        threads=int(sc.get("montecarlo", "threads", 1)),
-    )
-
-
-def _required_list(sc: ScenarioFile, key: str, kind: str) -> list[float]:
-    values = [float(x) for x in (sc.get("experiment", key) or [])]
-    if not values:
-        raise ScenarioError(f"{kind} experiments need experiment.{key}")
-    return values
-
-
-def scenario_label(sc: ScenarioFile) -> str:
-    return str(sc.get("experiment", "label", sc.kind))
+def _output(sc: ScenarioFile, args) -> str:
+    return resolve_output(sc.get("output", "path"), args.out)
 
 
 # ---------------------------------------------------------------------------
 # Trajectory dump (shared by several subcommands)
 # ---------------------------------------------------------------------------
 
-def dump_trajectory(
-    sc: ScenarioFile,
-    setting: Setting,
-    path: str,
-    n_slots: int,
-    mode: WeightMode,
-    include_new_sample: bool,
-) -> None:
+def dump_trajectory(sc: ScenarioFile, path: str, n_slots: int, mode: WeightMode, include_new_sample: bool) -> None:
     """One trial's states under the null law, every node at every slot."""
     model = model_from_scenario(sc)
     nonlin = nonlinearity_from_scenario(sc, model)
-    M = setting.topology.M
+    topology = scn.topology_from_scenario(sc)
     paths = montecarlo.consensus_paths(
-        montecarlo.chunk_rng(setting.seed, 10**6), setting.topology, setting.v, 1, n_slots,
+        montecarlo.chunk_rng(sc.get("montecarlo", "seed"), 10**6), topology, sc.get("topology", "v"), 1, n_slots,
         lambda rng, shape: nonlin(model.null.sample(rng, shape)), mode, include_new_sample,
     )
     rows = []
     for n, states, csum in paths:
-        central = centralized_weight(mode, n, M) * csum[0]
+        central = centralized_weight(mode, n, topology.M) * csum[0]
         rows += [[n, j, state, central, state - central] for j, state in enumerate(states[0])]
     write_csv(path, ["n", "node", "state", "centralized", "error"], rows)
 
@@ -179,9 +125,8 @@ def dump_trajectory(
 def run_spectral(sc: ScenarioFile, args) -> None:
     topology = scn.topology_from_scenario(sc)
     summary = expected_gossip_matrix(topology)
-    out = resolve_output(str(sc.require("output", "path")), args.out)
     write_csv(
-        out,
+        _output(sc, args),
         ["kind", "m", "n_pairs", "lambda_U", "lambda_L"],
         [[sc.get("topology", "kind"), topology.M, len(topology.pairs), summary.lambda_U, summary.lambda_L]],
     )
@@ -189,15 +134,13 @@ def run_spectral(sc: ScenarioFile, args) -> None:
 
 
 def run_bounds(sc: ScenarioFile, args) -> None:
-    setting = _setting(sc)
-    topology, v = setting.topology, setting.v
-    n_max = int(sc.get("experiment", "n_max", 200))
-    include_new = bool(sc.get("experiment", "include_new_sample", False))
+    topology, v = scn.topology_from_scenario(sc), sc.get("topology", "v")
+    n_max, include_new = sc.get("experiment", "n_max"), sc.get("experiment", "include_new_sample")
     lam_u, lam_l = effective_eigenvalues(expected_gossip_matrix(topology), v)
     bounds = analysis.theorem_bounds(lam_u, lam_l, topology.M, n_max, include_new)
     study = montecarlo.estimate_covariance(
-        topology, v, n_max, setting.trials, setting.seed,
-        include_new_sample=include_new, dist=model_from_scenario(sc).null, threads=setting.threads,
+        topology, v, n_max, sc.get("montecarlo", "trials"), sc.get("montecarlo", "seed"),
+        include_new_sample=include_new, dist=model_from_scenario(sc).null, threads=sc.get("montecarlo", "threads"),
     )
     columns = {
         "n": bounds.n.astype(int), "psi_U": bounds.psi_U, "psi_L": bounds.psi_L,
@@ -206,12 +149,10 @@ def run_bounds(sc: ScenarioFile, args) -> None:
         "approx_lower": bounds.approx_B_L, "approx_upper": bounds.approx_B_U,
         "gamma_est": study.gamma_est, "gamma_se": study.gamma_se, "rho_est": study.rho_est, "rho_se": study.rho_se,
     }
-    out = resolve_output(str(sc.require("output", "path")), args.out)
-    write_csv(out, list(columns), list(zip(*columns.values())))
+    write_csv(_output(sc, args), list(columns), list(zip(*columns.values())))
     if args.dump_trajectory:
         dump_trajectory(
-            sc, setting, resolve_output(args.dump_trajectory, None),
-            min(n_max, 200), WeightMode.AVERAGING, include_new,
+            sc, resolve_output(args.dump_trajectory, None), min(n_max, 200), WeightMode.AVERAGING, include_new,
         )
 
 
@@ -221,9 +162,9 @@ def run_bounds(sc: ScenarioFile, args) -> None:
 
 def _write_long(sc: ScenarioFile, args, key_names: list[str], points: list[tuple]) -> None:
     """One row per grid point and statistic; each point starts (keys, {statistic: Estimate})."""
-    label = scenario_label(sc)
+    label = sc.get("experiment", "label")
     write_csv(
-        resolve_output(str(sc.require("output", "path")), args.out),
+        _output(sc, args),
         ["scenario", *key_names, "statistic", "estimate", "std_err", "n_trials", "n_truncated"],
         [[label, *keys, name, est.value, est.std_err, est.count, est.truncated_count]
          for keys, estimates, *_ in points for name, est in estimates.items()],
@@ -241,48 +182,43 @@ def _wide_cell(estimates: dict[str, montecarlo.Estimate], column: str):
 
 def _shared_theta0_moments(sc: ScenarioFile) -> stats.MomentSet | None:
     """Moments at theta0 of the statistic, the same at every theta_r; None for the LLR, which moves with it."""
-    model = model_from_scenario(sc, theta=float(sc.get("model", "theta0", 0.0)))
+    model = model_from_scenario(sc, theta=sc.get("model", "theta0"))
     nonlin = nonlinearity_from_scenario(sc, model)
     if isinstance(nonlin, stats.LogLikelihoodRatio):
         return None
     return stats.moments(model, nonlin, model.theta0)
 
 
-def _fss_points(sc: ScenarioFile, setting: Setting) -> list[tuple]:
+def _fss_points(sc: ScenarioFile) -> list[tuple]:
     """((v, n, threshold), named estimates, p_d_limit) on the (v, n) grid of an fss scenario."""
-    M = setting.topology.M
-    n_list = sc.get("experiment", "n_list") or [int(sc.get("experiment", "n_max", 100))]
-    v_list = sc.get("experiment", "v_list") or [setting.v]
-    theta0 = float(sc.get("model", "theta0", 0.0))
-    gamma_scale = float(sc.get("experiment", "gamma_scale", 1.0))
-    p_f = float(sc.require("detector", "p_f"))
+    topology = scn.topology_from_scenario(sc)
+    theta0, gamma_scale, p_f = sc.get("model", "theta0"), sc.get("experiment", "gamma_scale"), sc.get("detector", "p_f")
     shared_m0 = _shared_theta0_moments(sc)
     points = []
-    for v in v_list:
-        for n in n_list:
+    for v in sc.get("experiment", "v_list") or [sc.get("topology", "v")]:
+        for n in sc.get("experiment", "n_list") or [sc.get("experiment", "n_max")]:
             model = model_from_scenario(sc, theta=theta0 + gamma_scale / math.sqrt(n))
             nonlin = nonlinearity_from_scenario(sc, model)
             m0 = shared_m0 if shared_m0 is not None else stats.moments(model, nonlin, theta0)
-            threshold = fss_threshold(p_f, n, m0, M)
+            threshold = fss_threshold(p_f, n, m0, topology.M)
             study = montecarlo.estimate_error_probabilities(
-                model, nonlin, setting.topology, v, n, threshold, setting.trials, setting.seed,
-                node=setting.node, threads=setting.threads,
+                model, nonlin, topology, v, n, threshold, sc.get("montecarlo", "trials"), sc.get("montecarlo", "seed"),
+                node=sc.get("detector", "node"), threads=sc.get("montecarlo", "threads"),
             )
             estimates = {f"{name}_{source}": rates[source]
                          for name, rates in (("p_f", study.p_f), ("p_d", study.p_d))
                          for source in ("centralized", "node")}
-            p_d_limit = analysis.fss_asymptotic_pd(p_f, gamma_scale, stats.efficacy(m0, M))
+            p_d_limit = analysis.fss_asymptotic_pd(p_f, gamma_scale, stats.efficacy(m0, topology.M))
             points.append(((v, n, threshold), estimates, p_d_limit))
     return points
 
 
 def run_fss(sc: ScenarioFile, args) -> None:
-    setting = _setting(sc)
-    points = _fss_points(sc, setting)
+    points = _fss_points(sc)
     _write_long(sc, args, ["v", "n", "threshold"], points)
     if args.dump_trajectory:
         dump_trajectory(
-            sc, setting, resolve_output(args.dump_trajectory, None),
+            sc, resolve_output(args.dump_trajectory, None),
             max(keys[1] for keys, *_ in points), WeightMode.ACCUMULATING, True,
         )
 
@@ -295,7 +231,7 @@ def _sequential_design(sc: ScenarioFile, M: int, p_e: float, r: float, shared_m0
     larger asymptotic expected sample number.  Returns
     (model, nonlinearity, detector, (asn0, asn1), max_n).
     """
-    theta0 = float(sc.get("model", "theta0", 0.0))
+    theta0 = sc.get("model", "theta0")
     theta_r = theta0 + 1.0 / math.sqrt(r)
     model = model_from_scenario(sc, theta=theta_r)
     nonlin = nonlinearity_from_scenario(sc, model)
@@ -303,21 +239,21 @@ def _sequential_design(sc: ScenarioFile, M: int, p_e: float, r: float, shared_m0
     mr = stats.moments(model, nonlin, theta_r)
     detector = sequential_design(p_e, 1.0 - p_e, r, m0, mr, M)
     asn = analysis.sequential_asymptotics(p_e, 1.0 - p_e, stats.efficacy(m0, M))
-    factor = float(sc.get("experiment", "max_n_factor", 100.0))
-    max_n = max(10, int(math.ceil(factor * r * max(asn))))
+    max_n = max(10, int(math.ceil(sc.get("experiment", "max_n_factor") * r * max(asn))))
     return model, nonlin, detector, asn, max_n
 
 
-def _sequential_points(sc: ScenarioFile, setting: Setting) -> list[tuple]:
+def _sequential_points(sc: ScenarioFile) -> list[tuple]:
     """((p_e, snr_db, snr), named estimates) at every grid point of an asn/error/are sequential scenario.
 
-    Every estimate reports setting.trials as its trial count.  The scaled
+    Every estimate reports montecarlo.trials as its trial count.  The scaled
     sample numbers en_snr_* are E[N] times the SNR; en_snr_asymptote is their
     limit.  The SPRT baseline adds en_snr_sprt and pe_sprt; measure "are"
     adds the fusion center redesigned at the node's error,
     en_matched_centralized, and its ratio to the node's E[N], are_node.
     """
-    topology, v, trials, seed = setting.topology, setting.v, setting.trials, setting.seed
+    topology, v = scn.topology_from_scenario(sc), sc.get("topology", "v")
+    trials, seed, threads = (sc.get("montecarlo", key) for key in ("trials", "seed", "threads"))
     V = model_from_scenario(sc).null.var  # noise variance
     shared_m0 = _shared_theta0_moments(sc)
 
@@ -325,14 +261,14 @@ def _sequential_points(sc: ScenarioFile, setting: Setting) -> list[tuple]:
         return montecarlo.Estimate(value, std_err, trials, truncated)
 
     points = []
-    for p_e in _p_e_values(sc):
-        for snr_db in _snr_db_values(sc):
-            snr = 10.0 ** (float(snr_db) / 10.0)
+    for p_e in sc.get("detector", "p_e_list") or [sc.get("detector", "p_e")]:
+        for snr_db in sc.get("experiment", "snr_db_list"):
+            snr = 10.0 ** (snr_db / 10.0)
             r = 1.0 / (snr * V)
-            model, nonlin, detector, asn, max_n = _sequential_design(sc, topology.M, float(p_e), r, shared_m0)
+            model, nonlin, detector, asn, max_n = _sequential_design(sc, topology.M, p_e, r, shared_m0)
             study = montecarlo.estimate_stopping(
                 model, nonlin, topology, v, detector, trials, seed,
-                max_n=max_n, node=setting.node, threads=setting.threads,
+                max_n=max_n, node=sc.get("detector", "node"), threads=threads,
             )
             estimates = {}
             for source in ("centralized", "node"):
@@ -343,19 +279,17 @@ def _sequential_points(sc: ScenarioFile, setting: Setting) -> list[tuple]:
                 estimates[f"pe_{source}"] = named(
                     study.error_probability(source), study.error_probability_std_err(source), trunc)
             estimates["en_snr_asymptote"] = named(0.5 * (asn[0] + asn[1]) / V)
-            if sc.get("experiment", "include_sprt_baseline", False):
+            if sc.get("experiment", "include_sprt_baseline"):
                 sprt = montecarlo.estimate_sprt_stopping(
-                    model, topology.M, float(p_e), 1.0 - float(p_e), trials, seed + 1,
-                    max_n=max_n, threads=setting.threads,
+                    model, topology.M, p_e, 1.0 - p_e, trials, seed + 1, max_n=max_n, threads=threads,
                 )
                 estimates["en_snr_sprt"] = named(sprt.mean_sample_number() * snr, truncated=sprt.truncated_count())
                 estimates["pe_sprt"] = named(sprt.error_probability())
-            if _sequential_measure(sc) == "are":
+            if sc.get("experiment", "measure") == "are":
                 pe_hat = min(max(study.error_probability("node"), 1e-6), 0.49)
                 model, nonlin, detector, _, max_n = _sequential_design(sc, topology.M, pe_hat, r, shared_m0)
                 matched = montecarlo.estimate_stopping(
-                    model, nonlin, topology, v, detector, trials, seed + 2,
-                    max_n=max_n, threads=setting.threads,
+                    model, nonlin, topology, v, detector, trials, seed + 2, max_n=max_n, threads=threads,
                 )
                 en_matched = matched.mean_sample_number()
                 estimates["en_matched_centralized"] = named(en_matched, truncated=matched.truncated_count())
@@ -364,44 +298,26 @@ def _sequential_points(sc: ScenarioFile, setting: Setting) -> list[tuple]:
     return points
 
 
-def _sequential_measure(sc: ScenarioFile) -> str:
-    measure = str(sc.get("experiment", "measure", "asn"))
-    if measure not in ("asn", "error", "are", "trajectory"):
-        raise ScenarioError(f"unknown sequential measure {measure!r}")
-    return measure
-
-
-def _p_e_values(sc: ScenarioFile) -> list:
-    return sc.get("detector", "p_e_list") or [float(sc.require("detector", "p_e"))]
-
-
-def _snr_db_values(sc: ScenarioFile) -> list:
-    return sc.get("experiment", "snr_db_list") or [-20.0]
-
-
 def run_sequential(sc: ScenarioFile, args) -> None:
-    setting = _setting(sc)
-    if _sequential_measure(sc) == "trajectory":
+    if sc.get("experiment", "measure") == "trajectory":
         if args.dump_trajectory:
             raise ScenarioError("--dump-trajectory does not apply to measure 'trajectory'")
-        _sequential_trajectory(sc, args, setting)
+        _sequential_trajectory(sc, args)
         return
-    _write_long(sc, args, ["p_e", "snr_db", "snr"], _sequential_points(sc, setting))
+    _write_long(sc, args, ["p_e", "snr_db", "snr"], _sequential_points(sc))
     if args.dump_trajectory:
-        dump_trajectory(
-            sc, setting, resolve_output(args.dump_trajectory, None),
-            200, WeightMode.ACCUMULATING, True,
-        )
+        dump_trajectory(sc, resolve_output(args.dump_trajectory, None), 200, WeightMode.ACCUMULATING, True)
 
 
-def _sequential_trajectory(sc: ScenarioFile, args, setting: Setting) -> None:
+def _sequential_trajectory(sc: ScenarioFile, args) -> None:
     """Single-trial centered statistic paths for every node and the oracle."""
-    M = setting.topology.M
-    p_e, snr_db = float(_p_e_values(sc)[0]), float(_snr_db_values(sc)[0])
-    r = 1.0 / (10.0 ** (snr_db / 10.0) * model_from_scenario(sc).null.var)
+    topology = scn.topology_from_scenario(sc)
+    M = topology.M
+    p_e = (sc.get("detector", "p_e_list") or [sc.get("detector", "p_e")])[0]
+    r = 1.0 / (10.0 ** (sc.get("experiment", "snr_db_list")[0] / 10.0) * model_from_scenario(sc).null.var)
     model, nonlin, detector, _, _ = _sequential_design(sc, M, p_e, r)
     paths = montecarlo.consensus_paths(
-        montecarlo.chunk_rng(setting.seed, 0), setting.topology, setting.v, 1, 100_000,
+        montecarlo.chunk_rng(sc.get("montecarlo", "seed"), 0), topology, sc.get("topology", "v"), 1, 100_000,
         lambda rng, shape: nonlin(model.alt.sample(rng, shape)), WeightMode.ACCUMULATING, True,
     )
     rows = []
@@ -418,8 +334,7 @@ def _sequential_trajectory(sc: ScenarioFile, args, setting: Setting) -> None:
         rows.append([slot, central, *nodes.tolist()])
         if len(crossed) == M + 1:
             break
-    out = resolve_output(str(sc.require("output", "path")), args.out)
-    write_csv(out, ["n", "centralized", *[f"node_{j}" for j in range(M)]], rows)
+    write_csv(_output(sc, args), ["n", "centralized", *[f"node_{j}" for j in range(M)]], rows)
     times = [crossed.get(j) for j in range(M)]
     print(f"crossing slots: centralized={crossed.get('centralized')}, nodes={times}, "
           f"upper={detector.b_r:.6g}, lower={detector.a_r:.6g}")
@@ -428,26 +343,20 @@ def _sequential_trajectory(sc: ScenarioFile, args, setting: Setting) -> None:
 def _change_quantities(sc: ScenarioFile):
     """The change model, its two divergences and the LLR variance after the change.
 
-    The null and the alternative must differ: a location family carries no
-    theta here, so its two laws coincide, as two equal variances do.  The
-    CUSUM statistic is the LLR; a given model.nonlinearity must say so.
+    The null and the alternative must differ: two equal variances leave no
+    change to detect.
     """
-    family, nonlinearity = sc.get("model", "family"), sc.get("model", "nonlinearity", "llr")
-    if family != "variance_change":
-        raise ScenarioError(f"model.family must be 'variance_change' for {sc.kind} experiments, got {family!r}")
-    if nonlinearity != "llr":
-        raise ScenarioError(f"model.nonlinearity must be 'llr' for {sc.kind} experiments, got {nonlinearity!r}")
     model = model_from_scenario(sc)
     if model.null == model.alt:
         raise ScenarioError(f"model.variance1 must differ from model.variance0 for {sc.kind} experiments")
-    llr = stats.llr_nonlinearity(model)
+    llr = nonlinearity_from_scenario(sc, model)
     d01 = stats.kl_divergence(model.null, model.alt)
     d10 = stats.kl_divergence(model.alt, model.null)
     var1 = stats.moments(model, llr, model.theta).sigma2
     return model, d01, d10, var1
 
 
-def _change_points(sc: ScenarioFile, setting: Setting):
+def _change_points(sc: ScenarioFile):
     """Theory for every family and threshold, and named estimates of the simulated ones.
 
     Returns the operating points (family-major, in analysis.CUSUM_FAMILIES
@@ -455,20 +364,12 @@ def _change_points(sc: ScenarioFile, setting: Setting):
     order, ((family, gamma), named estimates, [(decision, stops, max_n)]).
     experiment.measure "rate" simulates false alarms under the null law
     (false_alarm_rate, mean_run_length_null), "delay" detection delays under
-    the alternative (mean_delay), "both" (the default) both.  Horizons are
-    100 predicted mean run lengths, from the family's own accurate rate or
-    delay.
+    the alternative (mean_delay), "both" both.  Horizons are 100 predicted
+    mean run lengths, from the family's own accurate rate or delay.
     """
-    M = setting.topology.M
-    measure = str(sc.get("experiment", "measure", "both"))
-    gamma_offset = float(sc.get("detector", "gamma_offset", 0.0))
-    gamma_list = _required_list(sc, "gamma_list", "change")
-    families = [str(f) for f in (sc.get("experiment", "families") or ["centralized"])]
-    for family in families:
-        if family not in analysis.CUSUM_FAMILIES:
-            raise ScenarioError(f"unknown change-detection family {family!r}")
-    if measure not in ("rate", "delay", "both"):
-        raise ScenarioError(f"unknown change measure {measure!r}")
+    topology = scn.topology_from_scenario(sc)
+    M, measure, seed = topology.M, sc.get("experiment", "measure"), sc.get("montecarlo", "seed")
+    gamma_list = sc.get("experiment", "gamma_list")
     model, d01, d10, var1 = _change_quantities(sc)
     theory = [
         analysis.operating_point(family, gamma, M, d01, d10, var1)
@@ -476,7 +377,7 @@ def _change_points(sc: ScenarioFile, setting: Setting):
         for gamma in gamma_list
     ]
     operating = {(p.family, p.gamma): p for p in theory}
-    simulated = [operating[family, gamma] for family in families for gamma in gamma_list]
+    simulated = [operating[family, gamma] for family in sc.get("experiment", "families") for gamma in gamma_list]
     plan = []
     if measure in ("rate", "both"):
         for p in simulated:
@@ -484,9 +385,9 @@ def _change_points(sc: ScenarioFile, setting: Setting):
                 raise ScenarioError(
                     f"experiment.gamma_list entry {p.gamma:g} predicts a {p.family} false-alarm rate of "
                     f"{p.rate_accurate:g}, too small for a false-alarm run")
-        plan.append(("false_alarm", "null", setting.seed))
+        plan.append(("false_alarm", "null", seed))
     if measure in ("delay", "both"):
-        plan.append(("detection", "alt", setting.seed + 1))
+        plan.append(("detection", "alt", seed + 1))
     points = []
     for p in simulated:
         estimates, runs = {}, []
@@ -494,9 +395,9 @@ def _change_points(sc: ScenarioFile, setting: Setting):
             horizon = 100.0 / p.rate_accurate if under == "null" else 100.0 * max(p.delay_accurate, 10.0)
             max_n = int(math.ceil(horizon))
             stops = montecarlo.page_run_lengths(
-                model, p.family, p.gamma + gamma_offset, M, setting.trials, run_seed,
-                under=under, max_n=max_n, topology=setting.topology, v=setting.v, node=setting.node,
-                threads=setting.threads,
+                model, p.family, p.gamma + sc.get("detector", "gamma_offset"), M, sc.get("montecarlo", "trials"),
+                run_seed, under=under, max_n=max_n, topology=topology, v=sc.get("topology", "v"),
+                node=sc.get("detector", "node"), threads=sc.get("montecarlo", "threads"),
             )
             est = montecarlo.Estimate.from_run_lengths(stops)
             if under == "null":
@@ -511,10 +412,9 @@ def _change_points(sc: ScenarioFile, setting: Setting):
 
 
 def run_change(sc: ScenarioFile, args) -> None:
-    theory, points = _change_points(sc, _setting(sc))
-    out = resolve_output(str(sc.require("output", "path")), args.out)
+    theory, points = _change_points(sc)
     write_csv(
-        with_suffix(out, "theory"),
+        with_suffix(_output(sc, args), "theory"),
         ["family", "gamma", "R_accurate", "R_largegamma", "D_accurate", "D_largegamma"],
         [[p.family, p.gamma, p.rate_accurate, p.rate_large_gamma, p.delay_accurate, p.delay_large_gamma]
          for p in theory],
@@ -532,22 +432,20 @@ def run_change(sc: ScenarioFile, args) -> None:
 
 
 def run_efficiency(sc: ScenarioFile, args) -> None:
-    topology = scn.topology_from_scenario(sc)
-    rate_list = _required_list(sc, "rate_list", "efficiency")
-    m_list = sc.get("experiment", "m_list")
+    rate_list, m_list = sc.get("experiment", "rate_list"), sc.get("experiment", "m_list")
     _, d01, d10, var1 = _change_quantities(sc)
     if max(rate_list) >= d01:
         raise ScenarioError(
             f"experiment.rate_list entries must be below delta01 = {d01:.6g}, got {max(rate_list):g}")
     header = ["M", "R", "eta_cr", "eta_sr", "eta_br", "eta_bs"]
     rows = [
-        [int(M), p.R, p.eta_cr, p.eta_sr, p.eta_br, p.eta_bs]
-        for M in (m_list or [topology.M])
-        for p in analysis.relative_efficiencies_large_gamma(rate_list, int(M), d01, d10, var1)
+        [M, p.R, p.eta_cr, p.eta_sr, p.eta_br, p.eta_bs]
+        for M in (m_list or [sc.get("topology", "m")])
+        for p in analysis.relative_efficiencies_large_gamma(rate_list, M, d01, d10, var1)
     ]
     if not m_list:  # the scenario's own network: no M column
         header, rows = header[1:], [row[1:] for row in rows]
-    write_csv(resolve_output(str(sc.require("output", "path")), args.out), header, rows)
+    write_csv(_output(sc, args), header, rows)
 
 
 RUNNERS = {
@@ -570,19 +468,17 @@ def figure_fss(sc: ScenarioFile, args) -> None:
     columns = ["p_f_node", "p_f_node_se", "p_d_node", "p_d_node_se", "p_d_centralized", "p_d_centralized_se"]
     rows = [
         [*keys, *(_wide_cell(estimates, column) for column in columns), p_d_limit]
-        for keys, estimates, p_d_limit in _fss_points(sc, _setting(sc))
+        for keys, estimates, p_d_limit in _fss_points(sc)
     ]
-    out = resolve_output(str(sc.require("output", "path")), args.out)
-    write_csv(out, ["v", "n", "threshold", *columns, "p_d_limit"], rows)
+    write_csv(_output(sc, args), ["v", "n", "threshold", *columns, "p_d_limit"], rows)
 
 
 def figure_sequential(sc: ScenarioFile, args) -> None:
     """Wide scaled-sample-number / error-probability table per grid point."""
-    setting = _setting(sc)
-    if _sequential_measure(sc) == "trajectory":
-        _sequential_trajectory(sc, args, setting)
+    if sc.get("experiment", "measure") == "trajectory":
+        _sequential_trajectory(sc, args)
         return
-    points = _sequential_points(sc, setting)
+    points = _sequential_points(sc)
     columns = ["en_snr_centralized", "en_snr_centralized_se", "en_snr_node", "en_snr_node_se", "en_snr_asymptote",
                "pe_centralized", "pe_node", "n_truncated_centralized", "n_truncated_node"]
     if "pe_sprt" in points[0][1]:
@@ -590,14 +486,12 @@ def figure_sequential(sc: ScenarioFile, args) -> None:
     if "are_node" in points[0][1]:
         columns += ["en_node", "en_matched_centralized", "are_node"]
     rows = [[*keys, *(_wide_cell(estimates, column) for column in columns)] for keys, estimates in points]
-    out = resolve_output(str(sc.require("output", "path")), args.out)
-    write_csv(out, ["p_e", "snr_db", "snr", *columns], rows)
+    write_csv(_output(sc, args), ["p_e", "snr_db", "snr", *columns], rows)
 
 
 def figure_change(sc: ScenarioFile, args) -> None:
     """Operating-characteristic table: theory plus simulated (R, D) points."""
-    setting = _setting(sc)
-    theory, points = _change_points(sc, setting)
+    theory, points = _change_points(sc)
     simulated = {keys: estimates for keys, estimates, _ in points}
     rows = []
     for p in theory:
@@ -610,10 +504,9 @@ def figure_change(sc: ScenarioFile, args) -> None:
             est = estimates.get(name)
             row += [None, None] if est is None else [est.value, est.std_err]
         # truncations of the false-alarm run if there is one, else of the delay run
-        rows.append([*row, setting.trials, next(iter(estimates.values())).truncated_count])
-    out = resolve_output(str(sc.require("output", "path")), args.out)
+        rows.append([*row, sc.get("montecarlo", "trials"), next(iter(estimates.values())).truncated_count])
     write_csv(
-        out,
+        _output(sc, args),
         ["family", "gamma", "R_accurate", "R_largegamma", "D_accurate", "D_largegamma",
          "R_sim", "R_sim_se", "D_sim", "D_sim_se", "n_trials", "n_truncated"],
         rows,
@@ -656,9 +549,8 @@ def run_reproduce(tag: str, args) -> None:
             f"unknown experiment tag {tag!r}; known tags: {', '.join(sorted(REPRODUCE_TAGS))}"
         )
     scenarios = [load_bundled_scenario(name) for name in REPRODUCE_TAGS[tag]]
-    for sc in scenarios:  # every scenario of the tag is resolved before the first one writes
+    for sc in scenarios:  # every scenario of the tag is checked before the first one writes
         _apply_overrides(sc, args)
-        _setting(sc)
     for sc in scenarios:
         FIGURE_RUNNERS[sc.kind](sc, args)
 
@@ -668,15 +560,19 @@ def run_reproduce(tag: str, args) -> None:
 # ---------------------------------------------------------------------------
 
 def _apply_overrides(sc: ScenarioFile, args) -> None:
-    """Every --set in turn, then --seed, --trials and --threads, which win."""
+    """Every --set, then --seed, --trials and --threads, which win, then one check of the whole spec.
+
+    The three flags are accepted on every kind and ignored where it runs no Monte Carlo.
+    """
+    items = []
     for item in args.set or []:
         if "=" not in item:
             raise ScenarioError(f"--set expects section.key=value, got '{item}'")
         dotted, _, value = item.partition("=")
-        scn.apply_override(sc, dotted.strip(), value.strip())
-    for key in ("seed", "trials", "threads"):
-        if getattr(args, key) is not None:
-            scn.apply_override(sc, f"montecarlo.{key}", str(getattr(args, key)))
+        items.append((dotted.strip(), value.strip()))
+    items += [(f"montecarlo.{key}", str(getattr(args, key))) for key in ("seed", "trials", "threads")
+              if getattr(args, key) is not None and sc.kind in scn.SCHEMA["montecarlo"][key].reads]
+    scn.apply_overrides(sc, items)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -719,11 +615,9 @@ def main(argv=None) -> int:
             run_reproduce(args.tag, args)
         else:
             sc = scn.load(args.scenario)
-            if sc.kind != args.command:
-                raise ScenarioError(
-                    f"scenario kind '{sc.kind}' does not match subcommand '{args.command}'"
-                )
             _apply_overrides(sc, args)
+            if sc.kind != args.command:
+                raise ScenarioError(f"scenario kind '{sc.kind}' does not match subcommand '{args.command}'")
             RUNNERS[args.command](sc, args)
     except (ScenarioError, TopologyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

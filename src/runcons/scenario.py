@@ -1,8 +1,18 @@
-"""Flat, line-oriented scenario files: `[section]` headers plus `key = value`.
+"""Scenario files, and the one table of what each experiment kind reads.
 
-The format is deliberately primitive: every value is a scalar or a
-comma-separated list, explicit edge lists appear as bare `i j` lines inside
-the topology section, and unknown keys are rejected with line numbers.
+A scenario file is flat text: `[section]` headers, `key = value` lines whose
+values are scalars or comma-separated lists, and bare `i j` edge lines inside
+`[topology]`.  `SCHEMA` holds one `Key` row per section and key: its type,
+the experiment kinds that read it with each kind's default, the rule its
+values obey (a range or the allowed names) and, in `[model]`, the families
+that read it.  Everything else reads a scenario through `ScenarioFile.get`,
+which returns the given value or the kind's default.
+
+Checks run in two passes.  `parse` checks the file's own keys, with line
+numbers: syntax, type, that the kind (and in `[model]` the family) reads the
+key, and the key's rule.  `apply_overrides` sets the `--set` values and then
+`validate` checks the whole spec once: the same per-key checks, the required
+keys, `detector.node` against the network, and the topology's construction.
 Serialization is canonical, so parse -> serialize -> parse is the identity on
 normalized content.
 """
@@ -11,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .analysis import CUSUM_FAMILIES
 from .network import NetworkTopology, build_topology
 
 
@@ -19,87 +30,124 @@ class ScenarioError(ValueError):
 
 
 EXPERIMENT_KINDS = ("spectral", "bounds", "fss", "sequential", "change", "efficiency")
+_SIMULATING = ("bounds", "fss", "sequential", "change")  # the kinds that run Monte Carlo
+_DETECTING = ("fss", "sequential", "change")
+_LOCATION = ("bounds", "fss", "sequential")  # the kinds that accept a location family
+_MODELLED = (*_LOCATION, "change", "efficiency")
 
-# key -> type tag; list types hold homogeneous comma-separated values
-SCHEMA: dict[str, dict[str, str]] = {
-    "experiment": {
-        "kind": "str",
-        "label": "str",
-        "n_max": "int",
-        "n_list": "int_list",
-        "v_list": "int_list",
-        "gamma_scale": "float",
-        "include_new_sample": "bool",
-        "snr_db_list": "float_list",
-        "gamma_list": "float_list",
-        "families": "str_list",
-        "measure": "str",
-        "rate_list": "float_list",
-        "m_list": "int_list",
-        "max_n_factor": "float",
-        "include_sprt_baseline": "bool",
-    },
-    "topology": {
-        "kind": "str",
-        "m": "int",
-        "k": "int",
-        "v": "int",
-        "allow_disconnected": "bool",
-    },
-    "model": {
-        "family": "str",
-        "variance": "float",
-        "weight": "float",
-        "variance1": "float",
-        "variance2": "float",
-        "variance0": "float",
-        "theta0": "float",
-        "nonlinearity": "str",
-    },
-    "detector": {
-        "kind": "str",
-        "p_f": "float",
-        "p_e": "float",
-        "p_e_list": "float_list",
-        "gamma_offset": "float",
-        "node": "int",
-    },
-    "montecarlo": {
-        "trials": "int",
-        "seed": "int",
-        "threads": "int",
-    },
-    "output": {
-        "path": "str",
-    },
-}
 
-# range rules, checked after parse and after every override
+@dataclass(frozen=True)
+class Required:
+    """The default of a key the kind must be given, unless the `unless` key of its section is."""
+
+    unless: str | None = None
+
+
+REQUIRED = Required()
+
+
+@dataclass(frozen=True)
+class Key:
+    """One row of the table.
+
+    `reads` maps each kind that reads the key to its default there: a value,
+    REQUIRED, or None where an absent key means "not given" (the runner then
+    falls back on another key).  `rule` is a (predicate, wording) pair that
+    every value, and every item of a list, must pass; a {kind: pair} dict
+    where the kinds differ.  `families` limits a [model] key to the model
+    families that read it.
+    """
+
+    type: str
+    reads: dict[str, object]
+    rule: tuple | dict | None = None
+    families: tuple[str, ...] | None = None
+
+
+def _one_of(*names: str) -> tuple:
+    return (lambda x: x in names, f"must be one of {', '.join(names)}")
+
+
 _COUNT = (lambda x: x >= 1, "must be >= 1")
+_PAIR = (lambda x: x >= 2, "must be >= 2")  # bounds: 1 - rho compares two nodes, a covariance two trials
+_NON_NEGATIVE = (lambda x: x >= 0, "must be >= 0")
 _POSITIVE = (lambda x: x > 0.0, "must be positive")
 _PROBABILITY = (lambda x: 0.0 < x < 1.0, "must be in (0, 1)")
-RANGES = {
-    **dict.fromkeys(("experiment.n_max", "experiment.n_list", "experiment.v_list", "experiment.m_list",
-                     "topology.v", "montecarlo.trials", "montecarlo.threads"), _COUNT),
-    **dict.fromkeys(("experiment.gamma_list", "experiment.rate_list", "model.variance", "model.variance0",
-                     "model.variance1", "model.variance2"), _POSITIVE),
-    **dict.fromkeys(("model.weight", "detector.p_f"), _PROBABILITY),
-    **dict.fromkeys(("detector.p_e", "detector.p_e_list"), (lambda x: 0.0 < x < 0.5, "must be in (0, 0.5)")),
-    "montecarlo.seed": (lambda x: x >= 0, "must be >= 0"),
-}
+_ERROR_PROBABILITY = (lambda x: 0.0 < x < 0.5, "must be in (0, 0.5)")
+_LOCATION_FAMILIES = _one_of("gaussian", "gaussian_mixture")
+_CHANGE_FAMILIES = _one_of("variance_change")
+_STATISTICS = _one_of("identity", "score", "llr")
+_LLR = _one_of("llr")  # the statistic the CUSUM reads
 
-DETECTOR_KINDS = {"fss": "fss", "sequential": "sequential", "change": "page"}  # a given detector.kind must match
+
+SCHEMA: dict[str, dict[str, Key]] = {
+    "experiment": {
+        "kind": Key("str", dict.fromkeys(EXPERIMENT_KINDS, REQUIRED)),  # checked first: every other row depends on it
+        "label": Key("str", {kind: kind for kind in _DETECTING}),  # the long table's scenario column
+        "n_max": Key("int", {"bounds": 200, "fss": 100}, _COUNT),
+        "n_list": Key("int_list", {"fss": None}, _COUNT),  # absent: [n_max]
+        "v_list": Key("int_list", {"fss": None}, _COUNT),  # absent: [topology.v]
+        "gamma_scale": Key("float", {"fss": 1.0}),
+        "include_new_sample": Key("bool", {"bounds": False}),
+        "snr_db_list": Key("float_list", {"sequential": (-20.0,)}),
+        "gamma_list": Key("float_list", {"change": REQUIRED}, _POSITIVE),
+        "families": Key("str_list", {"change": ("centralized",)},
+                        (lambda x: x in CUSUM_FAMILIES, f"must each name a CUSUM family: {', '.join(CUSUM_FAMILIES)}")),
+        "measure": Key("str", {"sequential": "asn", "change": "both"},
+                       {"sequential": _one_of("asn", "error", "are", "trajectory"),
+                        "change": _one_of("rate", "delay", "both")}),
+        "rate_list": Key("float_list", {"efficiency": REQUIRED}, _POSITIVE),
+        "m_list": Key("int_list", {"efficiency": None}, _COUNT),  # absent: the scenario's own network
+        "max_n_factor": Key("float", {"sequential": 100.0}),
+        "include_sprt_baseline": Key("bool", {"sequential": False}),
+    },
+    "topology": {
+        "kind": Key("str", dict.fromkeys(EXPERIMENT_KINDS, REQUIRED)),  # its names: network.build_topology
+        "m": Key("int", dict.fromkeys(EXPERIMENT_KINDS, REQUIRED),
+                 {**dict.fromkeys(EXPERIMENT_KINDS, _COUNT), "bounds": _PAIR}),
+        "k": Key("int", dict.fromkeys(EXPERIMENT_KINDS, None)),
+        "v": Key("int", dict.fromkeys(_SIMULATING, 1), _COUNT),
+        "allow_disconnected": Key("bool", dict.fromkeys(EXPERIMENT_KINDS, False)),
+    },
+    "model": {
+        "family": Key("str", dict.fromkeys(_MODELLED, REQUIRED), {
+            "bounds": _one_of("gaussian", "gaussian_mixture", "variance_change"),
+            "fss": _LOCATION_FAMILIES, "sequential": _LOCATION_FAMILIES,
+            "change": _CHANGE_FAMILIES, "efficiency": _CHANGE_FAMILIES,
+        }),
+        "variance": Key("float", dict.fromkeys(_LOCATION, REQUIRED), _POSITIVE, ("gaussian",)),
+        "weight": Key("float", dict.fromkeys(_LOCATION, REQUIRED), _PROBABILITY, ("gaussian_mixture",)),
+        "variance1": Key("float", dict.fromkeys(_MODELLED, REQUIRED), _POSITIVE,
+                         ("gaussian_mixture", "variance_change")),
+        "variance2": Key("float", dict.fromkeys(_LOCATION, REQUIRED), _POSITIVE, ("gaussian_mixture",)),
+        "variance0": Key("float", dict.fromkeys(("bounds", "change", "efficiency"), REQUIRED), _POSITIVE,
+                         ("variance_change",)),
+        "theta0": Key("float", dict.fromkeys(_LOCATION, 0.0), None, ("gaussian", "gaussian_mixture")),
+        # bounds reads none: its covariance engine samples the raw null law
+        "nonlinearity": Key("str", {"fss": "identity", "sequential": "identity", "change": "llr", "efficiency": "llr"},
+                            {"fss": _STATISTICS, "sequential": _STATISTICS, "change": _LLR, "efficiency": _LLR}),
+    },
+    "detector": {
+        "kind": Key("str", {"fss": "fss", "sequential": "sequential", "change": "page"},
+                    {"fss": _one_of("fss"), "sequential": _one_of("sequential"), "change": _one_of("page")}),
+        "p_f": Key("float", {"fss": REQUIRED}, _PROBABILITY),
+        "p_e": Key("float", {"sequential": Required(unless="p_e_list")}, _ERROR_PROBABILITY),
+        "p_e_list": Key("float_list", {"sequential": None}, _ERROR_PROBABILITY),  # absent: [p_e]
+        "gamma_offset": Key("float", {"change": 0.0}),
+        "node": Key("int", dict.fromkeys(_DETECTING, 0), _NON_NEGATIVE),  # and below topology.m: validate
+    },
+    "montecarlo": {
+        "trials": Key("int", dict.fromkeys(_SIMULATING, 10000),
+                      {**dict.fromkeys(_SIMULATING, _COUNT), "bounds": _PAIR}),
+        "seed": Key("int", dict.fromkeys(_SIMULATING, 0), _NON_NEGATIVE),
+        "threads": Key("int", dict.fromkeys(_SIMULATING, 1), _COUNT),
+    },
+    "output": {
+        "path": Key("str", dict.fromkeys(EXPERIMENT_KINDS, REQUIRED)),
+    },
+}
 
 SECTION_ORDER = ("experiment", "topology", "model", "detector", "montecarlo", "output")
-
-REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
-    "spectral": ("experiment", "topology", "output"),
-    "bounds": ("experiment", "topology", "model", "montecarlo", "output"),
-    "fss": ("experiment", "topology", "model", "detector", "montecarlo", "output"),
-    "sequential": ("experiment", "topology", "model", "detector", "montecarlo", "output"),
-    "change": ("experiment", "topology", "model", "detector", "montecarlo", "output"),
-    "efficiency": ("experiment", "topology", "model", "output"),
-}
 
 
 @dataclass
@@ -111,14 +159,12 @@ class ScenarioFile:
     def kind(self) -> str:
         return str(self.sections["experiment"]["kind"])
 
-    def get(self, section: str, key: str, default=None):
-        return self.sections.get(section, {}).get(key, default)
-
-    def require(self, section: str, key: str):
-        try:
-            return self.sections[section][key]
-        except KeyError:
-            raise ScenarioError(f"missing required key '{key}' in section [{section}]") from None
+    def get(self, section: str, key: str):
+        """The given value (an empty list counts as absent), else the kind's default; None if it has none."""
+        value = self.sections.get(section, {}).get(key)
+        if value is None or value == []:
+            value = SCHEMA[section][key].reads.get(self.kind)
+        return None if isinstance(value, Required) else value
 
 
 def _parse_value(raw: str, type_tag: str, line_no: int):
@@ -148,6 +194,7 @@ def _parse_value(raw: str, type_tag: str, line_no: int):
 
 def parse(text: str) -> ScenarioFile:
     scenario = ScenarioFile()
+    lines: dict[str, int] = {}  # section.key -> its line, for the checks' messages
     current: str | None = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -171,7 +218,8 @@ def parse(text: str) -> ScenarioFile:
                 raise ScenarioError(f"line {line_no}: unknown key '{key}' in section [{current}]")
             if key in scenario.sections[current]:
                 raise ScenarioError(f"line {line_no}: duplicate key '{key}' in section [{current}]")
-            scenario.sections[current][key] = _parse_value(value, SCHEMA[current][key], line_no)
+            scenario.sections[current][key] = _parse_value(value, SCHEMA[current][key].type, line_no)
+            lines[f"{current}.{key}"] = line_no
             continue
         if current == "topology":
             parts = line.split()
@@ -182,29 +230,54 @@ def parse(text: str) -> ScenarioFile:
                 except ValueError:
                     pass
         raise ScenarioError(f"line {line_no}: cannot parse '{raw_line.strip()}'")
-    validate(scenario)
+    _check_given(scenario, lines)
     return scenario
 
 
-def validate(scenario: ScenarioFile) -> None:
-    if "experiment" not in scenario.sections:
-        raise ScenarioError("missing required section [experiment]")
-    kind = scenario.sections["experiment"].get("kind")
+def _check_given(scenario: ScenarioFile, lines: dict[str, int]) -> None:
+    """Every given key is read by the kind (in [model], by the family too) and passes its rule."""
+    kind = scenario.sections.get("experiment", {}).get("kind")
     if kind not in EXPERIMENT_KINDS:
-        raise ScenarioError(f"experiment kind must be one of {EXPERIMENT_KINDS}, got {kind!r}")
-    for section in REQUIRED_SECTIONS[kind]:
-        if section not in scenario.sections:
-            raise ScenarioError(f"missing required section [{section}] for kind '{kind}'")
+        raise ScenarioError(f"experiment.kind must be one of {', '.join(EXPERIMENT_KINDS)}, got {kind!r}")
+    family = scenario.sections.get("model", {}).get("family")
+    for section, rows in SCHEMA.items():
+        given = scenario.sections.get(section, {})
+        for key, row in rows.items():
+            if key not in given:
+                continue
+            dotted = f"{section}.{key}"
+            where = f"line {lines[dotted]}: " if dotted in lines else ""
+            if kind not in row.reads:
+                raise ScenarioError(f"{where}{dotted} is not read by {kind} experiments")
+            if family is not None and row.families is not None and family not in row.families:
+                raise ScenarioError(f"{where}{dotted} is not read by model.family {family!r}")
+            rule = row.rule.get(kind) if isinstance(row.rule, dict) else row.rule
+            if rule is None:
+                continue
+            value = given[key]
+            for item in value if isinstance(value, list) else [value]:
+                if not rule[0](item):
+                    shown = repr(item) if isinstance(item, str) else format(item, "g")
+                    raise ScenarioError(f"{where}{dotted} {rule[1]}, got {shown}")
     if scenario.edges and scenario.sections.get("topology", {}).get("kind") != "explicit_edges":
         raise ScenarioError("edge lines are only valid for topology kind 'explicit_edges'")
-    wanted, given = DETECTOR_KINDS.get(kind), scenario.get("detector", "kind")
-    if given not in (None, wanted):
-        raise ScenarioError(f"detector.kind must be {wanted!r} for {kind} experiments, got {given!r}")
-    for dotted, (ok, wording) in RANGES.items():
-        value = scenario.get(*dotted.split("."))
-        for item in value if isinstance(value, list) else [] if value is None else [value]:
-            if not ok(item):
-                raise ScenarioError(f"{dotted} {wording}, got {item:g}")
+
+
+def validate(scenario: ScenarioFile) -> None:
+    """The whole spec: the given keys, the required ones, the network and the node on it."""
+    _check_given(scenario, {})
+    family = scenario.get("model", "family")
+    for section, rows in SCHEMA.items():
+        for key, row in rows.items():
+            need = row.reads.get(scenario.kind)
+            if (isinstance(need, Required) and scenario.get(section, key) is None
+                    and (row.families is None or family in row.families)
+                    and (need.unless is None or scenario.get(section, need.unless) is None)):
+                raise ScenarioError(f"missing required key '{key}' in section [{section}]")
+    M = topology_from_scenario(scenario).M
+    node = scenario.get("detector", "node")
+    if node is not None and node >= M:
+        raise ScenarioError(f"detector.node must be in 0..{M - 1}, got {node}")
 
 
 def _format_value(value, type_tag: str) -> str:
@@ -223,9 +296,9 @@ def serialize(scenario: ScenarioFile) -> str:
         if section not in scenario.sections:
             continue
         lines.append(f"[{section}]")
-        for key, type_tag in SCHEMA[section].items():
+        for key, row in SCHEMA[section].items():
             if key in scenario.sections[section]:
-                lines.append(f"{key} = {_format_value(scenario.sections[section][key], type_tag)}")
+                lines.append(f"{key} = {_format_value(scenario.sections[section][key], row.type)}")
         if section == "topology":
             for i, j in scenario.edges:
                 lines.append(f"{i} {j}")
@@ -239,30 +312,37 @@ def load(path) -> ScenarioFile:
 
 
 def apply_override(scenario: ScenarioFile, dotted_key: str, value: str) -> None:
-    """Apply a `section.key=value` override with schema-checked parsing."""
-    if "." not in dotted_key:
-        raise ScenarioError(f"override key must be section.key, got '{dotted_key}'")
+    """Set one `section.key` from its text, parsed by the key's type; `validate` checks the result."""
     section, _, key = dotted_key.partition(".")
     if section not in SCHEMA or key not in SCHEMA[section]:
         raise ScenarioError(f"unknown override target '{dotted_key}'")
-    scenario.sections.setdefault(section, {})[key] = _parse_value(value, SCHEMA[section][key], 0)
+    scenario.sections.setdefault(section, {})[key] = _parse_value(value, SCHEMA[section][key].type, 0)
+
+
+def apply_overrides(scenario: ScenarioFile, items: list[tuple[str, str]]) -> None:
+    """Set every (section.key, text) in turn, then validate the whole spec once.
+
+    An overridden model.family drops the file's [model] keys that the new
+    family does not read, so a family switch and its parameters may come in
+    any order.
+    """
+    targets = {dotted for dotted, _ in items}
+    for dotted, value in items:
+        apply_override(scenario, dotted, value)
+    if "model.family" in targets:
+        model = scenario.sections["model"]
+        for key in [key for key in model if f"model.{key}" not in targets]:
+            families = SCHEMA["model"][key].families
+            if families is not None and model["family"] not in families:
+                del model[key]
     validate(scenario)
 
 
 def topology_from_scenario(scenario: ScenarioFile) -> NetworkTopology:
-    section = scenario.sections.get("topology")
-    if section is None:
-        raise ScenarioError("missing required section [topology]")
-    kind = section.get("kind")
-    if kind is None:
-        raise ScenarioError("missing required key 'kind' in section [topology]")
-    M = section.get("m")
-    if M is None:
-        raise ScenarioError("missing required key 'm' in section [topology]")
     return build_topology(
-        kind,
-        int(M),
-        k=section.get("k"),
+        scenario.get("topology", "kind"),
+        scenario.get("topology", "m"),
+        k=scenario.get("topology", "k"),
         edges=scenario.edges or None,
-        allow_disconnected=bool(section.get("allow_disconnected", False)),
+        allow_disconnected=scenario.get("topology", "allow_disconnected"),
     )

@@ -8,11 +8,14 @@ import pytest
 from runcons import cli
 from runcons.consensus import ConsensusRun, WeightMode
 from runcons.montecarlo import chunk_rng
-from runcons.scenario import ScenarioError, apply_override, load, parse, serialize, topology_from_scenario
+from runcons.scenario import (
+    ScenarioError, apply_override, apply_overrides, load, parse, serialize, topology_from_scenario, validate,
+)
 
 from dense_oracle import gossip_matrix
 
 SCENARIOS = Path(cli.__file__).with_name("scenarios")
+BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "bench" / "scenarios"
 
 MINIMAL_SPECTRAL = """\
 [experiment]
@@ -70,7 +73,7 @@ def test_parse_and_accessors():
     sc = parse(MINIMAL_SPECTRAL)
     assert sc.kind == "spectral"
     assert sc.get("topology", "m") == 15
-    assert sc.require("output", "path") == "spectral.csv"
+    assert sc.get("output", "path") == "spectral.csv"
 
 
 def test_parse_rejects_unknown_section_and_key():
@@ -150,6 +153,17 @@ def test_apply_override_parses_types():
     assert sc.get("experiment", "gamma_list") == [1.0, 2.0]
     with pytest.raises(ScenarioError):
         apply_override(sc, "montecarlo.bogus", "1")
+
+
+def test_required_keys_are_checked_once_the_overrides_are_in():
+    # a sequential run needs detector.p_e unless detector.p_e_list is given; an absent key reads its default
+    text = (SCENARIOS / "fig_stopping.scn").read_text().replace("p_e = 0.05\n", "")
+    with pytest.raises(ScenarioError, match="missing required key 'p_e' in section \\[detector\\]"):
+        validate(parse(text))
+    sc = parse(text)
+    apply_overrides(sc, [("detector.p_e_list", "0.1,0.2")])
+    assert sc.get("detector", "p_e_list") == [0.1, 0.2] and sc.get("detector", "p_e") is None
+    assert sc.get("experiment", "max_n_factor") == 100.0 and sc.get("experiment", "include_sprt_baseline") is False
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +270,6 @@ v = 1
 family = gaussian
 variance = 1
 theta0 = 0
-nonlinearity = identity
 
 [montecarlo]
 trials = 100
@@ -437,6 +450,7 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
         "detector-kind-not-the-runners", "threads-below-1", "unknown-topology-kind", "negative-seed",
         "second-scenario-of-tag", "false-alarm-rate-underflows", "one-node-bounds",
         "change-on-location-family", "equal-variances", "change-nonlinearity"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # e.g. an overflowing exp on the way to the message
 def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, capsys):
     for command, message in runs:
         if command[0] != "reproduce":
@@ -446,6 +460,94 @@ def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, caps
         assert code == 2, command
         assert message in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+def _exits_2_naming(command, message, out, monkeypatch, capsys) -> None:
+    if command[0] != "reproduce":
+        command = [command[0], str(SCENARIOS / command[1]), *command[2:]]
+    code = run_cli(command, out, monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 2, command
+    assert message in err and "Traceback" not in err, err
+    assert list(out.iterdir()) == []
+
+
+# per case: a scenario (None: MINIMAL_SPECTRAL), a key that its kind, or in [model] its family, does not
+# read, a value of the key's type, and who does not read it
+UNREAD = {
+    "spectral": (None, "topology", "v", "1", "spectral experiments"),
+    "bounds": ("fig_bound1_complete.scn", "model", "nonlinearity", "identity", "bounds experiments"),
+    "fss": ("fig_fss3.scn", "experiment", "max_n_factor", "3", "fss experiments"),
+    "sequential": ("fig_nmed_gauss.scn", "experiment", "gamma_scale", "2", "sequential experiments"),
+    "change": ("fig_sim1.scn", "model", "theta0", "3", "change experiments"),
+    "efficiency": ("fig_re1.scn", "montecarlo", "trials", "5", "efficiency experiments"),
+    "sequential-family": ("fig_nmed_gauss.scn", "model", "weight", "0.3", "model.family 'gaussian'"),
+    "bounds-family": ("fig_bound1_complete.scn", "model", "variance0", "1", "model.family 'gaussian'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD))
+def test_keys_that_are_not_read_exit_2_before_any_output(case, tmp_path, monkeypatch, capsys):
+    name, section, key, value, reader = UNREAD[case]
+    kind = case.split("-")[0]
+    text = MINIMAL_SPECTRAL if name is None else (SCENARIOS / name).read_text()
+    scenario = tmp_path / "in" / "unread.scn"
+    scenario.parent.mkdir()
+    out = tmp_path / "out"
+    out.mkdir()
+    lines = text.splitlines()
+    if f"[{section}]" not in lines:
+        lines += ["", f"[{section}]"]
+    at = lines.index(f"[{section}]") + 1
+    scenario.write_text("\n".join([*lines[:at], f"{key} = {value}", *lines[at:]]) + "\n")
+    # --trials 20: a regression fails fast, and runs that simulate nothing ignore it
+    _exits_2_naming([kind, str(scenario), "--trials", "20"],
+                    f"line {at + 1}: {section}.{key} is not read by {reader}", out, monkeypatch, capsys)
+    scenario.write_text(text)
+    _exits_2_naming([kind, str(scenario), "--trials", "20", "--set", f"{section}.{key}={value}"],
+                    f"{section}.{key} is not read by {reader}", out, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command, message", [
+    # theta0 moves only a location family, max_n_factor only the sequential horizon
+    (["change", "fig_sim1.scn", "--set", "model.theta0=3", "--set", "experiment.max_n_factor=0.001",
+      "--trials", "20"],
+     "is not read by change experiments"),
+    (["bounds", "fig_bound1_complete.scn", "--trials", "1"], "montecarlo.trials must be >= 2"),
+    (["bounds", "fig_bound1_complete.scn", "--set", "montecarlo.trials=1"], "montecarlo.trials must be >= 2"),
+    # the covariance engine samples the raw null law, so bounds reads no statistic, not even for the dump
+    (["bounds", "fig_bound1_complete.scn", "--set", "model.family=variance_change", "--set", "model.variance0=1",
+      "--set", "model.variance1=2", "--set", "model.nonlinearity=score", "--dump-trajectory", "t.csv",
+      "--trials", "20"],
+     "model.nonlinearity is not read by bounds experiments"),
+], ids=["change-unread-pair", "bounds-one-trial", "bounds-one-trial-set", "bounds-statistic"])
+def test_table_rules_exit_2_before_any_output(command, message, tmp_path, monkeypatch, capsys):
+    _exits_2_naming(command, message, tmp_path, monkeypatch, capsys)
+
+
+def test_common_flags_are_ignored_where_no_monte_carlo_runs(tmp_path, monkeypatch):
+    assert run_cli(["reproduce", "fig:RE1", "--seed", "3", "--trials", "5", "--threads", "2"],
+                   tmp_path / "flags", monkeypatch) == 0
+    assert run_cli(["reproduce", "fig:RE1"], tmp_path / "plain", monkeypatch) == 0
+    assert (tmp_path / "flags" / "fig_re1.csv").read_bytes() == (tmp_path / "plain" / "fig_re1.csv").read_bytes()
+
+
+def test_family_switch_by_overrides_works_in_either_order(tmp_path, monkeypatch):
+    switch = ["--set", "model.family=gaussian_mixture", "--set", "model.weight=0.3",
+              "--set", "model.variance1=1", "--set", "model.variance2=25"]
+    base = ["bounds", str(SCENARIOS / "fig_bound1_complete.scn"), "--trials", "20", "--set", "experiment.n_max=5"]
+    assert run_cli([*base, *switch, "--out", "first.csv"], tmp_path, monkeypatch) == 0
+    assert run_cli([*base, *switch[2:], *switch[:2], "--out", "last.csv"], tmp_path, monkeypatch) == 0
+    assert run_cli([*base, "--out", "gaussian.csv"], tmp_path, monkeypatch) == 0
+    first, last = (tmp_path / "first.csv").read_bytes(), (tmp_path / "last.csv").read_bytes()
+    assert first == last != (tmp_path / "gaussian.csv").read_bytes()
+
+
+@pytest.mark.parametrize("path", [*sorted(SCENARIOS.glob("*.scn")), *sorted(BENCH_SCENARIOS.glob("*.scn"))],
+                         ids=lambda path: f"{path.parent.parent.name}/{path.name}")
+def test_bundled_and_benchmark_scenarios_pass_the_whole_check(path):
+    # a key that the table stops reading fails here, not in a benchmark run
+    validate(load(str(path)))
 
 
 @pytest.mark.parametrize("command", [
@@ -517,7 +619,7 @@ def test_wide_cells_are_long_table_fields(command, scenario, extra, keys, exempt
     long: dict[tuple, dict[str, dict]] = {}
     for row in _read_rows(tmp_path / "long.csv"):
         long.setdefault(tuple(row[k] for k in keys), {})[row["statistic"]] = row
-    wide = [row for row in _read_rows(tmp_path / sc.require("output", "path"))
+    wide = [row for row in _read_rows(tmp_path / sc.get("output", "path"))
             if tuple(row[k] for k in keys) in long]  # change: the theory-only families drop out
     assert len(wide) == len(long) > 0
     assert all(set(named) == statistics for named in long.values())
