@@ -196,7 +196,7 @@ def _fss_points(sc: ScenarioFile) -> list[tuple]:
     shared_m0 = _shared_theta0_moments(sc)
     points = []
     for v in sc.get("experiment", "v_list") or [sc.get("topology", "v")]:
-        for n in sc.get("experiment", "n_list") or [sc.get("experiment", "n_max")]:
+        for n in sc.get("experiment", "n_list"):
             model = model_from_scenario(sc, theta=theta0 + gamma_scale / math.sqrt(n))
             nonlin = nonlinearity_from_scenario(sc, model)
             m0 = shared_m0 if shared_m0 is not None else stats.moments(model, nonlin, theta0)
@@ -261,7 +261,7 @@ def _sequential_points(sc: ScenarioFile) -> list[tuple]:
         return montecarlo.Estimate(value, std_err, trials, truncated)
 
     points = []
-    for p_e in sc.get("detector", "p_e_list") or [sc.get("detector", "p_e")]:
+    for p_e in sc.get("detector", "p_e_list"):
         for snr_db in sc.get("experiment", "snr_db_list"):
             snr = 10.0 ** (snr_db / 10.0)
             r = 1.0 / (snr * V)
@@ -313,7 +313,7 @@ def _sequential_trajectory(sc: ScenarioFile, args) -> None:
     """Single-trial centered statistic paths for every node and the oracle."""
     topology = scn.topology_from_scenario(sc)
     M = topology.M
-    p_e = (sc.get("detector", "p_e_list") or [sc.get("detector", "p_e")])[0]
+    p_e = sc.get("detector", "p_e_list")[0]
     r = 1.0 / (10.0 ** (sc.get("experiment", "snr_db_list")[0] / 10.0) * model_from_scenario(sc).null.var)
     model, nonlin, detector, _, _ = _sequential_design(sc, M, p_e, r)
     paths = montecarlo.consensus_paths(
@@ -432,20 +432,17 @@ def run_change(sc: ScenarioFile, args) -> None:
 
 
 def run_efficiency(sc: ScenarioFile, args) -> None:
-    rate_list, m_list = sc.get("experiment", "rate_list"), sc.get("experiment", "m_list")
+    rate_list = sc.get("experiment", "rate_list")
     _, d01, d10, var1 = _change_quantities(sc)
     if max(rate_list) >= d01:
         raise ScenarioError(
             f"experiment.rate_list entries must be below delta01 = {d01:.6g}, got {max(rate_list):g}")
-    header = ["M", "R", "eta_cr", "eta_sr", "eta_br", "eta_bs"]
     rows = [
         [M, p.R, p.eta_cr, p.eta_sr, p.eta_br, p.eta_bs]
-        for M in (m_list or [sc.get("topology", "m")])
+        for M in sc.get("experiment", "m_list")
         for p in analysis.relative_efficiencies_large_gamma(rate_list, M, d01, d10, var1)
     ]
-    if not m_list:  # the scenario's own network: no M column
-        header, rows = header[1:], [row[1:] for row in rows]
-    write_csv(_output(sc, args), header, rows)
+    write_csv(_output(sc, args), ["M", "R", "eta_cr", "eta_sr", "eta_br", "eta_bs"], rows)
 
 
 RUNNERS = {
@@ -548,6 +545,8 @@ def run_reproduce(tag: str, args) -> None:
         raise ScenarioError(
             f"unknown experiment tag {tag!r}; known tags: {', '.join(sorted(REPRODUCE_TAGS))}"
         )
+    if args.out and len(REPRODUCE_TAGS[tag]) > 1:
+        raise ScenarioError(f"--out names one file, but {tag} writes {len(REPRODUCE_TAGS[tag])} tables")
     scenarios = [load_bundled_scenario(name) for name in REPRODUCE_TAGS[tag]]
     for sc in scenarios:  # every scenario of the tag is checked before the first one writes
         _apply_overrides(sc, args)

@@ -108,29 +108,6 @@ def explicit_edges(M: int, edges, allow_disconnected: bool = False) -> NetworkTo
     return NetworkTopology(M, normalized, allow_disconnected=allow_disconnected)
 
 
-def build_topology(
-    kind: str,
-    M: int,
-    *,
-    k: int | None = None,
-    edges=None,
-    allow_disconnected: bool = False,
-) -> NetworkTopology:
-    """Dispatching constructor used by the CLI scenario loader."""
-    if kind == "full_ring":
-        return full_ring(M)
-    if kind == "k_neighbor_ring":
-        if k is None:
-            raise TopologyError("k_neighbor_ring requires k")
-        return k_neighbor_ring(M, k)
-    if kind != "explicit_edges":
-        raise TopologyError(
-            f"topology.kind must be one of full_ring, k_neighbor_ring, explicit_edges, got {kind!r}")
-    if edges is None:
-        raise TopologyError("explicit_edges requires an edge list")
-    return explicit_edges(M, edges, allow_disconnected=allow_disconnected)
-
-
 @dataclass(frozen=True)
 class SpectralSummary:
     """Eigen-summary of the expected squared gossip matrix E[W W^T]."""

@@ -4,12 +4,13 @@ A scenario file is flat text: `[section]` headers, `key = value` lines whose
 values are scalars or comma-separated lists, and bare `i j` edge lines inside
 `[topology]`.  `SCHEMA` holds one `Key` row per section and key: its type,
 the experiment kinds that read it with each kind's default, the rule its
-values obey (a range or the allowed names) and, in `[model]`, the families
-that read it.  Everything else reads a scenario through `ScenarioFile.get`,
-which returns the given value or the kind's default.
+values obey (a range or the allowed names) and, in a section with a selector
+(`model.family`, `topology.kind`), the selector's values that read it.
+Everything else reads a scenario through `ScenarioFile.get`, which returns
+the given value or the kind's default.
 
 Checks run in two passes.  `parse` checks the file's own keys, with line
-numbers: syntax, type, that the kind (and in `[model]` the family) reads the
+numbers: syntax, type, that the kind (and the section's selector) reads the
 key, and the key's rule.  `apply_overrides` sets the `--set` values and then
 `validate` checks the whole spec once: the same per-key checks, the required
 keys, `detector.node` against the network, and the topology's construction.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analysis import CUSUM_FAMILIES
-from .network import NetworkTopology, build_topology
+from .network import NetworkTopology, TopologyError, explicit_edges, full_ring, k_neighbor_ring
 
 
 class ScenarioError(ValueError):
@@ -31,19 +32,14 @@ class ScenarioError(ValueError):
 
 EXPERIMENT_KINDS = ("spectral", "bounds", "fss", "sequential", "change", "efficiency")
 _SIMULATING = ("bounds", "fss", "sequential", "change")  # the kinds that run Monte Carlo
+_NETWORKED = ("spectral", *_SIMULATING)  # the kinds that read [topology]
 _DETECTING = ("fss", "sequential", "change")
 _LOCATION = ("bounds", "fss", "sequential")  # the kinds that accept a location family
 _MODELLED = (*_LOCATION, "change", "efficiency")
 
 
-@dataclass(frozen=True)
-class Required:
-    """The default of a key the kind must be given, unless the `unless` key of its section is."""
-
-    unless: str | None = None
-
-
-REQUIRED = Required()
+REQUIRED = object()  # the default of a key the kind must be given
+SELECTORS = {"model": "family", "topology": "kind"}  # the key of a section whose value picks its other keys
 
 
 @dataclass(frozen=True)
@@ -51,17 +47,17 @@ class Key:
     """One row of the table.
 
     `reads` maps each kind that reads the key to its default there: a value,
-    REQUIRED, or None where an absent key means "not given" (the runner then
-    falls back on another key).  `rule` is a (predicate, wording) pair that
-    every value, and every item of a list, must pass; a {kind: pair} dict
-    where the kinds differ.  `families` limits a [model] key to the model
-    families that read it.
+    REQUIRED, or None where an absent key means "not given" (fss then runs
+    `experiment.v_list` at `topology.v` alone).  `rule` is a (predicate,
+    wording) pair that every value, and every item of a list, must pass; a
+    {kind: pair} dict where the kinds differ.  `only` limits a key to the
+    values of its section's selector that read it.
     """
 
     type: str
     reads: dict[str, object]
     rule: tuple | dict | None = None
-    families: tuple[str, ...] | None = None
+    only: tuple[str, ...] | None = None
 
 
 def _one_of(*names: str) -> tuple:
@@ -78,14 +74,15 @@ _LOCATION_FAMILIES = _one_of("gaussian", "gaussian_mixture")
 _CHANGE_FAMILIES = _one_of("variance_change")
 _STATISTICS = _one_of("identity", "score", "llr")
 _LLR = _one_of("llr")  # the statistic the CUSUM reads
+_TOPOLOGY_KINDS = _one_of("full_ring", "k_neighbor_ring", "explicit_edges")
 
 
 SCHEMA: dict[str, dict[str, Key]] = {
     "experiment": {
         "kind": Key("str", dict.fromkeys(EXPERIMENT_KINDS, REQUIRED)),  # checked first: every other row depends on it
         "label": Key("str", {kind: kind for kind in _DETECTING}),  # the long table's scenario column
-        "n_max": Key("int", {"bounds": 200, "fss": 100}, _COUNT),
-        "n_list": Key("int_list", {"fss": None}, _COUNT),  # absent: [n_max]
+        "n_max": Key("int", {"bounds": 200}, _COUNT),
+        "n_list": Key("int_list", {"fss": (100,)}, _COUNT),
         "v_list": Key("int_list", {"fss": None}, _COUNT),  # absent: [topology.v]
         "gamma_scale": Key("float", {"fss": 1.0}),
         "include_new_sample": Key("bool", {"bounds": False}),
@@ -97,17 +94,18 @@ SCHEMA: dict[str, dict[str, Key]] = {
                        {"sequential": _one_of("asn", "error", "are", "trajectory"),
                         "change": _one_of("rate", "delay", "both")}),
         "rate_list": Key("float_list", {"efficiency": REQUIRED}, _POSITIVE),
-        "m_list": Key("int_list", {"efficiency": None}, _COUNT),  # absent: the scenario's own network
+        "m_list": Key("int_list", {"efficiency": REQUIRED}, _COUNT),
         "max_n_factor": Key("float", {"sequential": 100.0}),
         "include_sprt_baseline": Key("bool", {"sequential": False}),
     },
     "topology": {
-        "kind": Key("str", dict.fromkeys(EXPERIMENT_KINDS, REQUIRED)),  # its names: network.build_topology
-        "m": Key("int", dict.fromkeys(EXPERIMENT_KINDS, REQUIRED),
-                 {**dict.fromkeys(EXPERIMENT_KINDS, _COUNT), "bounds": _PAIR}),
-        "k": Key("int", dict.fromkeys(EXPERIMENT_KINDS, None)),
+        "kind": Key("str", dict.fromkeys(_NETWORKED, REQUIRED), _TOPOLOGY_KINDS),
+        "m": Key("int", dict.fromkeys(_NETWORKED, REQUIRED),
+                 {**dict.fromkeys(_NETWORKED, _COUNT), "bounds": _PAIR}),
+        # k's range (even, 2 <= k < m) is checked by network.k_neighbor_ring
+        "k": Key("int", dict.fromkeys(_NETWORKED, REQUIRED), None, ("k_neighbor_ring",)),
         "v": Key("int", dict.fromkeys(_SIMULATING, 1), _COUNT),
-        "allow_disconnected": Key("bool", dict.fromkeys(EXPERIMENT_KINDS, False)),
+        "allow_disconnected": Key("bool", dict.fromkeys(_NETWORKED, False), None, ("explicit_edges",)),
     },
     "model": {
         "family": Key("str", dict.fromkeys(_MODELLED, REQUIRED), {
@@ -131,8 +129,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "kind": Key("str", {"fss": "fss", "sequential": "sequential", "change": "page"},
                     {"fss": _one_of("fss"), "sequential": _one_of("sequential"), "change": _one_of("page")}),
         "p_f": Key("float", {"fss": REQUIRED}, _PROBABILITY),
-        "p_e": Key("float", {"sequential": Required(unless="p_e_list")}, _ERROR_PROBABILITY),
-        "p_e_list": Key("float_list", {"sequential": None}, _ERROR_PROBABILITY),  # absent: [p_e]
+        "p_e_list": Key("float_list", {"sequential": REQUIRED}, _ERROR_PROBABILITY),
         "gamma_offset": Key("float", {"change": 0.0}),
         "node": Key("int", dict.fromkeys(_DETECTING, 0), _NON_NEGATIVE),  # and below topology.m: validate
     },
@@ -164,10 +161,10 @@ class ScenarioFile:
         value = self.sections.get(section, {}).get(key)
         if value is None or value == []:
             value = SCHEMA[section][key].reads.get(self.kind)
-        return None if isinstance(value, Required) else value
+        return None if value is REQUIRED else value
 
 
-def _parse_value(raw: str, type_tag: str, line_no: int):
+def _parse_value(raw: str, type_tag: str, where: str):
     raw = raw.strip()
     try:
         if type_tag == "int":
@@ -189,7 +186,7 @@ def _parse_value(raw: str, type_tag: str, line_no: int):
             return [float(item) for item in items]
         return items  # str_list
     except ValueError:
-        raise ScenarioError(f"line {line_no}: cannot parse '{raw}' as {type_tag}") from None
+        raise ScenarioError(f"{where}: cannot parse '{raw}' as {type_tag}") from None
 
 
 def parse(text: str) -> ScenarioFile:
@@ -218,7 +215,7 @@ def parse(text: str) -> ScenarioFile:
                 raise ScenarioError(f"line {line_no}: unknown key '{key}' in section [{current}]")
             if key in scenario.sections[current]:
                 raise ScenarioError(f"line {line_no}: duplicate key '{key}' in section [{current}]")
-            scenario.sections[current][key] = _parse_value(value, SCHEMA[current][key].type, line_no)
+            scenario.sections[current][key] = _parse_value(value, SCHEMA[current][key].type, f"line {line_no}")
             lines[f"{current}.{key}"] = line_no
             continue
         if current == "topology":
@@ -235,13 +232,13 @@ def parse(text: str) -> ScenarioFile:
 
 
 def _check_given(scenario: ScenarioFile, lines: dict[str, int]) -> None:
-    """Every given key is read by the kind (in [model], by the family too) and passes its rule."""
+    """Every given key is read by the kind and the section's selector, and passes its rule."""
     kind = scenario.sections.get("experiment", {}).get("kind")
     if kind not in EXPERIMENT_KINDS:
         raise ScenarioError(f"experiment.kind must be one of {', '.join(EXPERIMENT_KINDS)}, got {kind!r}")
-    family = scenario.sections.get("model", {}).get("family")
     for section, rows in SCHEMA.items():
         given = scenario.sections.get(section, {})
+        selected = given.get(SELECTORS.get(section))
         for key, row in rows.items():
             if key not in given:
                 continue
@@ -249,8 +246,8 @@ def _check_given(scenario: ScenarioFile, lines: dict[str, int]) -> None:
             where = f"line {lines[dotted]}: " if dotted in lines else ""
             if kind not in row.reads:
                 raise ScenarioError(f"{where}{dotted} is not read by {kind} experiments")
-            if family is not None and row.families is not None and family not in row.families:
-                raise ScenarioError(f"{where}{dotted} is not read by model.family {family!r}")
+            if selected is not None and row.only is not None and selected not in row.only:
+                raise ScenarioError(f"{where}{dotted} is not read by {section}.{SELECTORS[section]} {selected!r}")
             rule = row.rule.get(kind) if isinstance(row.rule, dict) else row.rule
             if rule is None:
                 continue
@@ -266,14 +263,14 @@ def _check_given(scenario: ScenarioFile, lines: dict[str, int]) -> None:
 def validate(scenario: ScenarioFile) -> None:
     """The whole spec: the given keys, the required ones, the network and the node on it."""
     _check_given(scenario, {})
-    family = scenario.get("model", "family")
     for section, rows in SCHEMA.items():
+        selected = scenario.sections.get(section, {}).get(SELECTORS.get(section))
         for key, row in rows.items():
-            need = row.reads.get(scenario.kind)
-            if (isinstance(need, Required) and scenario.get(section, key) is None
-                    and (row.families is None or family in row.families)
-                    and (need.unless is None or scenario.get(section, need.unless) is None)):
+            if (row.reads.get(scenario.kind) is REQUIRED and scenario.get(section, key) is None
+                    and (row.only is None or selected in row.only)):
                 raise ScenarioError(f"missing required key '{key}' in section [{section}]")
+    if scenario.kind not in _NETWORKED:
+        return
     M = topology_from_scenario(scenario).M
     node = scenario.get("detector", "node")
     if node is not None and node >= M:
@@ -316,33 +313,37 @@ def apply_override(scenario: ScenarioFile, dotted_key: str, value: str) -> None:
     section, _, key = dotted_key.partition(".")
     if section not in SCHEMA or key not in SCHEMA[section]:
         raise ScenarioError(f"unknown override target '{dotted_key}'")
-    scenario.sections.setdefault(section, {})[key] = _parse_value(value, SCHEMA[section][key].type, 0)
+    parsed = _parse_value(value, SCHEMA[section][key].type, f"--set {dotted_key}")
+    scenario.sections.setdefault(section, {})[key] = parsed
 
 
 def apply_overrides(scenario: ScenarioFile, items: list[tuple[str, str]]) -> None:
     """Set every (section.key, text) in turn, then validate the whole spec once.
 
-    An overridden model.family drops the file's [model] keys that the new
-    family does not read, so a family switch and its parameters may come in
-    any order.
+    An overridden selector (model.family, topology.kind) drops the file's keys
+    of its section that the new value does not read, so a switch and its
+    parameters may come in any order.
     """
     targets = {dotted for dotted, _ in items}
     for dotted, value in items:
         apply_override(scenario, dotted, value)
-    if "model.family" in targets:
-        model = scenario.sections["model"]
-        for key in [key for key in model if f"model.{key}" not in targets]:
-            families = SCHEMA["model"][key].families
-            if families is not None and model["family"] not in families:
-                del model[key]
+    for section, selector in SELECTORS.items():
+        if f"{section}.{selector}" in targets:
+            given = scenario.sections[section]
+            for key in [key for key in given if f"{section}.{key}" not in targets]:
+                only = SCHEMA[section][key].only
+                if only is not None and given[selector] not in only:
+                    del given[key]
     validate(scenario)
 
 
 def topology_from_scenario(scenario: ScenarioFile) -> NetworkTopology:
-    return build_topology(
-        scenario.get("topology", "kind"),
-        scenario.get("topology", "m"),
-        k=scenario.get("topology", "k"),
-        edges=scenario.edges or None,
-        allow_disconnected=scenario.get("topology", "allow_disconnected"),
-    )
+    """The network that topology.kind names, from the keys that kind reads."""
+    kind, M = scenario.get("topology", "kind"), scenario.get("topology", "m")
+    if kind == "full_ring":
+        return full_ring(M)
+    if kind == "k_neighbor_ring":
+        return k_neighbor_ring(M, scenario.get("topology", "k"))
+    if not scenario.edges:
+        raise TopologyError("explicit_edges requires an edge list")
+    return explicit_edges(M, scenario.edges, scenario.get("topology", "allow_disconnected"))

@@ -1,21 +1,26 @@
 import csv
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from runcons import cli
 from runcons.consensus import ConsensusRun, WeightMode
 from runcons.montecarlo import chunk_rng
+from runcons.network import TopologyError
 from runcons.scenario import (
-    ScenarioError, apply_override, apply_overrides, load, parse, serialize, topology_from_scenario, validate,
+    SCHEMA, SELECTORS, ScenarioError, apply_override, apply_overrides, load, parse, serialize,
+    topology_from_scenario, validate,
 )
 
 from dense_oracle import gossip_matrix
 
 SCENARIOS = Path(cli.__file__).with_name("scenarios")
 BENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "bench" / "scenarios"
+CHECKED_SCENARIOS = [*sorted(SCENARIOS.glob("*.scn")), *sorted(BENCH_SCENARIOS.glob("*.scn"))]
 
 MINIMAL_SPECTRAL = """\
 [experiment]
@@ -27,6 +32,20 @@ m = 15
 
 [output]
 path = spectral.csv
+"""
+
+MINIMAL_EDGES = """\
+[experiment]
+kind = spectral
+
+[topology]
+kind = explicit_edges
+m = 3
+0 1
+1 2
+
+[output]
+path = o.csv
 """
 
 MINIMAL_CHANGE = """\
@@ -103,20 +122,7 @@ def test_parse_duplicate_key_rejected():
 
 
 def test_explicit_edges_block():
-    text = """\
-[experiment]
-kind = spectral
-
-[topology]
-kind = explicit_edges
-m = 3
-0 1
-1 2
-
-[output]
-path = o.csv
-"""
-    sc = parse(text)
+    sc = parse(MINIMAL_EDGES)
     assert sc.edges == [(0, 1), (1, 2)]
     from runcons.scenario import topology_from_scenario
 
@@ -156,14 +162,69 @@ def test_apply_override_parses_types():
 
 
 def test_required_keys_are_checked_once_the_overrides_are_in():
-    # a sequential run needs detector.p_e unless detector.p_e_list is given; an absent key reads its default
-    text = (SCENARIOS / "fig_stopping.scn").read_text().replace("p_e = 0.05\n", "")
-    with pytest.raises(ScenarioError, match="missing required key 'p_e' in section \\[detector\\]"):
+    # a sequential run needs detector.p_e_list; an absent key reads its default
+    text = (SCENARIOS / "fig_stopping.scn").read_text().replace("p_e_list = 0.05\n", "")
+    with pytest.raises(ScenarioError, match="missing required key 'p_e_list' in section \\[detector\\]"):
         validate(parse(text))
     sc = parse(text)
     apply_overrides(sc, [("detector.p_e_list", "0.1,0.2")])
-    assert sc.get("detector", "p_e_list") == [0.1, 0.2] and sc.get("detector", "p_e") is None
+    assert sc.get("detector", "p_e_list") == [0.1, 0.2]
     assert sc.get("experiment", "max_n_factor") == 100.0 and sc.get("experiment", "include_sprt_baseline") is False
+
+
+_NAMES = ("spectral", "bounds", "fss", "sequential", "change", "efficiency", "full_ring", "k_neighbor_ring",
+          "explicit_edges", "gaussian", "gaussian_mixture", "variance_change", "identity", "score", "llr", "page",
+          "asn", "error", "are", "trajectory", "rate", "delay", "both", "centralized", "running", "bank", "single",
+          "nonsense")
+_ITEMS = {
+    "int": st.integers(-1, 12).map(str),
+    "float": st.one_of(st.floats(0.0, 1.0), st.floats()).map(repr),
+    "bool": st.sampled_from(["true", "no", "1"]),
+    "str": st.sampled_from(_NAMES),
+}
+
+
+def _override_text(type_tag: str):
+    """A value of the key's type, in its range or out of it, or text that does not parse as that type."""
+    item = _ITEMS[type_tag.removesuffix("_list")]
+    typed = st.lists(item, max_size=3).map(",".join) if type_tag.endswith("_list") else item
+    unparsable = st.sampled_from(["abc", "1.5.2", "1,,x"])
+    return st.integers(0, 3).flatmap(lambda draw: typed if draw else unparsable)  # one in four does not parse
+
+
+_KEYS = [(section, key) for section, rows in SCHEMA.items() for key in rows]
+
+
+def _override(target: tuple[str, str]):
+    section, key = target
+    return st.tuples(st.just(f"{section}.{key}"), _override_text(SCHEMA[section][key].type))
+
+
+@settings(max_examples=500, deadline=None)
+@given(path=st.sampled_from(CHECKED_SCENARIOS), data=st.data())
+def test_overrides_pass_the_table_or_raise_a_scenario_error(path, data):
+    # the check path alone, no experiment: any other exception would reach the command line as a traceback
+    sc = load(str(path))
+    given_keys = st.sampled_from([(section, key) for section, keys in sc.sections.items() for key in keys])
+    items = data.draw(st.lists(st.one_of(given_keys, st.sampled_from(_KEYS)).flatmap(_override), min_size=1,
+                               max_size=4))
+    try:
+        apply_overrides(sc, items)
+    except (ScenarioError, TopologyError):
+        return
+    for section, keys in sc.sections.items():
+        selected = keys.get(SELECTORS.get(section))
+        for key in keys:
+            row = SCHEMA[section][key]
+            assert sc.kind in row.reads and (row.only is None or selected in row.only), (section, key)
+
+
+def test_readme_key_table_names_exactly_the_schema_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | read by: default | rule |", 1)[1].split("\n\n", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    named = [name for row in rows for name in re.findall(r"`(\w+\.\w+)`", row.split("|")[1])]
+    assert sorted(named) == sorted(".".join(target) for target in _KEYS)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +491,7 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
       "topology.kind must be one of full_ring, k_neighbor_ring, explicit_edges")],
     [(["reproduce", "fig:bound1", "--seed", "-1"], "montecarlo.seed")],
     # the tag's second scenario rejects the override, so the first must not be written either
-    [(["reproduce", "fig:bound2", "--set", "topology.k=3"], "k must be even"),
+    [(["reproduce", "fig:bound2", "--set", "topology.m=4"], "k must satisfy"),
      (["reproduce", "fig:bound1", "--set", "topology.m=4"], "k must satisfy")],
     # exp(gamma) overflows, so the predicted false-alarm rate is 0 and no horizon exists
     [(["reproduce", "fig:sim2", "--set", "experiment.gamma_list=1e6"], "experiment.gamma_list")],
@@ -445,11 +506,16 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
      (["reproduce", "fig:RE1", "--set", "model.variance1=1"], "model.variance1")],
     [(["change", "fig_sim1.scn", "--set", "model.nonlinearity=score"], "model.nonlinearity"),
      (["efficiency", "fig_re1.scn", "--set", "model.nonlinearity=identity"], "model.nonlinearity")],
+    [(["bounds", "fig_bound1_complete.scn", "--set", "montecarlo.trials=abc"],
+      "error: --set montecarlo.trials: cannot parse 'abc' as int")],
+    # one --out file cannot hold a tag's two tables
+    [(["reproduce", "fig:bound1", "--set", "experiment.n_max=3", "--out", "x.csv"], "--out")],
 ], ids=["p_e-above-half", "rate-above-d01", "v-below-1", "no-location-family", "p_f-outside-unit",
         "model-parameters", "counts-below-1", "unknown-sequential-measure", "unread-p_d",
         "detector-kind-not-the-runners", "threads-below-1", "unknown-topology-kind", "negative-seed",
         "second-scenario-of-tag", "false-alarm-rate-underflows", "one-node-bounds",
-        "change-on-location-family", "equal-variances", "change-nonlinearity"])
+        "change-on-location-family", "equal-variances", "change-nonlinearity", "unparsable-set-value",
+        "one-out-for-two-tables"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # e.g. an overflowing exp on the way to the message
 def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, capsys):
     for command, message in runs:
@@ -472,10 +538,10 @@ def _exits_2_naming(command, message, out, monkeypatch, capsys) -> None:
     assert list(out.iterdir()) == []
 
 
-# per case: a scenario (None: MINIMAL_SPECTRAL), a key that its kind, or in [model] its family, does not
-# read, a value of the key's type, and who does not read it
+# per case: a bundled scenario or a scenario's text, a key that its kind or its section's selector does
+# not read, a value of the key's type, and who does not read it (None: a key the table no longer has)
 UNREAD = {
-    "spectral": (None, "topology", "v", "1", "spectral experiments"),
+    "spectral": (MINIMAL_SPECTRAL, "topology", "v", "1", "spectral experiments"),
     "bounds": ("fig_bound1_complete.scn", "model", "nonlinearity", "identity", "bounds experiments"),
     "fss": ("fig_fss3.scn", "experiment", "max_n_factor", "3", "fss experiments"),
     "sequential": ("fig_nmed_gauss.scn", "experiment", "gamma_scale", "2", "sequential experiments"),
@@ -483,6 +549,13 @@ UNREAD = {
     "efficiency": ("fig_re1.scn", "montecarlo", "trials", "5", "efficiency experiments"),
     "sequential-family": ("fig_nmed_gauss.scn", "model", "weight", "0.3", "model.family 'gaussian'"),
     "bounds-family": ("fig_bound1_complete.scn", "model", "variance0", "1", "model.family 'gaussian'"),
+    "bounds-k-full-ring": ("fig_bound1_complete.scn", "topology", "k", "4", "topology.kind 'full_ring'"),
+    "spectral-k-explicit-edges": (MINIMAL_EDGES, "topology", "k", "2", "topology.kind 'explicit_edges'"),
+    "bounds-allow-disconnected-k-ring": ("fig_bound1_kneighbor.scn", "topology", "allow_disconnected", "true",
+                                         "topology.kind 'k_neighbor_ring'"),
+    "fss-n_max": ("fig_fss3.scn", "experiment", "n_max", "50", "fss experiments"),
+    "efficiency-m": ("fig_re1.scn", "topology", "m", "3", "efficiency experiments"),
+    "sequential-p_e": ("fig_nmed_gauss.scn", "detector", "p_e", "0.3", None),
 }
 
 
@@ -490,7 +563,10 @@ UNREAD = {
 def test_keys_that_are_not_read_exit_2_before_any_output(case, tmp_path, monkeypatch, capsys):
     name, section, key, value, reader = UNREAD[case]
     kind = case.split("-")[0]
-    text = MINIMAL_SPECTRAL if name is None else (SCENARIOS / name).read_text()
+    text = (SCENARIOS / name).read_text() if name.endswith(".scn") else name
+    unread = f"{section}.{key} is not read by {reader}"
+    in_file, in_set = (unread, unread) if reader else (
+        f"unknown key '{key}' in section [{section}]", f"unknown override target '{section}.{key}'")
     scenario = tmp_path / "in" / "unread.scn"
     scenario.parent.mkdir()
     out = tmp_path / "out"
@@ -502,10 +578,10 @@ def test_keys_that_are_not_read_exit_2_before_any_output(case, tmp_path, monkeyp
     scenario.write_text("\n".join([*lines[:at], f"{key} = {value}", *lines[at:]]) + "\n")
     # --trials 20: a regression fails fast, and runs that simulate nothing ignore it
     _exits_2_naming([kind, str(scenario), "--trials", "20"],
-                    f"line {at + 1}: {section}.{key} is not read by {reader}", out, monkeypatch, capsys)
+                    f"line {at + 1}: {in_file}", out, monkeypatch, capsys)
     scenario.write_text(text)
     _exits_2_naming([kind, str(scenario), "--trials", "20", "--set", f"{section}.{key}={value}"],
-                    f"{section}.{key} is not read by {reader}", out, monkeypatch, capsys)
+                    in_set, out, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("command, message", [
@@ -520,7 +596,10 @@ def test_keys_that_are_not_read_exit_2_before_any_output(case, tmp_path, monkeyp
       "--set", "model.variance1=2", "--set", "model.nonlinearity=score", "--dump-trajectory", "t.csv",
       "--trials", "20"],
      "model.nonlinearity is not read by bounds experiments"),
-], ids=["change-unread-pair", "bounds-one-trial", "bounds-one-trial-set", "bounds-statistic"])
+    # a kind switch cannot make efficiency read a network
+    (["reproduce", "fig:RE1", "--set", "topology.m=3", "--set", "topology.kind=full_ring"],
+     "topology.kind is not read by efficiency experiments"),
+], ids=["change-unread-pair", "bounds-one-trial", "bounds-one-trial-set", "bounds-statistic", "efficiency-network"])
 def test_table_rules_exit_2_before_any_output(command, message, tmp_path, monkeypatch, capsys):
     _exits_2_naming(command, message, tmp_path, monkeypatch, capsys)
 
@@ -543,7 +622,25 @@ def test_family_switch_by_overrides_works_in_either_order(tmp_path, monkeypatch)
     assert first == last != (tmp_path / "gaussian.csv").read_bytes()
 
 
-@pytest.mark.parametrize("path", [*sorted(SCENARIOS.glob("*.scn")), *sorted(BENCH_SCENARIOS.glob("*.scn"))],
+def test_topology_switch_by_overrides_works_in_either_order(tmp_path, monkeypatch):
+    # a switched topology.kind drops the file's keys that the new kind does not read, here k
+    common = ["--trials", "20", "--seed", "5", "--set", "experiment.n_max=5"]
+    ring = ["--set", "topology.kind=k_neighbor_ring", "--set", "topology.k=4"]
+    runs = {
+        "complete.csv": ["fig_bound1_complete.scn"],
+        "to-complete.csv": ["fig_bound1_kneighbor.scn", "--set", "topology.kind=full_ring"],
+        "ring.csv": ["fig_bound1_kneighbor.scn"],
+        "to-ring.csv": ["fig_bound1_complete.scn", *ring],
+        "to-ring-k-first.csv": ["fig_bound1_complete.scn", *ring[2:], *ring[:2]],
+    }
+    for out, (name, *extra) in runs.items():
+        assert run_cli(["bounds", str(SCENARIOS / name), *common, *extra, "--out", out], tmp_path, monkeypatch) == 0
+    read = {out: (tmp_path / out).read_bytes() for out in runs}
+    assert read["complete.csv"] == read["to-complete.csv"] != read["ring.csv"]
+    assert read["ring.csv"] == read["to-ring.csv"] == read["to-ring-k-first.csv"]
+
+
+@pytest.mark.parametrize("path", CHECKED_SCENARIOS,
                          ids=lambda path: f"{path.parent.parent.name}/{path.name}")
 def test_bundled_and_benchmark_scenarios_pass_the_whole_check(path):
     # a key that the table stops reading fails here, not in a benchmark run
@@ -704,7 +801,7 @@ def test_sequential_trajectory_matches_dense_recursion(tmp_path, monkeypatch):
     dump = np.loadtxt(tmp_path / "fig_stopping.csv", delimiter=",", skiprows=1)
     snr_db = float(sc.get("experiment", "snr_db_list")[0])
     r = 1.0 / (10.0 ** (snr_db / 10.0) * cli.model_from_scenario(sc).null.var)
-    model, nonlin, detector, _, _ = cli._sequential_design(sc, M, float(sc.get("detector", "p_e")), r)
+    model, nonlin, detector, _, _ = cli._sequential_design(sc, M, sc.get("detector", "p_e_list")[0], r)
     states, central = _dense_replay(sc, len(dump), model.alt, nonlin, 0, WeightMode.ACCUMULATING, True)
     shift = np.arange(1, len(dump) + 1) * M * detector.eta_r
     _assert_close(dump[:, 1], central - shift)

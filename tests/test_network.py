@@ -7,7 +7,6 @@ from runcons.montecarlo import _gossip_batch, _pair_draws
 from runcons.network import (
     NetworkTopology,
     TopologyError,
-    build_topology,
     effective_eigenvalues,
     expected_gossip_matrix,
     explicit_edges,
@@ -69,7 +68,7 @@ def test_topology_validation_errors():
     with pytest.raises(TopologyError):
         k_neighbor_ring(4, 4)  # k >= M
     with pytest.raises(TopologyError):
-        build_topology("full_ring", 0)
+        full_ring(0)
 
 
 def test_is_connected_small_cases():
