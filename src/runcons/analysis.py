@@ -104,7 +104,7 @@ def theorem_bounds(
 
 def fss_asymptotic_pd(p_f: float, gamma_scale: float, d: float) -> float:
     """Limiting detection probability Q(Q^{-1}(p_f) - gamma d)."""
-    return float(q_function(q_inverse(p_f) - gamma_scale * d))
+    return q_function(q_inverse(p_f) - gamma_scale * d)
 
 
 def sequential_asymptotics(p_f: float, p_d: float, d: float) -> tuple[float, float]:

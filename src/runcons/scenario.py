@@ -20,6 +20,7 @@ normalized content.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .analysis import CUSUM_FAMILIES
@@ -50,7 +51,8 @@ class Key:
     REQUIRED, or None where an absent key means "not given" (fss then runs
     `experiment.v_list` at `topology.v` alone).  `rule` is a (predicate,
     wording) pair that every value, and every item of a list, must pass; a
-    {kind: pair} dict where the kinds differ.  `only` limits a key to the
+    {kind: pair} dict where the kinds differ.  Every float, and every item of
+    a float list, must also be finite.  `only` limits a key to the
     values of its section's selector that read it.
     """
 
@@ -64,6 +66,7 @@ def _one_of(*names: str) -> tuple:
     return (lambda x: x in names, f"must be one of {', '.join(names)}")
 
 
+_FINITE = (math.isfinite, "must be finite")
 _COUNT = (lambda x: x >= 1, "must be >= 1")
 _PAIR = (lambda x: x >= 2, "must be >= 2")  # bounds: 1 - rho compares two nodes, a covariance two trials
 _NON_NEGATIVE = (lambda x: x >= 0, "must be >= 0")
@@ -95,7 +98,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
                         "change": _one_of("rate", "delay", "both")}),
         "rate_list": Key("float_list", {"efficiency": REQUIRED}, _POSITIVE),
         "m_list": Key("int_list", {"efficiency": REQUIRED}, _COUNT),
-        "max_n_factor": Key("float", {"sequential": 100.0}),
+        "max_n_factor": Key("float", {"sequential": 100.0}, _POSITIVE),
         "include_sprt_baseline": Key("bool", {"sequential": False}),
     },
     "topology": {
@@ -249,13 +252,15 @@ def _check_given(scenario: ScenarioFile, lines: dict[str, int]) -> None:
             if selected is not None and row.only is not None and selected not in row.only:
                 raise ScenarioError(f"{where}{dotted} is not read by {section}.{SELECTORS[section]} {selected!r}")
             rule = row.rule.get(kind) if isinstance(row.rule, dict) else row.rule
-            if rule is None:
-                continue
+            rules = [_FINITE] if row.type in ("float", "float_list") else []
+            if rule is not None:
+                rules.append(rule)
             value = given[key]
             for item in value if isinstance(value, list) else [value]:
-                if not rule[0](item):
-                    shown = repr(item) if isinstance(item, str) else format(item, "g")
-                    raise ScenarioError(f"{where}{dotted} {rule[1]}, got {shown}")
+                for holds, wording in rules:
+                    if not holds(item):
+                        shown = repr(item) if isinstance(item, str) else format(item, "g")
+                        raise ScenarioError(f"{where}{dotted} {wording}, got {shown}")
     if scenario.edges and scenario.sections.get("topology", {}).get("kind") != "explicit_edges":
         raise ScenarioError("edge lines are only valid for topology kind 'explicit_edges'")
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 QUAD_REL_TOL = 1e-8
 
@@ -28,16 +28,38 @@ class QuadratureError(RuntimeError):
 # Gaussian tail, binary divergence, Wald/inverse-Gaussian law
 # ---------------------------------------------------------------------------
 
-def q_function(x):
+_SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_STANDARD_NORMAL = NormalDist()
+
+
+def q_function(x: float) -> float:
     """Area under the right tail of a standard Gaussian."""
-    return ndtr(-np.asarray(x, dtype=float))
+    return 0.5 * math.erfc(x / _SQRT2)
 
 
 def q_inverse(p: float) -> float:
-    """Inverse of q_function on (0, 1)."""
+    """Inverse of q_function on (0, 1), by Wichura's AS241 (full double precision)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"q_inverse requires p in (0,1), got {p}")
-    return float(-ndtri(p))
+    return -_STANDARD_NORMAL.inv_cdf(p)
+
+
+def _log_q(t: float) -> float:
+    """log Q(t) on the whole line, finite far past where Q(t) underflows.
+
+    Left of 0 through log1p, so log Q(t) near 0 keeps its digits; right of 0
+    through erfc up to t = 35, short of where erfc turns subnormal (t ~ 37.5);
+    beyond, the asymptotic series of Q(t) t sqrt(2 pi) e^{t^2/2}, whose first
+    omitted term is about 3e-17 at t = 35.
+    """
+    if t < 0.0:
+        return math.log1p(-0.5 * math.erfc(-t / _SQRT2))
+    if t <= 35.0:
+        return math.log(0.5 * math.erfc(t / _SQRT2))
+    r = 1.0 / (t * t)
+    series = 1.0 + r * (-1.0 + r * (3.0 + r * (-15.0 + r * (105.0 + r * (-945.0 + r * 10395.0)))))
+    return -0.5 * t * t - math.log(t) - _LOG_SQRT_2PI + math.log(series)
 
 
 def kl_binary(p: float, q: float) -> float:
@@ -57,18 +79,16 @@ def wald_cdf(x: float, z: float) -> float:
     It takes and returns Python floats: its callers are the bank survival
     integrand, which maps it over the abscissae of each :func:`integrate`
     subinterval one point at a time, and a bisection; a 0-d array would cost
-    several times the arithmetic.  The exponentials stay on ``np.exp``, whose
-    SIMD loop need not round like libm's ``math.exp``, so the values are
-    bit-identical to the same expression on arrays.
+    several times the arithmetic.  The first term, Phi((x - 1) sqrt(z/x)),
+    comes straight from erfc, so it keeps its digits where it is tiny instead of
+    cancelling in 1 - Q.
     """
     if not x > 0.0:
         raise ValueError(f"wald_cdf requires x > 0, got {x}")
     if not z > 0.0:
         raise ValueError(f"wald_cdf requires z > 0, got {z}")
     s = math.sqrt(z / x)
-    first = 1.0 - np.exp(log_ndtr(-((x - 1.0) * s)))
-    second = np.exp(2.0 * z + log_ndtr(-((x + 1.0) * s)))
-    return float(first + second)
+    return 0.5 * math.erfc((1.0 - x) * s / _SQRT2) + math.exp(2.0 * z + _log_q((x + 1.0) * s))
 
 
 def wald_cdf_inverse(y: float, z: float) -> float:

@@ -103,7 +103,7 @@ def test_fss_asymptotic_pd_edges():
 
 
 def test_fss_asymptotic_pd_value():
-    expected = float(q_function(q_inverse(0.05) - math.sqrt(10.0)))
+    expected = q_function(q_inverse(0.05) - math.sqrt(10.0))
     assert fss_asymptotic_pd(0.05, 1.0, math.sqrt(10.0)) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.9354, abs=2e-4)
 

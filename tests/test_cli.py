@@ -510,12 +510,20 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
       "error: --set montecarlo.trials: cannot parse 'abc' as int")],
     # one --out file cannot hold a tag's two tables
     [(["reproduce", "fig:bound1", "--set", "experiment.n_max=3", "--out", "x.csv"], "--out")],
+    [(["change", "fig_sim1.scn", "--set", "detector.gamma_offset=nan"], "detector.gamma_offset must be finite"),
+     (["reproduce", "fig:FSS3", "--set", "experiment.gamma_scale=inf"], "experiment.gamma_scale must be finite"),
+     (["sequential", "fig_nmed_gauss.scn", "--set", "experiment.max_n_factor=nan"],
+      "experiment.max_n_factor must be finite"),
+     (["sequential", "fig_nmed_gauss.scn", "--set", "experiment.snr_db_list=-20,nan"],
+      "experiment.snr_db_list must be finite")],
+    [(["sequential", "fig_nmed_gauss.scn", "--set", "experiment.max_n_factor=0"],
+      "experiment.max_n_factor must be positive")],
 ], ids=["p_e-above-half", "rate-above-d01", "v-below-1", "no-location-family", "p_f-outside-unit",
         "model-parameters", "counts-below-1", "unknown-sequential-measure", "unread-p_d",
         "detector-kind-not-the-runners", "threads-below-1", "unknown-topology-kind", "negative-seed",
         "second-scenario-of-tag", "false-alarm-rate-underflows", "one-node-bounds",
         "change-on-location-family", "equal-variances", "change-nonlinearity", "unparsable-set-value",
-        "one-out-for-two-tables"])
+        "one-out-for-two-tables", "non-finite-float", "max-n-factor-not-positive"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # e.g. an overflowing exp on the way to the message
 def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, capsys):
     for command, message in runs:

@@ -208,7 +208,7 @@ def test_fss_matches_closed_form_roc_centralized():
     study = estimate_error_probabilities(
         model, Identity(), top := full_ring(M), 1, n, threshold, 20_000, 17
     )
-    predicted = float(q_function(q_inverse(0.1) - math.sqrt(theta**2 / sigma2 * n * M)))
+    predicted = q_function(q_inverse(0.1) - math.sqrt(theta**2 / sigma2 * n * M))
     est = study.p_d["centralized"]
     assert est.value == pytest.approx(predicted, abs=3.5 * est.std_err)
     est_f = study.p_f["centralized"]
