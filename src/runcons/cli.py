@@ -48,6 +48,7 @@ def format_cell(value) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    path = resolve_output(path)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
@@ -56,11 +57,11 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
     print(f"wrote {path}: {len(rows)} rows")
 
 
-def resolve_output(path: str, override: str | None) -> str:
-    chosen = override if override else path
-    if os.path.isabs(chosen):
-        return chosen
-    return os.path.join(os.environ.get(OUT_DIR_ENV, "."), chosen)
+def resolve_output(path: str) -> str:
+    """A relative path lands in $RUNCONS_OUT_DIR, the working directory by default."""
+    if os.path.isabs(path):
+        return path
+    return os.path.join(os.environ.get(OUT_DIR_ENV, "."), path)
 
 
 def with_suffix(path: str, suffix: str) -> str:
@@ -94,10 +95,6 @@ def nonlinearity_from_scenario(sc: ScenarioFile, model: stats.HypothesisModel):
     return stats.Identity()
 
 
-def _output(sc: ScenarioFile, args) -> str:
-    return resolve_output(sc.get("output", "path"), args.out)
-
-
 # ---------------------------------------------------------------------------
 # Trajectory dump (shared by several subcommands)
 # ---------------------------------------------------------------------------
@@ -109,7 +106,7 @@ def dump_trajectory(sc: ScenarioFile, path: str, n_slots: int, mode: WeightMode,
     topology = scn.topology_from_scenario(sc)
     paths = montecarlo.consensus_paths(
         montecarlo.chunk_rng(sc.get("montecarlo", "seed"), 10**6), topology, sc.get("topology", "v"), 1, n_slots,
-        lambda rng, shape: nonlin(model.null.sample(rng, shape)), mode, include_new_sample,
+        montecarlo.increment_sampler(model.null, nonlin), mode, include_new_sample,
     )
     rows = []
     for n, states, csum in paths:
@@ -126,8 +123,7 @@ def run_spectral(sc: ScenarioFile, args) -> None:
     topology = scn.topology_from_scenario(sc)
     summary = expected_gossip_matrix(topology)
     write_csv(
-        _output(sc, args),
-        ["kind", "m", "n_pairs", "lambda_U", "lambda_L"],
+        sc.get("output", "path"), ["kind", "m", "n_pairs", "lambda_U", "lambda_L"],
         [[sc.get("topology", "kind"), topology.M, len(topology.pairs), summary.lambda_U, summary.lambda_L]],
     )
     print(f"lambda_U = {summary.lambda_U:.6f}, lambda_L = {summary.lambda_L:.6f}")
@@ -149,22 +145,20 @@ def run_bounds(sc: ScenarioFile, args) -> None:
         "approx_lower": bounds.approx_B_L, "approx_upper": bounds.approx_B_U,
         "gamma_est": study.gamma_est, "gamma_se": study.gamma_se, "rho_est": study.rho_est, "rho_se": study.rho_se,
     }
-    write_csv(_output(sc, args), list(columns), list(zip(*columns.values())))
+    write_csv(sc.get("output", "path"), list(columns), list(zip(*columns.values())))
     if args.dump_trajectory:
-        dump_trajectory(
-            sc, resolve_output(args.dump_trajectory, None), min(n_max, 200), WeightMode.AVERAGING, include_new,
-        )
+        dump_trajectory(sc, args.dump_trajectory, min(n_max, 200), WeightMode.AVERAGING, include_new)
 
 
 # ---------------------------------------------------------------------------
 # Named estimates: one set per grid point, the long and wide tables write it
 # ---------------------------------------------------------------------------
 
-def _write_long(sc: ScenarioFile, args, key_names: list[str], points: list[tuple]) -> None:
+def _write_long(sc: ScenarioFile, key_names: list[str], points: list[tuple]) -> None:
     """One row per grid point and statistic; each point starts (keys, {statistic: Estimate})."""
     label = sc.get("experiment", "label")
     write_csv(
-        _output(sc, args),
+        sc.get("output", "path"),
         ["scenario", *key_names, "statistic", "estimate", "std_err", "n_trials", "n_truncated"],
         [[label, *keys, name, est.value, est.std_err, est.count, est.truncated_count]
          for keys, estimates, *_ in points for name, est in estimates.items()],
@@ -215,12 +209,9 @@ def _fss_points(sc: ScenarioFile) -> list[tuple]:
 
 def run_fss(sc: ScenarioFile, args) -> None:
     points = _fss_points(sc)
-    _write_long(sc, args, ["v", "n", "threshold"], points)
+    _write_long(sc, ["v", "n", "threshold"], points)
     if args.dump_trajectory:
-        dump_trajectory(
-            sc, resolve_output(args.dump_trajectory, None),
-            max(keys[1] for keys, *_ in points), WeightMode.ACCUMULATING, True,
-        )
+        dump_trajectory(sc, args.dump_trajectory, max(keys[1] for keys, *_ in points), WeightMode.ACCUMULATING, True)
 
 
 def _sequential_design(sc: ScenarioFile, M: int, p_e: float, r: float, shared_m0: stats.MomentSet | None = None):
@@ -244,7 +235,7 @@ def _sequential_design(sc: ScenarioFile, M: int, p_e: float, r: float, shared_m0
 
 
 def _sequential_points(sc: ScenarioFile) -> list[tuple]:
-    """((p_e, snr_db, snr), named estimates) at every grid point of an asn/error/are sequential scenario.
+    """((p_e, snr_db, snr), named estimates) at every grid point of an asn/are sequential scenario.
 
     Every estimate reports montecarlo.trials as its trial count.  The scaled
     sample numbers en_snr_* are E[N] times the SNR; en_snr_asymptote is their
@@ -304,9 +295,9 @@ def run_sequential(sc: ScenarioFile, args) -> None:
             raise ScenarioError("--dump-trajectory does not apply to measure 'trajectory'")
         _sequential_trajectory(sc, args)
         return
-    _write_long(sc, args, ["p_e", "snr_db", "snr"], _sequential_points(sc))
+    _write_long(sc, ["p_e", "snr_db", "snr"], _sequential_points(sc))
     if args.dump_trajectory:
-        dump_trajectory(sc, resolve_output(args.dump_trajectory, None), 200, WeightMode.ACCUMULATING, True)
+        dump_trajectory(sc, args.dump_trajectory, 200, WeightMode.ACCUMULATING, True)
 
 
 def _sequential_trajectory(sc: ScenarioFile, args) -> None:
@@ -318,7 +309,7 @@ def _sequential_trajectory(sc: ScenarioFile, args) -> None:
     model, nonlin, detector, _, _ = _sequential_design(sc, M, p_e, r)
     paths = montecarlo.consensus_paths(
         montecarlo.chunk_rng(sc.get("montecarlo", "seed"), 0), topology, sc.get("topology", "v"), 1, 100_000,
-        lambda rng, shape: nonlin(model.alt.sample(rng, shape)), WeightMode.ACCUMULATING, True,
+        montecarlo.increment_sampler(model.alt, nonlin), WeightMode.ACCUMULATING, True,
     )
     rows = []
     crossed: dict[int | str, int] = {}
@@ -334,7 +325,7 @@ def _sequential_trajectory(sc: ScenarioFile, args) -> None:
         rows.append([slot, central, *nodes.tolist()])
         if len(crossed) == M + 1:
             break
-    write_csv(_output(sc, args), ["n", "centralized", *[f"node_{j}" for j in range(M)]], rows)
+    write_csv(sc.get("output", "path"), ["n", "centralized", *[f"node_{j}" for j in range(M)]], rows)
     times = [crossed.get(j) for j in range(M)]
     print(f"crossing slots: centralized={crossed.get('centralized')}, nodes={times}, "
           f"upper={detector.b_r:.6g}, lower={detector.a_r:.6g}")
@@ -349,7 +340,7 @@ def _change_quantities(sc: ScenarioFile):
     model = model_from_scenario(sc)
     if model.null == model.alt:
         raise ScenarioError(f"model.variance1 must differ from model.variance0 for {sc.kind} experiments")
-    llr = nonlinearity_from_scenario(sc, model)
+    llr = stats.llr_nonlinearity(model)
     d01 = stats.kl_divergence(model.null, model.alt)
     d10 = stats.kl_divergence(model.alt, model.null)
     var1 = stats.moments(model, llr, model.theta).sigma2
@@ -414,15 +405,15 @@ def _change_points(sc: ScenarioFile):
 def run_change(sc: ScenarioFile, args) -> None:
     theory, points = _change_points(sc)
     write_csv(
-        with_suffix(_output(sc, args), "theory"),
+        with_suffix(sc.get("output", "path"), "theory"),
         ["family", "gamma", "R_accurate", "R_largegamma", "D_accurate", "D_largegamma"],
         [[p.family, p.gamma, p.rate_accurate, p.rate_large_gamma, p.delay_accurate, p.delay_large_gamma]
          for p in theory],
     )
-    _write_long(sc, args, ["family", "gamma"], points)
+    _write_long(sc, ["family", "gamma"], points)
     if args.dump_trials:  # rows only when asked: a false-alarm run can hold thousands of trials per point
         write_csv(
-            resolve_output(args.dump_trials, None),
+            args.dump_trials,
             ["mode", "gamma", "trial", "alarm_time", "decision"],
             [[family, gamma, t, int(stop) if stop > 0 else max_n, decision if stop > 0 else "truncated"]
              for (family, gamma), _, runs in points
@@ -442,7 +433,7 @@ def run_efficiency(sc: ScenarioFile, args) -> None:
         for M in sc.get("experiment", "m_list")
         for p in analysis.relative_efficiencies_large_gamma(rate_list, M, d01, d10, var1)
     ]
-    write_csv(_output(sc, args), ["M", "R", "eta_cr", "eta_sr", "eta_br", "eta_bs"], rows)
+    write_csv(sc.get("output", "path"), ["M", "R", "eta_cr", "eta_sr", "eta_br", "eta_bs"], rows)
 
 
 RUNNERS = {
@@ -467,7 +458,7 @@ def figure_fss(sc: ScenarioFile, args) -> None:
         [*keys, *(_wide_cell(estimates, column) for column in columns), p_d_limit]
         for keys, estimates, p_d_limit in _fss_points(sc)
     ]
-    write_csv(_output(sc, args), ["v", "n", "threshold", *columns, "p_d_limit"], rows)
+    write_csv(sc.get("output", "path"), ["v", "n", "threshold", *columns, "p_d_limit"], rows)
 
 
 def figure_sequential(sc: ScenarioFile, args) -> None:
@@ -483,7 +474,7 @@ def figure_sequential(sc: ScenarioFile, args) -> None:
     if "are_node" in points[0][1]:
         columns += ["en_node", "en_matched_centralized", "are_node"]
     rows = [[*keys, *(_wide_cell(estimates, column) for column in columns)] for keys, estimates in points]
-    write_csv(_output(sc, args), ["p_e", "snr_db", "snr", *columns], rows)
+    write_csv(sc.get("output", "path"), ["p_e", "snr_db", "snr", *columns], rows)
 
 
 def figure_change(sc: ScenarioFile, args) -> None:
@@ -503,7 +494,7 @@ def figure_change(sc: ScenarioFile, args) -> None:
         # truncations of the false-alarm run if there is one, else of the delay run
         rows.append([*row, sc.get("montecarlo", "trials"), next(iter(estimates.values())).truncated_count])
     write_csv(
-        _output(sc, args),
+        sc.get("output", "path"),
         ["family", "gamma", "R_accurate", "R_largegamma", "D_accurate", "D_largegamma",
          "R_sim", "R_sim_se", "D_sim", "D_sim_se", "n_trials", "n_truncated"],
         rows,
@@ -545,11 +536,10 @@ def run_reproduce(tag: str, args) -> None:
         raise ScenarioError(
             f"unknown experiment tag {tag!r}; known tags: {', '.join(sorted(REPRODUCE_TAGS))}"
         )
-    if args.out and len(REPRODUCE_TAGS[tag]) > 1:
-        raise ScenarioError(f"--out names one file, but {tag} writes {len(REPRODUCE_TAGS[tag])} tables")
     scenarios = [load_bundled_scenario(name) for name in REPRODUCE_TAGS[tag]]
     for sc in scenarios:  # every scenario of the tag is checked before the first one writes
         _apply_overrides(sc, args)
+    _check_outputs(scenarios, args)
     for sc in scenarios:
         FIGURE_RUNNERS[sc.kind](sc, args)
 
@@ -559,9 +549,9 @@ def run_reproduce(tag: str, args) -> None:
 # ---------------------------------------------------------------------------
 
 def _apply_overrides(sc: ScenarioFile, args) -> None:
-    """Every --set, then --seed, --trials and --threads, which win, then one check of the whole spec.
+    """Every --set, then --seed, --trials, --threads and --out, which win, then one check of the whole spec.
 
-    The three flags are accepted on every kind and ignored where it runs no Monte Carlo.
+    The three Monte Carlo flags are accepted on every kind and ignored where it runs no Monte Carlo.
     """
     items = []
     for item in args.set or []:
@@ -571,7 +561,24 @@ def _apply_overrides(sc: ScenarioFile, args) -> None:
         items.append((dotted.strip(), value.strip()))
     items += [(f"montecarlo.{key}", str(getattr(args, key))) for key in ("seed", "trials", "threads")
               if getattr(args, key) is not None and sc.kind in scn.SCHEMA["montecarlo"][key].reads]
+    if args.out:
+        items.append(("output.path", args.out))
     scn.apply_overrides(sc, items)
+
+
+def _check_outputs(scenarios: list[ScenarioFile], args) -> None:
+    """Every file one command writes has its own path: each table, change's theory sibling and the dumps."""
+    paths = [sc.get("output", "path") for sc in scenarios]
+    if args.command == "change":
+        paths.append(with_suffix(paths[0], "theory"))
+    paths += [path for path in (args.dump_trajectory, args.dump_trials) if path]
+    seen = set()
+    for path in paths:
+        where = os.path.realpath(resolve_output(path))
+        if where in seen:
+            raise ScenarioError(f"two outputs of one run would both write {path}: give each its own path "
+                                "(output.path, --out, --dump-trajectory, --dump-trials)")
+        seen.add(where)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -617,6 +624,7 @@ def main(argv=None) -> int:
             _apply_overrides(sc, args)
             if sc.kind != args.command:
                 raise ScenarioError(f"scenario kind '{sc.kind}' does not match subcommand '{args.command}'")
+            _check_outputs([sc], args)
             RUNNERS[args.command](sc, args)
     except (ScenarioError, TopologyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

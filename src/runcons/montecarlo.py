@@ -5,9 +5,11 @@ seeded by (base_seed, c), so reruns are bit-identical no matter how many
 workers execute the chunks or in which order.  `threads` counts worker
 processes: above 1, `_run_chunks` shares the chunks between the caller and
 forked children.  Inside a chunk, trials advance in lockstep as numpy arrays,
-every consensus state through one slot step (`_slot`); every stopping
-experiment runs on one engine (`_lockstep`) that takes its per-slot update and
-stopping rule and compacts finished trials away.
+every increment from one sampler (`increment_sampler`) and every consensus
+state through one slot step (`_slot`); every stopping experiment runs on one
+engine (`_lockstep`) that takes its per-slot update and stopping rule and
+compacts finished trials away.  The sequential test and its probability-ratio
+baseline share one two-threshold decision loop on it (`_two_threshold_trials`).
 
 Ratio-type metrics (variance ratios, consensus coefficients) get their
 standard errors from fixed sub-groups of trials; everything that is a plain
@@ -30,7 +32,7 @@ import numpy as np
 from .consensus import WeightMode, step_weights
 from .detectors import SequentialDetector
 from .network import NetworkTopology
-from .stats import Gaussian, HypothesisModel, llr_nonlinearity
+from .stats import Gaussian, HypothesisModel, LogLikelihoodRatio, llr_nonlinearity
 
 CHUNK_SIZE = 2500
 GROUP_SIZE = 50
@@ -218,6 +220,40 @@ def _gossip_batch(states: np.ndarray, pair_array: np.ndarray, idx: np.ndarray) -
         flat[j] = mean
 
 
+def increment_sampler(dist, statistic, dof: int = 1):
+    """Sampler of statistic increments under law dist, each summed over dof sensors.
+
+    dof is M for the fusion-center sum and 1 for one sensor's own increment.
+    The log-likelihood ratio of two zero-mean Gaussians, sampled under either,
+    admits an exact sufficient form: the summed increment is affine in a
+    chi-square draw with dof degrees of freedom, a squared standard normal at
+    dof 1 (about 3x cheaper than chisquare(1)).  Otherwise an increment is the
+    statistic of dof raw draws, summed.
+    """
+    if isinstance(statistic, LogLikelihoodRatio) and all(
+        isinstance(law, Gaussian) and law.mean == 0.0 for law in (dist, statistic.null, statistic.alt)
+    ):
+        null, alt = statistic.null, statistic.alt
+        a = -0.5 * math.log(alt.variance / null.variance)
+        scale = 0.5 * (1.0 / null.variance - 1.0 / alt.variance) * dist.variance
+
+        def sampler(rng: np.random.Generator, shape) -> np.ndarray:
+            # dof * a + scale * chi2, built in place (bit for bit the same)
+            if dof == 1:
+                out = rng.standard_normal(shape)
+                np.square(out, out=out)
+            else:
+                out = rng.chisquare(float(dof), shape)
+            out *= scale
+            out += dof * a
+            return out
+
+        return sampler
+    if dof == 1:
+        return lambda rng, shape: statistic(dist.sample(rng, shape))
+    return lambda rng, shape: statistic(dist.sample(rng, (*shape, dof))).sum(axis=-1)
+
+
 def _slot(rng, topology: NetworkTopology, v: int, states: np.ndarray, sample, n: int,
           mode: WeightMode, include_new_sample: bool) -> tuple[np.ndarray, np.ndarray]:
     """The one lockstep consensus slot for a batch of trials: returns (states, t).
@@ -382,9 +418,7 @@ def estimate_error_probabilities(
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
         counts = {}
         for label, dist in laws:
-            def sample(rng: np.random.Generator, shape) -> np.ndarray:
-                return nonlinearity(dist.sample(rng, shape))
-
+            sample = increment_sampler(dist, nonlinearity)
             paths = consensus_paths(rng, topology, v, size, n, sample, WeightMode.ACCUMULATING, True)
             _, states, csum = deque(paths, maxlen=1)[0]  # the last slot
             counts[label] = (
@@ -454,39 +488,52 @@ class SequentialStudy:
         return self.under_null[source].mean_n.truncated_count + self.under_alt[source].mean_n.truncated_count
 
 
-def _sequential_trials(dist, nonlinearity, topology, v, detector, size, rng, max_n, node):
-    """Stopping slots and decisions of one chunk under one law, by statistic.
+def _two_threshold_trials(size, max_n, lanes, columns, statistics, lower, upper):
+    """Stopping slots and decisions of one chunk's trials, by column.
 
-    Column 0 is the centralized statistic, column 1 the given node's.  A
-    trial finishes once both have left (a_r, b_r).
+    statistics(slot, lanes) advances the live trials' lanes through one slot,
+    in place or by rebinding lanes[k], and returns their (live, columns)
+    statistics.  A column stops at the first slot where it leaves
+    (lower, upper), declaring H1 above and H0 below; a trial finishes once
+    every column has stopped.  A column still inside at max_n keeps stop and
+    decision 0.
     """
-    M = topology.M
-    eta, a_r, b_r = detector.eta_r, detector.a_r, detector.b_r
-    stops = np.zeros((size, 2), dtype=np.int64)
-    decs = np.zeros((size, 2), dtype=np.int8)
-
-    def sample(rng: np.random.Generator, shape) -> np.ndarray:
-        return nonlinearity(dist.sample(rng, shape))
+    stops = np.zeros((size, columns), dtype=np.int64)
+    decs = np.zeros((size, columns), dtype=np.int8)
 
     def advance(slot: int, alive: np.ndarray, lanes: list[np.ndarray]) -> np.ndarray | None:
-        states, csum, undecided = lanes
-        states, t = _slot(rng, topology, v, states, sample, slot, WeightMode.ACCUMULATING, True)
-        lanes[0] = states
-        csum += t.sum(axis=1)
-        shift = slot * M * eta
-        values = np.column_stack((csum - shift, states[:, node] - shift))
-        upper = values >= b_r
-        hit = (upper | (values <= a_r)) & undecided
+        values = statistics(slot, lanes)
+        undecided = lanes[-1]
+        above = values >= upper
+        hit = (above | (values <= lower)) & undecided
         if not hit.any():
             return None
         rows, cols = np.nonzero(hit)
-        decs[alive[rows], cols] = np.where(upper[rows, cols], _DEC_H1, _DEC_H0)
+        decs[alive[rows], cols] = np.where(above[rows, cols], _DEC_H1, _DEC_H0)
         stops[alive[rows], cols] = slot
         undecided &= ~hit
         return ~undecided.any(axis=1)
 
-    _lockstep(size, max_n, advance, [np.zeros((size, M)), np.zeros(size), np.ones((size, 2), dtype=bool)])
+    _lockstep(size, max_n, advance, [*lanes, np.ones((size, columns), dtype=bool)])
     return stops, decs
+
+
+def _two_law_study(model: HypothesisModel, sources: tuple[str, ...], trials: int, seed: int, threads: int,
+                   run) -> SequentialStudy:
+    """Outcomes by source of run(dist, size, rng) -> (stops, decs), under the null law, then the alternative.
+
+    Both laws draw from each chunk's one stream, the null's trials first;
+    column k of stops and decs belongs to sources[k].
+    """
+    results = _run_chunks(
+        trials, seed, threads, lambda index, size, rng: [run(dist, size, rng) for dist in (model.null, model.alt)])
+
+    def collect(which: int) -> dict[str, SequentialOutcome]:
+        stops, decs = (np.concatenate([r[which][part] for r in results]) for part in (0, 1))
+        return {source: SequentialOutcome.from_trials(stops[:, col], decs[:, col])
+                for col, source in enumerate(sources)}
+
+    return SequentialStudy(under_null=collect(0), under_alt=collect(1))
 
 
 def estimate_stopping(
@@ -505,72 +552,30 @@ def estimate_stopping(
     """Stopping times and decisions for the two-threshold sequential test.
 
     Tracks the centralized statistic and one node statistic on the shared
-    sample stream.
+    sample stream, each shifted by the slot's total drift, n M eta_r; a trial
+    finishes once both have left (a_r, b_r).
     """
-    def worker(chunk_index: int, size: int, rng: np.random.Generator):
-        return [
-            _sequential_trials(dist, nonlinearity, topology, v, detector, size, rng, max_n, node)
-            for dist in (model.null, model.alt)
-        ]
+    M = topology.M
 
-    results = _run_chunks(trials, seed, threads, worker)
+    def run(dist, size: int, rng: np.random.Generator):
+        draw = increment_sampler(dist, nonlinearity)
 
-    def collect(which: int) -> dict[str, SequentialOutcome]:
-        stops = np.concatenate([r[which][0] for r in results])
-        decs = np.concatenate([r[which][1] for r in results])
-        return {
-            source: SequentialOutcome.from_trials(stops[:, col], decs[:, col])
-            for col, source in enumerate(("centralized", "node"))
-        }
+        def statistics(slot: int, lanes: list[np.ndarray]) -> np.ndarray:
+            states, t = _slot(rng, topology, v, lanes[0], draw, slot, WeightMode.ACCUMULATING, True)
+            lanes[0] = states
+            lanes[1] += t.sum(axis=1)
+            shift = slot * M * detector.eta_r
+            return np.column_stack((lanes[1] - shift, states[:, node] - shift))
 
-    return SequentialStudy(under_null=collect(0), under_alt=collect(1))
+        return _two_threshold_trials(
+            size, max_n, [np.zeros((size, M)), np.zeros(size)], 2, statistics, detector.a_r, detector.b_r)
+
+    return _two_law_study(model, ("centralized", "node"), trials, seed, threads, run)
 
 
 # ---------------------------------------------------------------------------
 # CUSUM run lengths (false-alarm intervals and detection delays)
 # ---------------------------------------------------------------------------
-
-def _llr_sampler(model: HypothesisModel, under: str, dof: int):
-    """Sampler of log-likelihood-ratio increments, each summed over dof sensors.
-
-    dof is M for the fusion-center sum and 1 for one sensor's own increment.
-    Zero-mean Gaussian pairs admit an exact sufficient form: the summed
-    increment is affine in a chi-square draw with dof degrees of freedom, a
-    squared standard normal at dof 1 (about 3x cheaper than chisquare(1)).
-    Anything else falls back to sampling dof raw values per increment.
-    """
-    dist = model.null if under == "null" else model.alt
-    null, alt = model.null, model.alt
-    if (
-        isinstance(null, Gaussian)
-        and isinstance(alt, Gaussian)
-        and null.mean == 0.0
-        and alt.mean == 0.0
-    ):
-        a = -0.5 * math.log(alt.variance / null.variance)
-        b = 0.5 * (1.0 / null.variance - 1.0 / alt.variance)
-        scale = b * dist.variance
-
-        def sampler(rng: np.random.Generator, shape) -> np.ndarray:
-            # dof * a + scale * chi2, built in place (bit for bit the same)
-            if dof == 1:
-                out = rng.standard_normal(shape)
-                np.square(out, out=out)
-            else:
-                out = rng.chisquare(float(dof), shape)
-            out *= scale
-            out += dof * a
-            return out
-
-        return sampler
-
-    llr = llr_nonlinearity(model)
-
-    def sampler(rng: np.random.Generator, shape) -> np.ndarray:
-        return llr(dist.sample(rng, (*shape, dof))).sum(axis=-1)
-
-    return sampler
-
 
 def page_run_lengths(
     model: HypothesisModel,
@@ -600,7 +605,8 @@ def page_run_lengths(
         raise ValueError("running mode needs a topology")
     if mode == "running":
         M = topology.M
-    draw = _llr_sampler(model, under, M if mode == "centralized" else 1)
+    dist = model.null if under == "null" else model.alt
+    draw = increment_sampler(dist, llr_nonlinearity(model), M if mode == "centralized" else 1)
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
         if mode == "running":  # gossip the updated statistic, then reset
@@ -647,31 +653,13 @@ def estimate_sprt_stopping(
     upper = math.log(p_d / p_f)
     lower = math.log((1.0 - p_d) / (1.0 - p_f))
 
-    def run(under: str, size: int, rng: np.random.Generator):
-        draw = _llr_sampler(model, under, M)
-        # a finished trial's total is compacted away, so its decision is kept when it crosses
-        decs = np.zeros(size, dtype=np.int8)
+    def run(dist, size: int, rng: np.random.Generator):
+        draw = increment_sampler(dist, llr_nonlinearity(model), M)
 
-        def advance(slot: int, alive: np.ndarray, lanes: list[np.ndarray]) -> np.ndarray | None:
-            total = lanes[0]
-            total += draw(rng, total.shape)
-            above = total >= upper
-            done = _finished(above | (total <= lower))
-            if done is not None:
-                decs[alive[done]] = np.where(above[done], _DEC_H1, _DEC_H0)
-            return done
+        def statistics(slot: int, lanes: list[np.ndarray]) -> np.ndarray:
+            lanes[0] += draw(rng, lanes[0].shape)
+            return lanes[0]
 
-        return _lockstep(size, max_n, advance, [np.zeros(size)]), decs
+        return _two_threshold_trials(size, max_n, [np.zeros((size, 1))], 1, statistics, lower, upper)
 
-    def worker(chunk_index: int, size: int, rng: np.random.Generator):
-        return run("null", size, rng), run("alt", size, rng)
-
-    results = _run_chunks(trials, seed, threads, worker)
-
-    def collect(which: int) -> dict[str, SequentialOutcome]:
-        return {"centralized": SequentialOutcome.from_trials(
-            np.concatenate([r[which][0] for r in results]),
-            np.concatenate([r[which][1] for r in results]),
-        )}
-
-    return SequentialStudy(under_null=collect(0), under_alt=collect(1))
+    return _two_law_study(model, ("centralized",), trials, seed, threads, run)

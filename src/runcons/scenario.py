@@ -14,8 +14,6 @@ numbers: syntax, type, that the kind (and the section's selector) reads the
 key, and the key's rule.  `apply_overrides` sets the `--set` values and then
 `validate` checks the whole spec once: the same per-key checks, the required
 keys, `detector.node` against the network, and the topology's construction.
-Serialization is canonical, so parse -> serialize -> parse is the identity on
-normalized content.
 """
 
 from __future__ import annotations
@@ -75,8 +73,6 @@ _PROBABILITY = (lambda x: 0.0 < x < 1.0, "must be in (0, 1)")
 _ERROR_PROBABILITY = (lambda x: 0.0 < x < 0.5, "must be in (0, 0.5)")
 _LOCATION_FAMILIES = _one_of("gaussian", "gaussian_mixture")
 _CHANGE_FAMILIES = _one_of("variance_change")
-_STATISTICS = _one_of("identity", "score", "llr")
-_LLR = _one_of("llr")  # the statistic the CUSUM reads
 _TOPOLOGY_KINDS = _one_of("full_ring", "k_neighbor_ring", "explicit_edges")
 
 
@@ -94,7 +90,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "families": Key("str_list", {"change": ("centralized",)},
                         (lambda x: x in CUSUM_FAMILIES, f"must each name a CUSUM family: {', '.join(CUSUM_FAMILIES)}")),
         "measure": Key("str", {"sequential": "asn", "change": "both"},
-                       {"sequential": _one_of("asn", "error", "are", "trajectory"),
+                       {"sequential": _one_of("asn", "are", "trajectory"),
                         "change": _one_of("rate", "delay", "both")}),
         "rate_list": Key("float_list", {"efficiency": REQUIRED}, _POSITIVE),
         "m_list": Key("int_list", {"efficiency": REQUIRED}, _COUNT),
@@ -124,9 +120,8 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "variance0": Key("float", dict.fromkeys(("bounds", "change", "efficiency"), REQUIRED), _POSITIVE,
                          ("variance_change",)),
         "theta0": Key("float", dict.fromkeys(_LOCATION, 0.0), None, ("gaussian", "gaussian_mixture")),
-        # bounds reads none: its covariance engine samples the raw null law
-        "nonlinearity": Key("str", {"fss": "identity", "sequential": "identity", "change": "llr", "efficiency": "llr"},
-                            {"fss": _STATISTICS, "sequential": _STATISTICS, "change": _LLR, "efficiency": _LLR}),
+        # bounds reads none: its covariance engine samples the raw null law; change and efficiency read the LLR
+        "nonlinearity": Key("str", {"fss": "identity", "sequential": "identity"}, _one_of("identity", "score", "llr")),
     },
     "detector": {
         "kind": Key("str", {"fss": "fss", "sequential": "sequential", "change": "page"},
@@ -146,9 +141,6 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "path": Key("str", dict.fromkeys(EXPERIMENT_KINDS, REQUIRED)),
     },
 }
-
-SECTION_ORDER = ("experiment", "topology", "model", "detector", "montecarlo", "output")
-
 
 @dataclass
 class ScenarioFile:
@@ -280,32 +272,6 @@ def validate(scenario: ScenarioFile) -> None:
     node = scenario.get("detector", "node")
     if node is not None and node >= M:
         raise ScenarioError(f"detector.node must be in 0..{M - 1}, got {node}")
-
-
-def _format_value(value, type_tag: str) -> str:
-    if type_tag == "bool":
-        return "true" if value else "false"
-    if type_tag.endswith("_list"):
-        return ",".join(_format_value(item, type_tag[:-5]) for item in value)
-    if type_tag == "float":
-        return format(float(value), ".12g")
-    return str(value)
-
-
-def serialize(scenario: ScenarioFile) -> str:
-    lines: list[str] = []
-    for section in SECTION_ORDER:
-        if section not in scenario.sections:
-            continue
-        lines.append(f"[{section}]")
-        for key, row in SCHEMA[section].items():
-            if key in scenario.sections[section]:
-                lines.append(f"{key} = {_format_value(scenario.sections[section][key], row.type)}")
-        if section == "topology":
-            for i, j in scenario.edges:
-                lines.append(f"{i} {j}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def load(path) -> ScenarioFile:

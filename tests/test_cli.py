@@ -12,7 +12,7 @@ from runcons.consensus import ConsensusRun, WeightMode
 from runcons.montecarlo import chunk_rng
 from runcons.network import TopologyError
 from runcons.scenario import (
-    SCHEMA, SELECTORS, ScenarioError, apply_override, apply_overrides, load, parse, serialize,
+    SCHEMA, SELECTORS, ScenarioError, apply_override, apply_overrides, load, parse,
     topology_from_scenario, validate,
 )
 
@@ -134,21 +134,6 @@ def test_edge_lines_only_for_explicit_kind():
     text = MINIMAL_SPECTRAL.replace("m = 15", "m = 15\n0 1")
     with pytest.raises(ScenarioError, match="explicit_edges"):
         parse(text)
-
-
-def test_round_trip_is_stable():
-    sc = parse(MINIMAL_CHANGE)
-    text = serialize(sc)
-    again = parse(text)
-    assert serialize(again) == text
-
-
-def test_bundled_scenarios_round_trip():
-    for tag, entries in cli.REPRODUCE_TAGS.items():
-        for resource in entries:
-            sc = cli.load_bundled_scenario(resource)
-            text = serialize(sc)
-            assert serialize(parse(text)) == text, f"round trip failed for {resource}"
 
 
 def test_apply_override_parses_types():
@@ -479,7 +464,8 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
      (["reproduce", "fig:bound1", "--set", "experiment.n_max=-1"], "n_max"),
      (["bounds", "fig_bound1_complete.scn", "--set", "experiment.n_max=0"], "n_max")],
     [(["reproduce", "fig:NmedGauss", "--set", "experiment.measure=aer"], "measure"),
-     (["sequential", "fig_perr_gauss.scn", "--set", "experiment.measure=eror"], "measure")],
+     (["sequential", "fig_perr_gauss.scn", "--set", "experiment.measure=eror"], "measure"),
+     (["reproduce", "fig:PerrGauss", "--set", "experiment.measure=error"], "measure")],
     [(["reproduce", "fig:FSS3", "--set", "detector.p_d=0.9"], "detector.p_d")],
     [(["reproduce", "fig:FSS3", "--set", "detector.kind=nonsense"], "detector.kind"),
      (["change", "fig_sim1.scn", "--set", "detector.kind=sequential"], "detector.kind"),
@@ -510,6 +496,10 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
       "error: --set montecarlo.trials: cannot parse 'abc' as int")],
     # one --out file cannot hold a tag's two tables
     [(["reproduce", "fig:bound1", "--set", "experiment.n_max=3", "--out", "x.csv"], "--out")],
+    # nor one output.path, nor a change table and its per-trial dump
+    [(["reproduce", "fig:bound1", "--set", "output.path=one.csv"], "one.csv"),
+     (["change", "fig_sim1.scn", "--dump-trials", "fig_sim1.csv"], "fig_sim1.csv"),
+     (["change", "fig_sim1.scn", "--out", "x.csv", "--dump-trials", "x_theory.csv"], "x_theory.csv")],
     [(["change", "fig_sim1.scn", "--set", "detector.gamma_offset=nan"], "detector.gamma_offset must be finite"),
      (["reproduce", "fig:FSS3", "--set", "experiment.gamma_scale=inf"], "experiment.gamma_scale must be finite"),
      (["sequential", "fig_nmed_gauss.scn", "--set", "experiment.max_n_factor=nan"],
@@ -523,7 +513,7 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
         "detector-kind-not-the-runners", "threads-below-1", "unknown-topology-kind", "negative-seed",
         "second-scenario-of-tag", "false-alarm-rate-underflows", "one-node-bounds",
         "change-on-location-family", "equal-variances", "change-nonlinearity", "unparsable-set-value",
-        "one-out-for-two-tables", "non-finite-float", "max-n-factor-not-positive"])
+        "one-out-for-two-tables", "one-path-for-two-outputs", "non-finite-float", "max-n-factor-not-positive"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # e.g. an overflowing exp on the way to the message
 def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, capsys):
     for command, message in runs:

@@ -17,10 +17,11 @@ from runcons.detectors import (
 )
 from runcons.montecarlo import (
     Estimate,
-    _llr_sampler,
     chunk_rng,
     estimate_error_probabilities,
+    estimate_sprt_stopping,
     estimate_stopping,
+    increment_sampler,
     page_run_lengths,
 )
 from runcons.network import full_ring
@@ -180,6 +181,50 @@ def test_sequential_run_matches_barrier_signs():
     assert _stopping(_constant(0.0), det, max_n=1).under_alt["node"].mean_n.truncated_count == 40
 
 
+def _sprt_replay(model, M, p_f, p_d, seed, max_n):
+    """(exit slot, decision) of a one-trial chunk under the null, then the alternative, from the engine's stream.
+
+    The decision is "H1" above log(p_d/p_f), "H0" below log((1-p_d)/(1-p_f)),
+    and (0, None) a trial still inside at max_n.
+    """
+    upper, lower = math.log(p_d / p_f), math.log((1.0 - p_d) / (1.0 - p_f))
+    rng = chunk_rng(seed, 0)
+    outcomes = []
+    for law in (model.null, model.alt):
+        draw = increment_sampler(law, llr_nonlinearity(model), M)
+        total, outcome = 0.0, (0, None)
+        for slot in range(1, max_n + 1):
+            total += draw(rng, (1,))[0]
+            if total >= upper or total <= lower:
+                outcome = (slot, "H1" if total >= upper else "H0")
+                break
+        outcomes.append(outcome)
+    return outcomes
+
+
+def test_sprt_step_rule():
+    # one trial per run, replayed from the engine's own stream through a plain
+    # cumulative sum: the exit slot, the decision and the truncation agree
+    # exactly, for location families (raw draws) and a variance change (the
+    # chi-square form)
+    M, p_f, p_d, max_n = 2, 0.1, 0.9, 20
+    seen = set()
+    for model in (gaussian_shift_model(1.0, theta=0.3), mixture_shift_model(0.3, 1.0, 25.0, theta=0.5),
+                  variance_change_model(1.0, 1.5)):
+        for seed in range(8):
+            study = estimate_sprt_stopping(model, M, p_f, p_d, 1, seed, max_n=max_n)
+            replay = _sprt_replay(model, M, p_f, p_d, seed, max_n)
+            for outcomes, (slot, decision) in zip((study.under_null, study.under_alt), replay):
+                mean_n, declare_h1 = outcomes["centralized"].mean_n, outcomes["centralized"].declare_h1
+                if decision is None:
+                    assert (mean_n.count, mean_n.truncated_count, declare_h1.count) == (0, 1, 0)
+                else:
+                    assert (mean_n.value, mean_n.truncated_count) == (slot, 0)
+                    assert declare_h1.value == (decision == "H1")
+                seen.add(decision)
+    assert seen == {"H0", "H1", None}
+
+
 # ---------------------------------------------------------------------------
 # CUSUM families (montecarlo.page_run_lengths)
 # ---------------------------------------------------------------------------
@@ -199,7 +244,7 @@ def _reset_recursion(increments, gamma):
 def _replayed_increments(model, family, M, under, seed, slots):
     """The increments a one-trial chunk of the engine draws, slot by slot."""
     dof, width = {"centralized": (M, 1), "single": (1, 1), "bank": (1, M)}[family]
-    draw = _llr_sampler(model, under, dof)
+    draw = increment_sampler(model.null if under == "null" else model.alt, llr_nonlinearity(model), dof)
     rng = chunk_rng(seed, 0)
     return np.array([draw(rng, (1, width))[0] for _ in range(slots)])
 
@@ -312,10 +357,12 @@ def test_negative_drift_under_null_resets_dominate():
         (mixture_shift_model(0.3, 1.0, 25.0, theta=0.5), 1),
     ]
     for model, dof in cases:
-        increments = _llr_sampler(model, "null", dof)(np.random.default_rng(1), (slots, 1))
+        llr = llr_nonlinearity(model)
+        increments = increment_sampler(model.null, llr, dof)(np.random.default_rng(1), (slots, 1))
         se = increments.std() / math.sqrt(slots)
-        expected = dof * moments(model, llr_nonlinearity(model), model.theta0).mu
+        expected = dof * moments(model, llr, model.theta0).mu
         assert increments.mean() == pytest.approx(expected, abs=4 * se), dof
-    fusion = _llr_sampler(cases[0][0], "null", 10)(np.random.default_rng(1), (slots, 1))
+    model = cases[0][0]
+    fusion = increment_sampler(model.null, llr_nonlinearity(model), 10)(np.random.default_rng(1), (slots, 1))
     _, resets = _reset_recursion(fusion, math.inf)
     assert resets > 0.08 * slots

@@ -17,7 +17,6 @@ from runcons.montecarlo import (
     Estimate,
     _gossip_batch,
     _lockstep,
-    _llr_sampler,
     _pair_draws,
     _run_chunks,
     _slot,
@@ -26,6 +25,7 @@ from runcons.montecarlo import (
     estimate_error_probabilities,
     estimate_sprt_stopping,
     estimate_stopping,
+    increment_sampler,
     page_run_lengths,
 )
 from runcons.network import full_ring, k_neighbor_ring
@@ -33,6 +33,7 @@ from runcons.stats import (
     Gaussian,
     Identity,
     gaussian_shift_model,
+    llr_nonlinearity,
     moments,
     variance_change_model,
 )
@@ -346,7 +347,9 @@ def test_llr_sampler_draws_the_affine_chi_square_law(under, dof):
     a = -0.5 * math.log(v1 / v0)
     scale = 0.5 * (1.0 / v0 - 1.0 / v1) * (v0 if under == "null" else v1)
     n = 100_000
-    draws = _llr_sampler(variance_change_model(v0, v1), under, dof)(np.random.default_rng(17), (n,))
+    model = variance_change_model(v0, v1)
+    law = model.null if under == "null" else model.alt
+    draws = increment_sampler(law, llr_nonlinearity(model), dof)(np.random.default_rng(17), (n,))
     assert kstest(draws, lambda x: chi2.cdf((x - dof * a) / scale, dof)).pvalue > 1e-3
     mean, se = dof * a + scale * dof, scale * math.sqrt(2.0 * dof / n)
     assert abs(draws.mean() - mean) < 4.0 * se

@@ -18,7 +18,6 @@ SRC = pathlib.Path(runcons.__file__).parent
 
 ALLOWED = {
     "consensus.ConsensusRun": "the benchmark tracer (bench/tracing.py) wraps ConsensusRun.step by name",
-    "scenario.serialize": "the planned per-output manifest records the resolved scenario text with it",
 }
 
 
