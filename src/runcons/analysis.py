@@ -41,9 +41,6 @@ class BoundSet:
 
 
 def _psi(lam: float, n: np.ndarray, include_new_sample: bool) -> np.ndarray:
-    if lam == 0.0:
-        base = np.where(n >= 1, 1.0, 0.0) / n
-        return np.zeros_like(base) if include_new_sample else base
     geometric = (1.0 - lam ** n) / (1.0 - lam)
     if include_new_sample:
         return lam * geometric / n
@@ -76,7 +73,7 @@ def theorem_bounds(
     rho_lower = M * psi_L / (1.0 + (M - 1) * psi_U)
     rho_upper = M * psi_U / (1.0 + (M - 1) * psi_L)
     if include_new_sample:
-        approx_B_L = (M / n) * lambda_L / (1.0 - lambda_L) if lambda_L < 1.0 else np.full_like(n, np.inf)
+        approx_B_L = (M / n) * lambda_L / (1.0 - lambda_L)
         approx_B_U = (M / n) * lambda_U / (1.0 - lambda_U)
         rate = M * lambda_U / (1.0 - lambda_U)
     else:

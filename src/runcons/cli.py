@@ -263,28 +263,25 @@ def _sequential_points(sc: ScenarioFile) -> list[tuple]:
             )
             estimates = {}
             for source in ("centralized", "node"):
-                mean_n, se = study.mean_sample_number(source), study.mean_sample_number_std_err(source)
-                trunc = study.truncated_count(source)
-                estimates[f"en_{source}"] = named(mean_n, se, trunc)
-                estimates[f"en_snr_{source}"] = named(mean_n * snr, se * snr, trunc)
-                estimates[f"pe_{source}"] = named(
-                    study.error_probability(source), study.error_probability_std_err(source), trunc)
+                en, pe = study.summary(source)
+                estimates[f"en_{source}"] = en
+                estimates[f"en_snr_{source}"] = named(en.value * snr, en.std_err * snr, en.truncated_count)
+                estimates[f"pe_{source}"] = pe
             estimates["en_snr_asymptote"] = named(0.5 * (asn[0] + asn[1]) / V)
             if sc.get("experiment", "include_sprt_baseline"):
-                sprt = montecarlo.estimate_sprt_stopping(
+                sprt_en, sprt_pe = montecarlo.estimate_sprt_stopping(
                     model, topology.M, p_e, 1.0 - p_e, trials, seed + 1, max_n=max_n, threads=threads,
-                )
-                estimates["en_snr_sprt"] = named(sprt.mean_sample_number() * snr, truncated=sprt.truncated_count())
-                estimates["pe_sprt"] = named(sprt.error_probability())
+                ).summary("centralized")
+                estimates["en_snr_sprt"] = named(sprt_en.value * snr, truncated=sprt_en.truncated_count)
+                estimates["pe_sprt"] = named(sprt_pe.value)
             if sc.get("experiment", "measure") == "are":
-                pe_hat = min(max(study.error_probability("node"), 1e-6), 0.49)
+                pe_hat = min(max(estimates["pe_node"].value, 1e-6), 0.49)
                 model, nonlin, detector, _, max_n = _sequential_design(sc, topology.M, pe_hat, r, shared_m0)
-                matched = montecarlo.estimate_stopping(
+                matched, _ = montecarlo.estimate_stopping(
                     model, nonlin, topology, v, detector, trials, seed + 2, max_n=max_n, threads=threads,
-                )
-                en_matched = matched.mean_sample_number()
-                estimates["en_matched_centralized"] = named(en_matched, truncated=matched.truncated_count())
-                estimates["are_node"] = named(en_matched / study.mean_sample_number("node"))
+                ).summary("centralized")
+                estimates["en_matched_centralized"] = named(matched.value, truncated=matched.truncated_count)
+                estimates["are_node"] = named(matched.value / estimates["en_node"].value)
             points.append(((p_e, snr_db, snr), estimates))
     return points
 
@@ -301,33 +298,19 @@ def run_sequential(sc: ScenarioFile, args) -> None:
 
 
 def _sequential_trajectory(sc: ScenarioFile, args) -> None:
-    """Single-trial centered statistic paths for every node and the oracle."""
+    """One trial's centered statistic paths under the alternative, until all leave (a_r, b_r) or the horizon."""
     topology = scn.topology_from_scenario(sc)
-    M = topology.M
-    p_e = sc.get("detector", "p_e_list")[0]
     r = 1.0 / (10.0 ** (sc.get("experiment", "snr_db_list")[0] / 10.0) * model_from_scenario(sc).null.var)
-    model, nonlin, detector, _, _ = _sequential_design(sc, M, p_e, r)
-    paths = montecarlo.consensus_paths(
-        montecarlo.chunk_rng(sc.get("montecarlo", "seed"), 0), topology, sc.get("topology", "v"), 1, 100_000,
-        montecarlo.increment_sampler(model.alt, nonlin), WeightMode.ACCUMULATING, True,
-    )
+    model, nonlin, detector, _, max_n = _sequential_design(sc, topology.M, sc.get("detector", "p_e_list")[0], r)
     rows = []
-    crossed: dict[int | str, int] = {}
-    for slot, states, csum in paths:
-        shift = slot * M * detector.eta_r
-        central = csum[0] - shift
-        nodes = states[0] - shift
-        if "centralized" not in crossed and (central >= detector.b_r or central <= detector.a_r):
-            crossed["centralized"] = slot
-        for j in range(M):
-            if j not in crossed and (nodes[j] >= detector.b_r or nodes[j] <= detector.a_r):
-                crossed[j] = slot
-        rows.append([slot, central, *nodes.tolist()])
-        if len(crossed) == M + 1:
-            break
-    write_csv(sc.get("output", "path"), ["n", "centralized", *[f"node_{j}" for j in range(M)]], rows)
-    times = [crossed.get(j) for j in range(M)]
-    print(f"crossing slots: centralized={crossed.get('centralized')}, nodes={times}, "
+    stops, _ = montecarlo.sequential_trials(
+        model.alt, nonlin, topology, sc.get("topology", "v"), detector, max_n, range(topology.M), 1,
+        montecarlo.chunk_rng(sc.get("montecarlo", "seed"), 0),
+        record=lambda values: rows.append([len(rows) + 1, *values[0].tolist()]),
+    )
+    write_csv(sc.get("output", "path"), ["n", "centralized", *[f"node_{j}" for j in range(topology.M)]], rows)
+    central, *nodes = (int(stop) or None for stop in stops[0])
+    print(f"crossing slots: centralized={central}, nodes={nodes}, "
           f"upper={detector.b_r:.6g}, lower={detector.a_r:.6g}")
 
 
@@ -575,6 +558,12 @@ def _check_outputs(scenarios: list[ScenarioFile], args) -> None:
     seen = set()
     for path in paths:
         where = os.path.realpath(resolve_output(path))
+        base = os.path.dirname(where)
+        while not os.path.exists(base):  # the nearest existing ancestor: the writer makes the rest
+            base = os.path.dirname(base)
+        # not empty, no trailing separator, not a directory, and not under a file or a read-only directory
+        if not (os.path.basename(path) and os.path.isdir(base) and os.access(base, os.W_OK)) or os.path.isdir(where):
+            raise ScenarioError(f"output path {path!r} must name a file in a writable directory")
         if where in seen:
             raise ScenarioError(f"two outputs of one run would both write {path}: give each its own path "
                                 "(output.path, --out, --dump-trajectory, --dump-trials)")

@@ -8,8 +8,8 @@ forked children.  Inside a chunk, trials advance in lockstep as numpy arrays,
 every increment from one sampler (`increment_sampler`) and every consensus
 state through one slot step (`_slot`); every stopping experiment runs on one
 engine (`_lockstep`) that takes its per-slot update and stopping rule and
-compacts finished trials away.  The sequential test and its probability-ratio
-baseline share one two-threshold decision loop on it (`_two_threshold_trials`).
+compacts finished trials away.  The sequential test (`sequential_trials`) and
+its probability-ratio baseline share one two-threshold loop on it.
 
 Ratio-type metrics (variance ratios, consensus coefficients) get their
 standard errors from fixed sub-groups of trials; everything that is a plain
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import CUSUM_FAMILIES
 from .consensus import WeightMode, step_weights
 from .detectors import SequentialDetector
 from .network import NetworkTopology
@@ -466,26 +467,15 @@ class SequentialStudy:
     under_null: dict[str, SequentialOutcome]
     under_alt: dict[str, SequentialOutcome]
 
-    def error_probability(self, source: str = "centralized") -> float:
-        """Symmetric error summary (p_f + 1 - p_d)/2 for one source."""
-        p_f = self.under_null[source].declare_h1.value
-        p_d = self.under_alt[source].declare_h1.value
-        return 0.5 * (p_f + (1.0 - p_d))
-
-    def error_probability_std_err(self, source: str = "centralized") -> float:
-        null, alt = self.under_null[source].declare_h1, self.under_alt[source].declare_h1
-        return 0.5 * math.hypot(null.std_err, alt.std_err)
-
-    def mean_sample_number(self, source: str = "centralized") -> float:
-        """Symmetric average of the expected stopping times."""
-        return 0.5 * (self.under_null[source].mean_n.value + self.under_alt[source].mean_n.value)
-
-    def mean_sample_number_std_err(self, source: str = "centralized") -> float:
-        null, alt = self.under_null[source].mean_n, self.under_alt[source].mean_n
-        return 0.5 * math.hypot(null.std_err, alt.std_err)
-
-    def truncated_count(self, source: str = "centralized") -> int:
-        return self.under_null[source].mean_n.truncated_count + self.under_alt[source].mean_n.truncated_count
+    def summary(self, source: str) -> tuple[Estimate, Estimate]:
+        """(E[N], P_e = (p_f + 1 - p_d)/2) of one source over both laws; one law's trials, both's truncations."""
+        null, alt = self.under_null[source], self.under_alt[source]
+        trials = null.mean_n.count + null.mean_n.truncated_count
+        truncated = null.mean_n.truncated_count + alt.mean_n.truncated_count
+        en = 0.5 * (null.mean_n.value + alt.mean_n.value)
+        pe = 0.5 * (null.declare_h1.value + (1.0 - alt.declare_h1.value))
+        return (Estimate(en, 0.5 * math.hypot(null.mean_n.std_err, alt.mean_n.std_err), trials, truncated),
+                Estimate(pe, 0.5 * math.hypot(null.declare_h1.std_err, alt.declare_h1.std_err), trials, truncated))
 
 
 def _two_threshold_trials(size, max_n, lanes, columns, statistics, lower, upper):
@@ -536,6 +526,30 @@ def _two_law_study(model: HypothesisModel, sources: tuple[str, ...], trials: int
     return SequentialStudy(under_null=collect(0), under_alt=collect(1))
 
 
+def sequential_trials(dist, statistic, topology: NetworkTopology, v: int, detector: SequentialDetector,
+                      max_n: int, nodes, size: int, rng: np.random.Generator, record=None):
+    """`_two_threshold_trials` of size trials of the sequential test under law dist, on one sample stream.
+
+    Column 0 is the centralized statistic, the sum of every increment, and
+    column 1 + k the state of nodes[k], each less the slot's drift n M eta_r.
+    record(values), if given, sees each slot's (live, columns) statistics.
+    """
+    draw = increment_sampler(dist, statistic)
+    nodes = np.asarray(nodes)  # once, not at every slot's indexing
+
+    def statistics(slot: int, lanes: list[np.ndarray]) -> np.ndarray:
+        states, t = _slot(rng, topology, v, lanes[0], draw, slot, WeightMode.ACCUMULATING, True)
+        lanes[0] = states
+        lanes[1] += t.sum(axis=1, keepdims=True)
+        values = np.concatenate((lanes[1], states[:, nodes]), axis=1) - slot * topology.M * detector.eta_r
+        if record is not None:
+            record(values)
+        return values
+
+    return _two_threshold_trials(size, max_n, [np.zeros((size, topology.M)), np.zeros((size, 1))], 1 + nodes.size,
+                                 statistics, detector.a_r, detector.b_r)
+
+
 def estimate_stopping(
     model: HypothesisModel,
     nonlinearity,
@@ -549,28 +563,10 @@ def estimate_stopping(
     node: int = 0,
     threads: int = 1,
 ) -> SequentialStudy:
-    """Stopping times and decisions for the two-threshold sequential test.
-
-    Tracks the centralized statistic and one node statistic on the shared
-    sample stream, each shifted by the slot's total drift, n M eta_r; a trial
-    finishes once both have left (a_r, b_r).
-    """
-    M = topology.M
-
-    def run(dist, size: int, rng: np.random.Generator):
-        draw = increment_sampler(dist, nonlinearity)
-
-        def statistics(slot: int, lanes: list[np.ndarray]) -> np.ndarray:
-            states, t = _slot(rng, topology, v, lanes[0], draw, slot, WeightMode.ACCUMULATING, True)
-            lanes[0] = states
-            lanes[1] += t.sum(axis=1)
-            shift = slot * M * detector.eta_r
-            return np.column_stack((lanes[1] - shift, states[:, node] - shift))
-
-        return _two_threshold_trials(
-            size, max_n, [np.zeros((size, M)), np.zeros(size)], 2, statistics, detector.a_r, detector.b_r)
-
-    return _two_law_study(model, ("centralized", "node"), trials, seed, threads, run)
+    """Stopping times and decisions of the centralized and one node's sequential test (`sequential_trials`)."""
+    return _two_law_study(model, ("centralized", "node"), trials, seed, threads,
+                          lambda dist, size, rng: sequential_trials(
+                              dist, nonlinearity, topology, v, detector, max_n, [node], size, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +590,12 @@ def page_run_lengths(
 ) -> np.ndarray:
     """Per-trial first-crossing slots of the reset-at-zero statistic.
 
-    mode is one of "centralized", "single", "bank", "running".  False-alarm
-    experiments run entirely under the pre-change law (under="null");
-    detection-delay experiments start the statistic at zero at the change
-    (under="alt").  A zero entry marks a trial truncated at max_n.
+    mode names one of the CUSUM_FAMILIES.  False-alarm experiments run
+    entirely under the pre-change law (under="null"); detection-delay
+    experiments start the statistic at zero at the change (under="alt").  A
+    zero entry marks a trial truncated at max_n.
     """
-    if mode not in ("centralized", "single", "bank", "running"):
+    if mode not in CUSUM_FAMILIES:
         raise ValueError(f"unknown run-length mode: {mode}")
     if mode == "running" and topology is None:
         raise ValueError("running mode needs a topology")

@@ -97,14 +97,11 @@ def k_neighbor_ring(M: int, k: int) -> NetworkTopology:
     return NetworkTopology(M, tuple(sorted(pairs)))
 
 
-def explicit_edges(M: int, edges, allow_disconnected: bool = False) -> NetworkTopology:
+def explicit_edges(M: int, edges: list[Pair], allow_disconnected: bool = False) -> NetworkTopology:
     """Validate and store a user-provided edge list."""
     normalized = tuple(sorted({(min(i, j), max(i, j)) for i, j in edges}))
-    if len(normalized) != len(list(edges)):
-        # normalization collapsed something: re-check the raw list for duplicates
-        raw = [(min(i, j), max(i, j)) for i, j in edges]
-        if len(set(raw)) != len(raw):
-            raise TopologyError("duplicate edges in explicit edge list")
+    if len(normalized) != len(edges):  # an edge repeated, as given or reversed
+        raise TopologyError("duplicate edges in explicit edge list")
     return NetworkTopology(M, normalized, allow_disconnected=allow_disconnected)
 
 

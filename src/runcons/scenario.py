@@ -13,7 +13,8 @@ Checks run in two passes.  `parse` checks the file's own keys, with line
 numbers: syntax, type, that the kind (and the section's selector) reads the
 key, and the key's rule.  `apply_overrides` sets the `--set` values and then
 `validate` checks the whole spec once: the same per-key checks, the required
-keys, `detector.node` against the network, and the topology's construction.
+keys, the trajectory measure's one design point, `detector.node` against the
+network, and the topology's construction.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ def _check_given(scenario: ScenarioFile, lines: dict[str, int]) -> None:
 
 
 def validate(scenario: ScenarioFile) -> None:
-    """The whole spec: the given keys, the required ones, the network and the node on it."""
+    """The whole spec: the given keys, the required ones, the trajectory's one design point, the network, its node."""
     _check_given(scenario, {})
     for section, rows in SCHEMA.items():
         selected = scenario.sections.get(section, {}).get(SELECTORS.get(section))
@@ -266,6 +267,13 @@ def validate(scenario: ScenarioFile) -> None:
             if (row.reads.get(scenario.kind) is REQUIRED and scenario.get(section, key) is None
                     and (row.only is None or selected in row.only)):
                 raise ScenarioError(f"missing required key '{key}' in section [{section}]")
+    if scenario.get("experiment", "measure") == "trajectory":  # one path at one design point
+        for section, key in (("detector", "p_e_list"), ("experiment", "snr_db_list")):
+            count = len(scenario.get(section, key))
+            if count > 1:
+                raise ScenarioError(f"{section}.{key} takes one entry with measure 'trajectory', got {count}")
+        if scenario.get("experiment", "include_sprt_baseline"):
+            raise ScenarioError("experiment.include_sprt_baseline does not apply to measure 'trajectory'")
     if scenario.kind not in _NETWORKED:
         return
     M = topology_from_scenario(scenario).M

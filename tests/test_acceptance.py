@@ -241,8 +241,9 @@ def test_c07_sequential_asymptote_full():
         snr = 10.0 ** (snr_db / 10.0)
         study = _sequential_point(p_e, snr, M, v, trials, 71)
         results[snr_db] = {
-            source: (study.mean_sample_number(source) * snr, study.error_probability(source))
+            source: (en.value * snr, pe.value)
             for source in ("centralized", "node")
+            for en, pe in [study.summary(source)]
         }
         report("C7", f"snr={snr_db}dB: " + " ".join(
             f"{s}: EN*SNR={results[snr_db][s][0]:.4f} pe={results[snr_db][s][1]:.4f}"
@@ -265,8 +266,8 @@ def test_c07_sequential_asymptote_smoke():
     study = _sequential_point(p_e, snr, M, v, trials, 72)
     elapsed = time.perf_counter() - start
     for source in ("centralized", "node"):
-        en_snr = study.mean_sample_number(source) * snr
-        pe_hat = study.error_probability(source)
+        en, pe = study.summary(source)
+        en_snr, pe_hat = en.value * snr, pe.value
         report("C7smoke", f"{source}: EN*SNR={en_snr:.4f} (limit {limit:.4f}) pe={pe_hat:.4f} "
                           f"elapsed={elapsed:.1f}s")
         assert abs(en_snr - limit) / limit < 0.30, source
@@ -307,7 +308,7 @@ def test_c08_mixture_score_detector():
             model, nonlin, full_ring(M), 5, detector, 10_000, 81,
             max_n=int(math.ceil(100.0 * r * max(asn0, asn1))),
         )
-        en_snr = study.mean_sample_number("centralized") * snr
+        en_snr = study.summary("centralized")[0].value * snr
         ratios.append(en_snr / limit)
         report("C8", f"snr={snr_db}dB: EN*SNR={en_snr:.4f} limit={limit:.4f} ratio={ratios[-1]:.3f}")
     assert abs(ratios[-1] - 1.0) < 0.15

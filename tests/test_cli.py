@@ -152,8 +152,8 @@ def test_required_keys_are_checked_once_the_overrides_are_in():
     with pytest.raises(ScenarioError, match="missing required key 'p_e_list' in section \\[detector\\]"):
         validate(parse(text))
     sc = parse(text)
-    apply_overrides(sc, [("detector.p_e_list", "0.1,0.2")])
-    assert sc.get("detector", "p_e_list") == [0.1, 0.2]
+    apply_overrides(sc, [("detector.p_e_list", "0.1")])  # the trajectory measure takes one entry
+    assert sc.get("detector", "p_e_list") == [0.1]
     assert sc.get("experiment", "max_n_factor") == 100.0 and sc.get("experiment", "include_sprt_baseline") is False
 
 
@@ -508,12 +508,26 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
       "experiment.snr_db_list must be finite")],
     [(["sequential", "fig_nmed_gauss.scn", "--set", "experiment.max_n_factor=0"],
       "experiment.max_n_factor must be positive")],
+    # an output path must be able to name a file: not empty, no trailing separator, not a directory,
+    # and not under an existing file
+    [(["reproduce", "fig:RE1", "--set", "output.path="], "output path ''"),
+     (["reproduce", "fig:RE1", "--set", "output.path=sub/"], "output path 'sub/'"),
+     (["reproduce", "fig:RE1", "--out", "."], "output path '.'"),
+     (["reproduce", "fig:RE1", "--out", str(SCENARIOS / "fig_re1.scn" / "x.csv")], "fig_re1.scn/x.csv"),
+     (["change", "fig_sim1.scn", "--dump-trials", str(SCENARIOS / "fig_re1.scn" / "sub" / "x.csv")],
+      "fig_re1.scn/sub/x.csv")],
+    # the trajectory measure draws one path at one design point, without the baseline
+    [(["sequential", "fig_stopping.scn", "--set", "detector.p_e_list=0.05,0.2"], "detector.p_e_list"),
+     (["reproduce", "fig:stopping", "--set", "experiment.snr_db_list=-30,-10"], "experiment.snr_db_list"),
+     (["sequential", "fig_stopping.scn", "--set", "experiment.include_sprt_baseline=true"],
+      "experiment.include_sprt_baseline")],
 ], ids=["p_e-above-half", "rate-above-d01", "v-below-1", "no-location-family", "p_f-outside-unit",
         "model-parameters", "counts-below-1", "unknown-sequential-measure", "unread-p_d",
         "detector-kind-not-the-runners", "threads-below-1", "unknown-topology-kind", "negative-seed",
         "second-scenario-of-tag", "false-alarm-rate-underflows", "one-node-bounds",
         "change-on-location-family", "equal-variances", "change-nonlinearity", "unparsable-set-value",
-        "one-out-for-two-tables", "one-path-for-two-outputs", "non-finite-float", "max-n-factor-not-positive"])
+        "one-out-for-two-tables", "one-path-for-two-outputs", "non-finite-float", "max-n-factor-not-positive",
+        "output-path-not-a-file", "trajectory-one-design-point"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # e.g. an overflowing exp on the way to the message
 def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, capsys):
     for command, message in runs:
@@ -791,16 +805,43 @@ def test_dump_trajectory_matches_dense_recursion(command, mode, include, tmp_pat
     _assert_close(dump[:, :, 4], states - central[:, None])
 
 
+def _stopping_design(sc):
+    """(M, model, statistic, detector) of the trajectory measure's one design point."""
+    M = topology_from_scenario(sc).M
+    snr_db = float(sc.get("experiment", "snr_db_list")[0])
+    r = 1.0 / (10.0 ** (snr_db / 10.0) * cli.model_from_scenario(sc).null.var)
+    model, nonlin, detector, _, _ = cli._sequential_design(sc, M, sc.get("detector", "p_e_list")[0], r)
+    return M, model, nonlin, detector
+
+
 def test_sequential_trajectory_matches_dense_recursion(tmp_path, monkeypatch):
     assert run_cli(["sequential", str(SCENARIOS / "fig_stopping.scn"), "--set", "topology.v=3"],
                    tmp_path, monkeypatch) == 0
     sc = _scenario("fig_stopping.scn", ["topology.v=3"])
-    M = topology_from_scenario(sc).M
+    M, model, nonlin, detector = _stopping_design(sc)
     dump = np.loadtxt(tmp_path / "fig_stopping.csv", delimiter=",", skiprows=1)
-    snr_db = float(sc.get("experiment", "snr_db_list")[0])
-    r = 1.0 / (10.0 ** (snr_db / 10.0) * cli.model_from_scenario(sc).null.var)
-    model, nonlin, detector, _, _ = cli._sequential_design(sc, M, sc.get("detector", "p_e_list")[0], r)
     states, central = _dense_replay(sc, len(dump), model.alt, nonlin, 0, WeightMode.ACCUMULATING, True)
     shift = np.arange(1, len(dump) + 1) * M * detector.eta_r
     _assert_close(dump[:, 1], central - shift)
     _assert_close(dump[:, 2:], states - shift[:, None])
+
+
+@pytest.mark.parametrize("overrides, horizon", [
+    ([], None), (["montecarlo.seed=11"], None), (["experiment.max_n_factor=0.001"], 10),
+], ids=["bundled", "seed-11", "horizon-first"])
+def test_sequential_trajectory_stops_where_the_rule_does(overrides, horizon, tmp_path, monkeypatch, capsys):
+    # each printed crossing slot is the first row where that column leaves (a_r, b_r), and the path ends
+    # at the last of them; a horizon (max_n_factor's) that comes first ends it with no crossing printed
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert run_cli(["sequential", str(SCENARIOS / "fig_stopping.scn"), *sets], tmp_path, monkeypatch) == 0
+    printed = re.search(r"centralized=(\w+), nodes=\[(.*)\]", capsys.readouterr().out)
+    _, _, _, detector = _stopping_design(_scenario("fig_stopping.scn", overrides))
+    dump = np.loadtxt(tmp_path / "fig_stopping.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert (dump[:, 0] == np.arange(1, len(dump) + 1)).all()
+    outside = (dump[:, 1:] >= detector.b_r) | (dump[:, 1:] <= detector.a_r)
+    first = [str(column.argmax() + 1) if column.any() else "None" for column in outside.T]
+    assert [printed[1], *printed[2].split(", ")] == first
+    if horizon is None:
+        assert len(dump) == max(map(int, first))
+    else:
+        assert len(dump) == horizon and set(first) == {"None"}

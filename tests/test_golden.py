@@ -50,6 +50,12 @@ SUBCOMMANDS = {
                        "--set", "topology.v=3", "--dump-trajectory", "trajectory.csv"],
     "fss-dump-v3": ["fss", "fig_fss3.scn", "--trials", "40", "--set", "experiment.n_list=10,30",
                     "--set", "topology.v=3", "--dump-trajectory", "trajectory.csv"],
+    # two nodes: one gossip averages them exactly, so lambda_U = lambda_L = 0 in the bounds
+    "bounds-two-nodes-held": ["bounds", "fig_bound1_complete.scn", "--trials", "40", "--set", "experiment.n_max=30",
+                              "--set", "topology.m=2"],
+    "bounds-two-nodes-exchanged": ["bounds", "fig_bound1_complete.scn", "--trials", "40",
+                                   "--set", "experiment.n_max=30", "--set", "topology.m=2",
+                                   "--set", "experiment.include_new_sample=true"],
     "sequential-asn": ["sequential", "fig_nmed_gauss.scn", *_SEQUENTIAL_SMALL,
                        "--set", "detector.p_e_list=0.05,0.1", "--dump-trajectory", "trajectory.csv"],
     "sequential-are": ["sequential", "fig_are_gauss.scn", *_SEQUENTIAL_SMALL,

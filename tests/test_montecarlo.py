@@ -251,10 +251,9 @@ def test_sequential_error_rates_near_nominal_centralized():
     study = estimate_stopping(
         model, Identity(), full_ring(5), 1, detector, 6000, 29, max_n=200_000
     )
-    pe = study.error_probability("centralized")
+    asn, pe = (est.value for est in study.summary("centralized"))
     assert 0.02 < pe < 0.08
     # scaled mean sample number near the two-barrier limit
-    asn = study.mean_sample_number("centralized")
     from runcons.analysis import sequential_asymptotics
     from runcons.stats import efficacy
 
@@ -267,7 +266,7 @@ def test_sprt_baseline_stops_and_reports():
     model, _ = _design(0.1, 50.0, 4)
     study = estimate_sprt_stopping(model, 4, 0.1, 0.9, 2000, 3, max_n=100_000)
     assert study.under_null["centralized"].mean_n.value > 1.0
-    assert 0.02 < study.error_probability() < 0.2
+    assert 0.02 < study.summary("centralized")[1].value < 0.2
 
 
 def test_std_err_shrinks_like_root_trials():

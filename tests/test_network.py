@@ -58,6 +58,13 @@ def test_explicit_edges_rejects_disconnected_graph():
     assert top.M == 3 and top.pairs == ((0, 1),)
 
 
+@pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (0, 1)], [(0, 1), (1, 2), (1, 0)]],
+                         ids=["exact-repeat", "reversed-pair"])
+def test_explicit_edges_rejects_duplicate_edges(edges):
+    with pytest.raises(TopologyError, match="duplicate edges"):
+        explicit_edges(3, edges)
+
+
 def test_topology_validation_errors():
     with pytest.raises(TopologyError):
         NetworkTopology(3, ((0, 3),))
