@@ -48,12 +48,18 @@ def format_cell(value) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    """Stage the table beside path, then move it into place: a failure leaves path as it was."""
     path = resolve_output(path)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(format_cell(cell) for cell in row) + "\n")
+    directory, name = os.path.split(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    staged = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(staged, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(",".join(map(format_cell, row)) + "\n" for row in [header, *rows])
+        os.replace(staged, path)
+    finally:
+        if os.path.exists(staged):  # the write failed
+            os.unlink(staged)
     print(f"wrote {path}: {len(rows)} rows")
 
 

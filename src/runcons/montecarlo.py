@@ -295,8 +295,10 @@ def consensus_paths(rng, topology: NetworkTopology, v: int, lanes: int, n_max: i
 
 @dataclass(frozen=True)
 class CovarianceStudy:
+    """Per-slot gamma and rho over groups of trials with their standard errors, and the pooled covariance."""
+
     n: np.ndarray
-    covariance: np.ndarray  # pooled (n_max, M, M)
+    covariance: np.ndarray  # pooled (n_max, M, M): summed per chunk, then over chunks in chunk order
     gamma_est: np.ndarray
     gamma_se: np.ndarray
     rho_est: np.ndarray
@@ -320,66 +322,50 @@ def estimate_covariance(
     States are centered by the known mean of dist rather than the sample
     mean, which removes a bias term; gamma is scaled by dist's variance.  The
     per-slot summaries average gamma over nodes and rho over admissible pairs.
+    Each chunk reduces a slot as soon as it is stepped, into per-group gamma
+    and rho and the pooled sum, so memory is O(trials / GROUP_SIZE * n_max +
+    n_max * M^2) rather than a full covariance per group and slot.
     """
     if trials < 2:
         raise ValueError(f"covariance estimation needs >= 2 trials, got {trials}")
     dist = dist if dist is not None else Gaussian(0.0, 1.0)
     M = topology.M
+    slots = np.arange(1, n_max + 1, dtype=float)
+    sigma2_n = dist.var / (slots * M)
+    pi, pj = topology.pair_array.T
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
         # group size shrinks with small chunks so several groups back the
         # standard errors even at tiny trial counts
         group = max(2, min(GROUP_SIZE, size // 10)) if size >= 4 else size
-        n_groups = math.ceil(size / group)
-        sums = np.zeros((n_groups, n_max, M, M))
-        bounds = [(g * group, min((g + 1) * group, size)) for g in range(n_groups)]
+        full, tail = divmod(size, group)  # full groups, then a ragged last one of tail trials
+        sizes = np.array([group] * full + [tail] * (tail > 0), dtype=float)[:, None, None]
+        products = np.empty((sizes.size, M, M))
+        pooled = np.empty((n_max, M, M))
+        gamma, rho = np.empty((2, sizes.size, n_max))
         paths = consensus_paths(rng, topology, v, size, n_max, dist.sample, WeightMode.AVERAGING, include_new_sample)
         for n, states, _ in paths:
             centered = states - dist.mean
-            for g, (lo, hi) in enumerate(bounds):
-                block = centered[lo:hi]
-                sums[g, n - 1] += block.T @ block
-        sizes = np.array([hi - lo for lo, hi in bounds], dtype=float)
-        return sums, sizes
+            blocks = centered[:full * group].reshape(full, group, M)
+            np.matmul(blocks.transpose(0, 2, 1), blocks, out=products[:full])
+            if tail:
+                np.matmul(centered[full * group:].T, centered[full * group:], out=products[full])
+            pooled[n - 1] = products.sum(axis=0)
+            group_cov = products / sizes
+            diag = np.diagonal(group_cov, axis1=1, axis2=2)
+            gamma[:, n - 1] = diag.mean(axis=1) / sigma2_n[n - 1]
+            rho[:, n - 1] = (2.0 * group_cov[:, pi, pj] / (diag[:, pi] + diag[:, pj])).mean(axis=1)
+        return gamma, rho, pooled
+
+    def summary(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-slot mean over the groups and its standard error (0 from one group)."""
+        se = groups.std(axis=0, ddof=1) / math.sqrt(len(groups)) if len(groups) > 1 else np.zeros(n_max)
+        return groups.mean(axis=0), se
 
     results = _run_chunks(trials, seed, threads, worker)
-    group_sums = np.concatenate([r[0] for r in results], axis=0)
-    group_sizes = np.concatenate([r[1] for r in results], axis=0)
-
-    slots = np.arange(1, n_max + 1, dtype=float)
-    sigma2_n = dist.var / (slots * M)
-
-    group_cov = group_sums / group_sizes[:, None, None, None]
-    diag = np.einsum("gnii->gni", group_cov)
-    gamma_groups = diag.mean(axis=2) / sigma2_n[None, :]
-
-    pi = topology.pair_array[:, 0]
-    pj = topology.pair_array[:, 1]
-    cij = group_cov[:, :, pi, pj]
-    cii = diag[:, :, pi]
-    cjj = diag[:, :, pj]
-    rho_groups = (2.0 * cij / (cii + cjj)).mean(axis=2)
-
-    n_groups = group_sizes.size
-    gamma_est = gamma_groups.mean(axis=0)
-    rho_est = rho_groups.mean(axis=0)
-    if n_groups > 1:
-        gamma_se = gamma_groups.std(axis=0, ddof=1) / math.sqrt(n_groups)
-        rho_se = rho_groups.std(axis=0, ddof=1) / math.sqrt(n_groups)
-    else:
-        gamma_se = np.zeros_like(gamma_est)
-        rho_se = np.zeros_like(rho_est)
-
-    pooled = group_sums.sum(axis=0) / trials
-    return CovarianceStudy(
-        n=slots.astype(int),
-        covariance=pooled,
-        gamma_est=gamma_est,
-        gamma_se=gamma_se,
-        rho_est=rho_est,
-        rho_se=rho_se,
-        trials=trials,
-    )
+    (gamma_est, gamma_se), (rho_est, rho_se) = (summary(np.concatenate([r[k] for r in results])) for k in (0, 1))
+    return CovarianceStudy(n=slots.astype(int), covariance=sum(r[2] for r in results) / trials,
+                           gamma_est=gamma_est, gamma_se=gamma_se, rho_est=rho_est, rho_se=rho_se, trials=trials)
 
 
 # ---------------------------------------------------------------------------

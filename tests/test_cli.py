@@ -299,6 +299,27 @@ def test_output_dir_env_honored(tmp_path, monkeypatch):
     assert (target / "spectral.csv").exists()
 
 
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell cannot be formatted")
+
+
+@pytest.mark.parametrize("earlier", [None, b"a,b\n0,0.5\n"])
+def test_write_csv_failing_mid_write_leaves_the_path_as_it_was(tmp_path, earlier):
+    # the second row fails after the header and the first row are written
+    table = tmp_path / "table.csv"
+    if earlier is not None:
+        table.write_bytes(earlier)
+    with pytest.raises(RuntimeError, match="cannot be formatted"):
+        cli.write_csv(str(table), ["a", "b"], [[1, 2.5], [2, _Unprintable()]])
+    assert os.listdir(tmp_path) == ([] if earlier is None else ["table.csv"])
+    if earlier is not None:
+        assert table.read_bytes() == earlier
+    cli.write_csv(str(table), ["a", "b"], [[1, 2.5], [2, None]])
+    assert table.read_bytes() == b"a,b\n1,2.5\n2,\n"
+    assert os.listdir(tmp_path) == ["table.csv"]
+
+
 def test_dump_trajectory_flag(tmp_path, monkeypatch):
     scenario = tmp_path / "bounds.scn"
     scenario.write_text(

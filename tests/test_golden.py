@@ -56,6 +56,9 @@ SUBCOMMANDS = {
     "bounds-two-nodes-exchanged": ["bounds", "fig_bound1_complete.scn", "--trials", "40",
                                    "--set", "experiment.n_max=30", "--set", "topology.m=2",
                                    "--set", "experiment.include_new_sample=true"],
+    # the covariance engine over three chunks, the last one ragged, shared by two workers
+    "bounds-multi-chunk-threads2": ["bounds", "fig_bound1_kneighbor.scn", "--trials", "5010", "--threads", "2",
+                                    "--set", "experiment.n_max=20"],
     "sequential-asn": ["sequential", "fig_nmed_gauss.scn", *_SEQUENTIAL_SMALL,
                        "--set", "detector.p_e_list=0.05,0.1", "--dump-trajectory", "trajectory.csv"],
     "sequential-are": ["sequential", "fig_are_gauss.scn", *_SEQUENTIAL_SMALL,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from runcons.stats import (
 )
 
 from cusum_oracle import run_length
-from dense_oracle import gossip_matrix
+from dense_oracle import gossip_matrix, state_covariances
 
 
 def test_estimate_from_samples_and_bernoulli():
@@ -180,6 +181,53 @@ def test_covariance_matches_coinciding_bounds_complete_graph():
     inside_rho = np.abs(study.rho_est - rho_exact) <= 3.0 * study.rho_se
     assert inside_gamma.mean() > 0.95
     assert inside_rho.mean() > 0.95
+
+
+def _consensus_metrics(C: np.ndarray, topology, variance: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """gamma_n and rho_n of exact covariances C of shape (n_max, M, M)."""
+    M = topology.M
+    diag = np.diagonal(C, axis1=1, axis2=2)
+    gamma = diag.mean(axis=1) / (variance / (np.arange(1, len(C) + 1) * M))
+    pi, pj = topology.pair_array[:, 0], topology.pair_array[:, 1]
+    rho = (2.0 * C[:, pi, pj] / (diag[:, pi] + diag[:, pj])).mean(axis=1)
+    return gamma, rho
+
+
+@pytest.mark.parametrize("include_new_sample", [False, True])
+def test_mean_square_operator_matches_coinciding_bounds_complete_graph(include_new_sample):
+    # the oracle's own check: where the theorem's two bounds coincide they are exact
+    M, n_max = 8, 40
+    top = full_ring(M)
+    gamma, rho = _consensus_metrics(state_covariances(top, 1, n_max, include_new_sample), top)
+    lam = (M - 2) / (M - 1)
+    bounds = theorem_bounds(lam, lam, M, n_max, include_new_sample=include_new_sample)
+    np.testing.assert_allclose(gamma, 1.0 + bounds.gamma_upper, rtol=1e-10)
+    np.testing.assert_allclose(rho, 1.0 - bounds.rho_upper, rtol=1e-10)
+
+
+@pytest.mark.parametrize("v, include_new_sample, seed", [(1, False, 4101), (5, True, 4105)])
+def test_covariance_matches_exact_gossip_recursion_on_a_ring(v, include_new_sample, seed):
+    # off the complete graph the bounds only bracket gamma and rho; the
+    # mean-square gossip operator carries the exact covariance slot by slot.
+    # rho fails at v = 5: rho_est averages per-group ratios over groups of 50
+    # trials, a bias that does not shrink with the trial count (ROADMAP item 4)
+    top = k_neighbor_ring(15, 4)
+    n_max = 100
+    study = estimate_covariance(top, v, n_max, 4000, seed, include_new_sample=include_new_sample)
+    gamma, rho = _consensus_metrics(state_covariances(top, v, n_max, include_new_sample), top)
+    assert (np.abs(study.gamma_est - gamma) <= 3.0 * study.gamma_se).mean() >= 0.95
+    assert (np.abs(study.rho_est - rho) <= 3.0 * study.rho_se).mean() >= 0.95
+
+
+def test_covariance_memory_does_not_scale_with_groups_times_slots():
+    # 20 groups x 200 slots x 15 x 15 sums alone would take 7.2 MB
+    tracemalloc.start()
+    try:
+        estimate_covariance(full_ring(15), 1, 200, 1000, 31)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 # ---------------------------------------------------------------------------
