@@ -205,8 +205,8 @@ def _fss_points(sc: ScenarioFile) -> list[tuple]:
                 model, nonlin, topology, v, n, threshold, sc.get("montecarlo", "trials"), sc.get("montecarlo", "seed"),
                 node=sc.get("detector", "node"), threads=sc.get("montecarlo", "threads"),
             )
-            estimates = {f"{name}_{source}": rates[source]
-                         for name, rates in (("p_f", study.p_f), ("p_d", study.p_d))
+            estimates = {f"{name}_{source}": outcomes[source].declare_h1
+                         for name, outcomes in (("p_f", study.under_null), ("p_d", study.under_alt))
                          for source in ("centralized", "node")}
             p_d_limit = analysis.fss_asymptotic_pd(p_f, gamma_scale, stats.efficacy(m0, topology.M))
             points.append(((v, n, threshold), estimates, p_d_limit))

@@ -9,7 +9,9 @@ every increment from one sampler (`increment_sampler`) and every consensus
 state through one slot step (`_slot`); every stopping experiment runs on one
 engine (`_lockstep`) that takes its per-slot update and stopping rule and
 compacts finished trials away.  The sequential test (`sequential_trials`) and
-its probability-ratio baseline share one two-threshold loop on it.
+its probability-ratio baseline share one two-threshold loop on it; they and the
+fixed-sample test run both laws through one study (`_two_law_study`) into one
+decision record (`DecisionStudy`).
 
 Ratio-type metrics (variance ratios, consensus coefficients) get their
 standard errors from fixed sub-groups of trials; everything that is a plain
@@ -297,13 +299,11 @@ def consensus_paths(rng, topology: NetworkTopology, v: int, lanes: int, n_max: i
 class CovarianceStudy:
     """Per-slot gamma and rho over groups of trials with their standard errors, and the pooled covariance."""
 
-    n: np.ndarray
     covariance: np.ndarray  # pooled (n_max, M, M): summed per chunk, then over chunks in chunk order
     gamma_est: np.ndarray
     gamma_se: np.ndarray
     rho_est: np.ndarray
     rho_se: np.ndarray
-    trials: int
 
 
 def estimate_covariance(
@@ -364,20 +364,68 @@ def estimate_covariance(
 
     results = _run_chunks(trials, seed, threads, worker)
     (gamma_est, gamma_se), (rho_est, rho_se) = (summary(np.concatenate([r[k] for r in results])) for k in (0, 1))
-    return CovarianceStudy(n=slots.astype(int), covariance=sum(r[2] for r in results) / trials,
-                           gamma_est=gamma_est, gamma_se=gamma_se, rho_est=rho_est, rho_se=rho_se, trials=trials)
+    return CovarianceStudy(covariance=sum(r[2] for r in results) / trials,
+                           gamma_est=gamma_est, gamma_se=gamma_se, rho_est=rho_est, rho_se=rho_se)
 
 
 # ---------------------------------------------------------------------------
-# Fixed-sample-size detection probabilities
+# Decisions under both laws: the fixed-sample and the sequential tests
 # ---------------------------------------------------------------------------
+
+_DEC_NONE, _DEC_H0, _DEC_H1 = 0, 1, 2
+
 
 @dataclass(frozen=True)
-class FssStudy:
-    threshold: float
-    n: int
-    p_f: dict[str, Estimate]
-    p_d: dict[str, Estimate]
+class DecisionOutcome:
+    """One statistic source under one law: its mean stopping slot (n for a fixed-sample test) and H1 frequency."""
+
+    mean_n: Estimate
+    declare_h1: Estimate  # fraction declaring H1 among non-truncated trials
+
+    @staticmethod
+    def from_trials(stop: np.ndarray, dec: np.ndarray) -> "DecisionOutcome":
+        ok = dec != _DEC_NONE
+        truncated = int((~ok).sum())
+        return DecisionOutcome(
+            mean_n=Estimate.from_samples(stop[ok], truncated=truncated),
+            declare_h1=Estimate.from_bernoulli(int((dec == _DEC_H1).sum()), int(ok.sum()), truncated),
+        )
+
+
+@dataclass(frozen=True)
+class DecisionStudy:
+    """Outcomes under each hypothesis, by statistic source: p_f is under_null's declare_h1, p_d under_alt's."""
+
+    under_null: dict[str, DecisionOutcome]
+    under_alt: dict[str, DecisionOutcome]
+
+    def summary(self, source: str) -> tuple[Estimate, Estimate]:
+        """(E[N], P_e = (p_f + 1 - p_d)/2) of one source over both laws; one law's trials, both's truncations."""
+        null, alt = self.under_null[source], self.under_alt[source]
+        trials = null.mean_n.count + null.mean_n.truncated_count
+        truncated = null.mean_n.truncated_count + alt.mean_n.truncated_count
+        en = 0.5 * (null.mean_n.value + alt.mean_n.value)
+        pe = 0.5 * (null.declare_h1.value + (1.0 - alt.declare_h1.value))
+        return (Estimate(en, 0.5 * math.hypot(null.mean_n.std_err, alt.mean_n.std_err), trials, truncated),
+                Estimate(pe, 0.5 * math.hypot(null.declare_h1.std_err, alt.declare_h1.std_err), trials, truncated))
+
+
+def _two_law_study(model: HypothesisModel, sources: tuple[str, ...], trials: int, seed: int, threads: int,
+                   run) -> DecisionStudy:
+    """Outcomes by source of run(dist, size, rng) -> (stops, decs), under the null law, then the alternative.
+
+    Both laws draw from each chunk's one stream, the null's trials first;
+    column k of stops and decs belongs to sources[k].
+    """
+    results = _run_chunks(
+        trials, seed, threads, lambda index, size, rng: [run(dist, size, rng) for dist in (model.null, model.alt)])
+
+    def collect(which: int) -> dict[str, DecisionOutcome]:
+        stops, decs = (np.concatenate([r[which][part] for r in results]) for part in (0, 1))
+        return {source: DecisionOutcome.from_trials(stops[:, col], decs[:, col])
+                for col, source in enumerate(sources)}
+
+    return DecisionStudy(under_null=collect(0), under_alt=collect(1))
 
 
 def estimate_error_probabilities(
@@ -392,77 +440,30 @@ def estimate_error_probabilities(
     *,
     node: int = 0,
     threads: int = 1,
-) -> FssStudy:
-    """Empirical false-alarm and detection frequencies at a fixed threshold.
+) -> DecisionStudy:
+    """The fixed-sample test of the centralized and one node's statistic at slot n.
 
-    Within a trial the centralized and node statistics share the same sample
-    stream; they are coupled by construction.
+    Every trial stops at n and declares H1 where its statistic is at or above
+    threshold, so declare_h1 is the false-alarm frequency under the null and
+    the detection frequency under the alternative.  Within a trial the two
+    statistics share the same sample stream; they are coupled by construction.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    laws = (("null", model.null), ("alt", model.alt))
 
-    def worker(chunk_index: int, size: int, rng: np.random.Generator):
-        counts = {}
-        for label, dist in laws:
-            sample = increment_sampler(dist, nonlinearity)
-            paths = consensus_paths(rng, topology, v, size, n, sample, WeightMode.ACCUMULATING, True)
-            _, states, csum = deque(paths, maxlen=1)[0]  # the last slot
-            counts[label] = (
-                int((csum >= threshold).sum()),
-                int((states[:, node] >= threshold).sum()),
-            )
-        return counts
+    def run(dist, size: int, rng: np.random.Generator):
+        paths = consensus_paths(rng, topology, v, size, n, increment_sampler(dist, nonlinearity),
+                                WeightMode.ACCUMULATING, True)
+        _, states, csum = deque(paths, maxlen=1)[0]  # the last slot
+        above = np.stack((csum, states[:, node]), axis=1) >= threshold
+        return np.full(above.shape, n), np.where(above, _DEC_H1, _DEC_H0)
 
-    results = _run_chunks(trials, seed, threads, worker)
-    rates: dict[str, dict[str, Estimate]] = {"null": {}, "alt": {}}
-    for label, _ in laws:
-        for col, source in enumerate(("centralized", "node")):
-            rates[label][source] = Estimate.from_bernoulli(sum(r[label][col] for r in results), trials)
-    return FssStudy(threshold=threshold, n=n, p_f=rates["null"], p_d=rates["alt"])
+    return _two_law_study(model, ("centralized", "node"), trials, seed, threads, run)
 
 
 # ---------------------------------------------------------------------------
 # Sequential stopping times
 # ---------------------------------------------------------------------------
-
-_DEC_NONE, _DEC_H0, _DEC_H1 = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class SequentialOutcome:
-    """Per-hypothesis outcome for one statistic source."""
-
-    mean_n: Estimate
-    declare_h1: Estimate  # fraction declaring H1 among non-truncated trials
-
-    @staticmethod
-    def from_trials(stop: np.ndarray, dec: np.ndarray) -> "SequentialOutcome":
-        ok = dec != _DEC_NONE
-        truncated = int((~ok).sum())
-        return SequentialOutcome(
-            mean_n=Estimate.from_samples(stop[ok], truncated=truncated),
-            declare_h1=Estimate.from_bernoulli(int((dec == _DEC_H1).sum()), int(ok.sum()), truncated),
-        )
-
-
-@dataclass(frozen=True)
-class SequentialStudy:
-    """Outcomes under each hypothesis, by statistic source."""
-
-    under_null: dict[str, SequentialOutcome]
-    under_alt: dict[str, SequentialOutcome]
-
-    def summary(self, source: str) -> tuple[Estimate, Estimate]:
-        """(E[N], P_e = (p_f + 1 - p_d)/2) of one source over both laws; one law's trials, both's truncations."""
-        null, alt = self.under_null[source], self.under_alt[source]
-        trials = null.mean_n.count + null.mean_n.truncated_count
-        truncated = null.mean_n.truncated_count + alt.mean_n.truncated_count
-        en = 0.5 * (null.mean_n.value + alt.mean_n.value)
-        pe = 0.5 * (null.declare_h1.value + (1.0 - alt.declare_h1.value))
-        return (Estimate(en, 0.5 * math.hypot(null.mean_n.std_err, alt.mean_n.std_err), trials, truncated),
-                Estimate(pe, 0.5 * math.hypot(null.declare_h1.std_err, alt.declare_h1.std_err), trials, truncated))
-
 
 def _two_threshold_trials(size, max_n, lanes, columns, statistics, lower, upper):
     """Stopping slots and decisions of one chunk's trials, by column.
@@ -492,24 +493,6 @@ def _two_threshold_trials(size, max_n, lanes, columns, statistics, lower, upper)
 
     _lockstep(size, max_n, advance, [*lanes, np.ones((size, columns), dtype=bool)])
     return stops, decs
-
-
-def _two_law_study(model: HypothesisModel, sources: tuple[str, ...], trials: int, seed: int, threads: int,
-                   run) -> SequentialStudy:
-    """Outcomes by source of run(dist, size, rng) -> (stops, decs), under the null law, then the alternative.
-
-    Both laws draw from each chunk's one stream, the null's trials first;
-    column k of stops and decs belongs to sources[k].
-    """
-    results = _run_chunks(
-        trials, seed, threads, lambda index, size, rng: [run(dist, size, rng) for dist in (model.null, model.alt)])
-
-    def collect(which: int) -> dict[str, SequentialOutcome]:
-        stops, decs = (np.concatenate([r[which][part] for r in results]) for part in (0, 1))
-        return {source: SequentialOutcome.from_trials(stops[:, col], decs[:, col])
-                for col, source in enumerate(sources)}
-
-    return SequentialStudy(under_null=collect(0), under_alt=collect(1))
 
 
 def sequential_trials(dist, statistic, topology: NetworkTopology, v: int, detector: SequentialDetector,
@@ -548,7 +531,7 @@ def estimate_stopping(
     max_n: int,
     node: int = 0,
     threads: int = 1,
-) -> SequentialStudy:
+) -> DecisionStudy:
     """Stopping times and decisions of the centralized and one node's sequential test (`sequential_trials`)."""
     return _two_law_study(model, ("centralized", "node"), trials, seed, threads,
                           lambda dist, size, rng: sequential_trials(
@@ -625,7 +608,7 @@ def estimate_sprt_stopping(
     *,
     max_n: int,
     threads: int = 1,
-) -> SequentialStudy:
+) -> DecisionStudy:
     """Exact log-likelihood-ratio test with the classic threshold pair.
 
     The cumulative ratio over all M per-slot samples is compared against

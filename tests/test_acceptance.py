@@ -205,8 +205,8 @@ def test_c06_fss_detection_probability_converges():
         study = mc.estimate_error_probabilities(
             model, stats.Identity(), top, 1, n, threshold, trials, 61
         )
-        gaps[n] = abs(study.p_d["node"].value - centralized_limit)
-        report("C6", f"n={n}: p_d(node)={study.p_d['node'].value:.4f} "
+        gaps[n] = abs(study.under_alt["node"].declare_h1.value - centralized_limit)
+        report("C6", f"n={n}: p_d(node)={study.under_alt['node'].declare_h1.value:.4f} "
                      f"fusion limit={centralized_limit:.4f} gap={gaps[n]:.4f}")
     assert gaps[500] < 0.03
     assert gaps[500] < gaps[20]

@@ -68,9 +68,9 @@ def test_fss_decide_threshold_rules():
     top = full_ring(3)
     for threshold, expected in ((0.0, 1.0), (math.nextafter(0.0, 1.0), 0.0)):
         study = estimate_error_probabilities(model, _constant(0.0), top, 2, 4, threshold, 50, 3)
-        for rates in (study.p_f, study.p_d):
-            assert rates["centralized"].value == expected
-            assert rates["node"].value == expected
+        for outcomes in (study.under_null, study.under_alt):
+            assert outcomes["centralized"].declare_h1.value == expected
+            assert outcomes["node"].declare_h1.value == expected
 
 
 def test_centralized_statistic_sums_everything():
@@ -80,8 +80,8 @@ def test_centralized_statistic_sums_everything():
     n, top = 5, full_ring(3)
     at = estimate_error_probabilities(model, _constant(1.0), top, 1, n, float(n * 3), 50, 4)
     above = estimate_error_probabilities(model, _constant(1.0), top, 1, n, n * 3 + 1e-9, 50, 4)
-    assert at.p_d["centralized"].value == 1.0 and at.p_d["node"].value == 1.0
-    assert above.p_d["centralized"].value == 0.0 and above.p_d["node"].value == 0.0
+    assert at.under_alt["centralized"].declare_h1.value == 1.0 and at.under_alt["node"].declare_h1.value == 1.0
+    assert above.under_alt["centralized"].declare_h1.value == 0.0 and above.under_alt["node"].declare_h1.value == 0.0
 
 
 def test_fss_detector_validation():
@@ -137,7 +137,7 @@ def _stopping(nonlinearity, detector, max_n, trials=40, seed=5):
 
 
 def test_sequential_run_immediate_crossing():
-    det = SequentialDetector(r=1.0, M=1, eta_r=0.0, a_r=-1e-9, b_r=1e-9)
+    det = SequentialDetector(M=1, eta_r=0.0, a_r=-1e-9, b_r=1e-9)
     study = _stopping(_constant(0.5), det, max_n=10)
     for outcomes in (study.under_null, study.under_alt):
         for source in ("centralized", "node"):
@@ -146,7 +146,7 @@ def test_sequential_run_immediate_crossing():
 
 
 def test_sequential_run_truncation_is_a_result():
-    det = SequentialDetector(r=1.0, M=1, eta_r=0.0, a_r=-100.0, b_r=100.0)
+    det = SequentialDetector(M=1, eta_r=0.0, a_r=-100.0, b_r=100.0)
     study = _stopping(_constant(0.0), det, max_n=5, trials=30)
     for outcomes in (study.under_null, study.under_alt):
         for source in ("centralized", "node"):
@@ -158,9 +158,9 @@ def test_sequential_run_truncation_is_a_result():
 def test_sequential_run_translation_invariance():
     # adding c to every t(x) and to eta_r leaves the centered statistics, and
     # so every stopping time and decision, unchanged
-    det = SequentialDetector(r=1.0, M=3, eta_r=0.1, a_r=-5.0, b_r=7.0)
+    det = SequentialDetector(M=3, eta_r=0.1, a_r=-5.0, b_r=7.0)
     shift = 0.25
-    det_shifted = SequentialDetector(r=1.0, M=3, eta_r=0.1 + shift, a_r=-5.0, b_r=7.0)
+    det_shifted = SequentialDetector(M=3, eta_r=0.1 + shift, a_r=-5.0, b_r=7.0)
     base = _stopping(Identity(), det, max_n=5000, trials=300)
     shifted = _stopping(lambda x: np.asarray(x, dtype=float) + shift, det_shifted, max_n=5000, trials=300)
     assert base.under_null == shifted.under_null
@@ -169,7 +169,7 @@ def test_sequential_run_translation_invariance():
 
 
 def test_sequential_run_matches_barrier_signs():
-    det = SequentialDetector(r=1.0, M=2, eta_r=0.5, a_r=-2.0, b_r=2.0)
+    det = SequentialDetector(M=2, eta_r=0.5, a_r=-2.0, b_r=2.0)
     # t = 0: the centered path is -n M eta_r = -n, inside at slot 1, on the
     # lower barrier at slot 2
     study = _stopping(_constant(0.0), det, max_n=10)

@@ -240,8 +240,8 @@ def test_fss_threshold_minus_infinity_always_detects():
     study = estimate_error_probabilities(
         model, Identity(), top, 1, 5, -math.inf, 500, 5
     )
-    assert study.p_f["centralized"].value == 1.0
-    assert study.p_d["node"].value == 1.0
+    assert study.under_null["centralized"].declare_h1.value == 1.0
+    assert study.under_alt["node"].declare_h1.value == 1.0
 
 
 def test_fss_matches_closed_form_roc_centralized():
@@ -258,9 +258,9 @@ def test_fss_matches_closed_form_roc_centralized():
         model, Identity(), top := full_ring(M), 1, n, threshold, 20_000, 17
     )
     predicted = q_function(q_inverse(0.1) - math.sqrt(theta**2 / sigma2 * n * M))
-    est = study.p_d["centralized"]
+    est = study.under_alt["centralized"].declare_h1
     assert est.value == pytest.approx(predicted, abs=3.5 * est.std_err)
-    est_f = study.p_f["centralized"]
+    est_f = study.under_null["centralized"].declare_h1
     assert est_f.value == pytest.approx(0.1, abs=3.5 * est_f.std_err)
 
 
@@ -268,8 +268,20 @@ def test_fss_single_node_equals_centralized_when_m_is_one():
     model = gaussian_shift_model(1.0, theta=0.4)
     top = full_ring(1)
     study = estimate_error_probabilities(model, Identity(), top, 1, 10, 1.0, 2000, 7)
-    assert study.p_d["node"].value == study.p_d["centralized"].value
-    assert study.p_f["node"].value == study.p_f["centralized"].value
+    assert study.under_alt["node"].declare_h1.value == study.under_alt["centralized"].declare_h1.value
+    assert study.under_null["node"].declare_h1.value == study.under_null["centralized"].declare_h1.value
+
+
+def test_fss_record_stops_every_trial_at_n():
+    # the fixed-sample test decides every trial at slot n and truncates none
+    n, trials = 6, 300
+    study = estimate_error_probabilities(gaussian_shift_model(1.0, theta=0.3), Identity(), full_ring(3), 1, n, 0.5,
+                                         trials, 3)
+    for source in ("centralized", "node"):
+        for outcomes in (study.under_null, study.under_alt):
+            assert outcomes[source].mean_n == Estimate(n, 0.0, trials, 0)
+            assert outcomes[source].declare_h1.count == trials
+        assert study.summary(source)[0].value == n
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +298,7 @@ def _design(p_e, r, M):
 
 def test_degenerate_thresholds_stop_immediately():
     model, _ = _design(0.1, 100.0, 3)
-    detector = SequentialDetector(r=100.0, M=3, eta_r=0.0, a_r=-1e-12, b_r=1e-12)
+    detector = SequentialDetector(M=3, eta_r=0.0, a_r=-1e-12, b_r=1e-12)
     study = estimate_stopping(
         model, Identity(), full_ring(3), 1, detector, 400, 13, max_n=50
     )
@@ -402,32 +414,64 @@ def test_llr_sampler_draws_the_affine_chi_square_law(under, dof):
     assert abs(draws.mean() - mean) < 4.0 * se
 
 
+_SPLIT_SAMPLERS = {
+    "standard_normal": lambda rng, shape: rng.standard_normal(shape),
+    "chisquare": lambda rng, shape: rng.chisquare(10.0, shape),
+    # 2**31 + 1 and 3 * 2**30 reject about half and a quarter of the 32-bit draws; 2**40 takes 64-bit draws
+    **{f"integers-{high}": lambda rng, shape, high=high: rng.integers(0, high, size=shape)
+       for high in (45, 2**31 + 1, 3 * 2**30, 2**32 - 5, 2**40)},
+}
+
+
+@pytest.mark.parametrize("n", [1, 3, 2501])
+@pytest.mark.parametrize("sampler", list(_SPLIT_SAMPLERS))
+def test_one_block_draw_consumes_the_stream_as_consecutive_draws(sampler, n):
+    # a (K, n) draw equals K draws of n in a row, so a block of K slots can
+    # stand for K lockstep slots of one sampler
+    draw, K = _SPLIT_SAMPLERS[sampler], 7
+    block = draw(np.random.default_rng(5), (K, n))
+    rng = np.random.default_rng(5)
+    np.testing.assert_array_equal(block, np.stack([draw(rng, n) for _ in range(K)]))
+
+
+def test_slot_by_slot_pairs_and_samples_differ_from_all_pairs_then_all_samples():
+    # a running-family slot draws its pairs, then its samples, so K slots do not
+    # read the stream as one block of pairs followed by one block of samples
+    K, lanes, v, top = 7, 3, 2, full_ring(5)
+    rng = np.random.default_rng(5)
+    slots = [(_pair_draws(rng, top, v, lanes), rng.standard_normal((lanes, top.M))) for _ in range(K)]
+    rng = np.random.default_rng(5)
+    pairs, samples = rng.integers(0, len(top.pairs), size=(K, lanes, v)), rng.standard_normal((K, lanes, top.M))
+    assert not np.array_equal(np.stack([p for p, _ in slots]), pairs)
+    assert not np.array_equal(np.stack([t for _, t in slots]), samples)
+
+
 # ---------------------------------------------------------------------------
 # Worker counts: every engine, byte for byte
 # ---------------------------------------------------------------------------
 
-_TWO_CHUNKS = CHUNK_SIZE + 100
+_THREE_CHUNKS = 2 * CHUNK_SIZE + 7  # the last one ragged; two workers get shares of two chunks and one
 
 
 def _engine_runs():
-    """One call per engine at two chunks with short horizons, by name; each takes threads."""
+    """One call per engine at three chunks with short horizons, by name; each takes threads."""
     change = variance_change_model(1.0, 1.5)
     shift, detector = _design(0.1, 20.0, 3)
     top = full_ring(3)
 
     def run_lengths(family):
         return lambda threads: page_run_lengths(
-            change, family, 2.0, top.M, _TWO_CHUNKS, 5, under="alt", max_n=200, topology=top, v=2, threads=threads)
+            change, family, 2.0, top.M, _THREE_CHUNKS, 5, under="alt", max_n=200, topology=top, v=2, threads=threads)
 
     return {
         **{f"page_run_lengths-{family}": run_lengths(family) for family in ("centralized", "running", "bank", "single")},
         "estimate_stopping": lambda threads: estimate_stopping(
-            shift, Identity(), top, 1, detector, _TWO_CHUNKS, 6, max_n=500, threads=threads),
+            shift, Identity(), top, 1, detector, _THREE_CHUNKS, 6, max_n=500, threads=threads),
         "estimate_sprt_stopping": lambda threads: estimate_sprt_stopping(
-            shift, 3, 0.1, 0.9, _TWO_CHUNKS, 8, max_n=500, threads=threads),
+            shift, 3, 0.1, 0.9, _THREE_CHUNKS, 8, max_n=500, threads=threads),
         "estimate_error_probabilities": lambda threads: estimate_error_probabilities(
-            shift, Identity(), top, 1, 5, 0.5, _TWO_CHUNKS, 9, threads=threads),
-        "estimate_covariance": lambda threads: estimate_covariance(top, 1, 5, _TWO_CHUNKS, 11, threads=threads),
+            shift, Identity(), top, 1, 5, 0.5, _THREE_CHUNKS, 9, threads=threads),
+        "estimate_covariance": lambda threads: estimate_covariance(top, 1, 5, _THREE_CHUNKS, 11, threads=threads),
     }
 
 
@@ -443,6 +487,9 @@ def test_every_engine_is_byte_identical_across_worker_counts(engine):
 # ---------------------------------------------------------------------------
 # The chunk-worker contract
 # ---------------------------------------------------------------------------
+
+_TWO_CHUNKS = CHUNK_SIZE + 100
+
 
 def _chunk_pid(chunk_index, size, rng):
     return os.getpid()
