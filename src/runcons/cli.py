@@ -1,7 +1,8 @@
 """Command-line front end: scenario files in, CSV tables out.
 
 One subcommand per experiment family plus a `reproduce` command that runs a
-tag's bundled scenarios, each by the runner of its scenario kind.  The fss,
+tag's bundled scenarios, each by the figure runner of its scenario kind; both
+take one path in `main`: load, override, check, run.  The fss,
 sequential and change experiments compute one set of named estimates per grid
 point, {statistic: montecarlo.Estimate}: the subcommand's long table writes
 all of them, the reproduce wide table selects fields of some.  All CSV output
@@ -105,13 +106,14 @@ def nonlinearity_from_scenario(sc: ScenarioFile, model: stats.HypothesisModel):
 # Trajectory dump (shared by several subcommands)
 # ---------------------------------------------------------------------------
 
-def dump_trajectory(sc: ScenarioFile, path: str, n_slots: int, mode: WeightMode, include_new_sample: bool) -> None:
-    """One trial's states under the null law, every node at every slot."""
+def dump_trajectory(sc: ScenarioFile, path: str, v: int, n_slots: int, mode: WeightMode,
+                    include_new_sample: bool) -> None:
+    """One trial's states under the null law at v exchanges per slot, every node at every slot."""
     model = model_from_scenario(sc)
     nonlin = nonlinearity_from_scenario(sc, model)
     topology = scn.topology_from_scenario(sc)
     paths = montecarlo.consensus_paths(
-        montecarlo.chunk_rng(sc.get("montecarlo", "seed"), 10**6), topology, sc.get("topology", "v"), 1, n_slots,
+        montecarlo.chunk_rng(sc.get("montecarlo", "seed"), 10**6), topology, v, 1, n_slots,
         montecarlo.increment_sampler(model.null, nonlin), mode, include_new_sample,
     )
     rows = []
@@ -153,7 +155,7 @@ def run_bounds(sc: ScenarioFile, args) -> None:
     }
     write_csv(sc.get("output", "path"), list(columns), list(zip(*columns.values())))
     if args.dump_trajectory:
-        dump_trajectory(sc, args.dump_trajectory, min(n_max, 200), WeightMode.AVERAGING, include_new)
+        dump_trajectory(sc, args.dump_trajectory, v, min(n_max, 200), WeightMode.AVERAGING, include_new)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +170,15 @@ def _write_long(sc: ScenarioFile, key_names: list[str], points: list[tuple]) -> 
         ["scenario", *key_names, "statistic", "estimate", "std_err", "n_trials", "n_truncated"],
         [[label, *keys, name, est.value, est.std_err, est.count, est.truncated_count]
          for keys, estimates, *_ in points for name, est in estimates.items()],
+    )
+
+
+def _write_wide(sc: ScenarioFile, key_names: list[str], columns: list[str], points: list[tuple],
+                tail_names: tuple[str, ...] = ()) -> None:
+    """One row per grid point (keys, {statistic: Estimate}, *tail): its keys, the named columns, its tail."""
+    write_csv(
+        sc.get("output", "path"), [*key_names, *columns, *tail_names],
+        [[*keys, *(_wide_cell(estimates, column) for column in columns), *tail] for keys, estimates, *tail in points],
     )
 
 
@@ -195,7 +206,7 @@ def _fss_points(sc: ScenarioFile) -> list[tuple]:
     theta0, gamma_scale, p_f = sc.get("model", "theta0"), sc.get("experiment", "gamma_scale"), sc.get("detector", "p_f")
     shared_m0 = _shared_theta0_moments(sc)
     points = []
-    for v in sc.get("experiment", "v_list") or [sc.get("topology", "v")]:
+    for v in sc.get("experiment", "v_list"):
         for n in sc.get("experiment", "n_list"):
             model = model_from_scenario(sc, theta=theta0 + gamma_scale / math.sqrt(n))
             nonlin = nonlinearity_from_scenario(sc, model)
@@ -216,8 +227,9 @@ def _fss_points(sc: ScenarioFile) -> list[tuple]:
 def run_fss(sc: ScenarioFile, args) -> None:
     points = _fss_points(sc)
     _write_long(sc, ["v", "n", "threshold"], points)
-    if args.dump_trajectory:
-        dump_trajectory(sc, args.dump_trajectory, max(keys[1] for keys, *_ in points), WeightMode.ACCUMULATING, True)
+    if args.dump_trajectory:  # at the first gossip count of the grid
+        dump_trajectory(sc, args.dump_trajectory, sc.get("experiment", "v_list")[0],
+                        max(keys[1] for keys, *_ in points), WeightMode.ACCUMULATING, True)
 
 
 def _sequential_design(sc: ScenarioFile, M: int, p_e: float, r: float, shared_m0: stats.MomentSet | None = None):
@@ -278,16 +290,19 @@ def _sequential_points(sc: ScenarioFile) -> list[tuple]:
                 sprt_en, sprt_pe = montecarlo.estimate_sprt_stopping(
                     model, topology.M, p_e, 1.0 - p_e, trials, seed + 1, max_n=max_n, threads=threads,
                 ).summary("centralized")
-                estimates["en_snr_sprt"] = named(sprt_en.value * snr, truncated=sprt_en.truncated_count)
-                estimates["pe_sprt"] = named(sprt_pe.value)
+                estimates["en_snr_sprt"] = named(sprt_en.value * snr, sprt_en.std_err * snr, sprt_en.truncated_count)
+                estimates["pe_sprt"] = named(sprt_pe.value, sprt_pe.std_err)
             if sc.get("experiment", "measure") == "are":
                 pe_hat = min(max(estimates["pe_node"].value, 1e-6), 0.49)
                 model, nonlin, detector, _, max_n = _sequential_design(sc, topology.M, pe_hat, r, shared_m0)
                 matched, _ = montecarlo.estimate_stopping(
                     model, nonlin, topology, v, detector, trials, seed + 2, max_n=max_n, threads=threads,
                 ).summary("centralized")
-                estimates["en_matched_centralized"] = named(matched.value, truncated=matched.truncated_count)
-                estimates["are_node"] = named(matched.value / estimates["en_node"].value)
+                node = estimates["en_node"]
+                estimates["en_matched_centralized"] = named(matched.value, matched.std_err, matched.truncated_count)
+                are = matched.value / node.value  # its std_err by the delta method, the two runs independent
+                estimates["are_node"] = named(are, are * math.hypot(matched.std_err / matched.value,
+                                                                    node.std_err / node.value))
             points.append(((p_e, snr_db, snr), estimates))
     return points
 
@@ -300,7 +315,7 @@ def run_sequential(sc: ScenarioFile, args) -> None:
         return
     _write_long(sc, ["p_e", "snr_db", "snr"], _sequential_points(sc))
     if args.dump_trajectory:
-        dump_trajectory(sc, args.dump_trajectory, 200, WeightMode.ACCUMULATING, True)
+        dump_trajectory(sc, args.dump_trajectory, sc.get("topology", "v"), 200, WeightMode.ACCUMULATING, True)
 
 
 def _sequential_trajectory(sc: ScenarioFile, args) -> None:
@@ -391,14 +406,16 @@ def _change_points(sc: ScenarioFile):
     return theory, points
 
 
+_THEORY_COLUMNS = ["family", "gamma", "R_accurate", "R_largegamma", "D_accurate", "D_largegamma"]
+
+
+def _theory_row(p: analysis.OperatingPoint) -> list:
+    return [p.family, p.gamma, p.rate_accurate, p.rate_large_gamma, p.delay_accurate, p.delay_large_gamma]
+
+
 def run_change(sc: ScenarioFile, args) -> None:
     theory, points = _change_points(sc)
-    write_csv(
-        with_suffix(sc.get("output", "path"), "theory"),
-        ["family", "gamma", "R_accurate", "R_largegamma", "D_accurate", "D_largegamma"],
-        [[p.family, p.gamma, p.rate_accurate, p.rate_large_gamma, p.delay_accurate, p.delay_large_gamma]
-         for p in theory],
-    )
+    write_csv(with_suffix(sc.get("output", "path"), "theory"), _THEORY_COLUMNS, [_theory_row(p) for p in theory])
     _write_long(sc, ["family", "gamma"], points)
     if args.dump_trials:  # rows only when asked: a false-alarm run can hold thousands of trials per point
         write_csv(
@@ -443,11 +460,7 @@ RUNNERS = {
 def figure_fss(sc: ScenarioFile, args) -> None:
     """Wide detection-probability table: one row per (v, n)."""
     columns = ["p_f_node", "p_f_node_se", "p_d_node", "p_d_node_se", "p_d_centralized", "p_d_centralized_se"]
-    rows = [
-        [*keys, *(_wide_cell(estimates, column) for column in columns), p_d_limit]
-        for keys, estimates, p_d_limit in _fss_points(sc)
-    ]
-    write_csv(sc.get("output", "path"), ["v", "n", "threshold", *columns, "p_d_limit"], rows)
+    _write_wide(sc, ["v", "n", "threshold"], columns, _fss_points(sc), ("p_d_limit",))
 
 
 def figure_sequential(sc: ScenarioFile, args) -> None:
@@ -462,8 +475,7 @@ def figure_sequential(sc: ScenarioFile, args) -> None:
         columns += ["en_snr_sprt", "pe_sprt"]
     if "are_node" in points[0][1]:
         columns += ["en_node", "en_matched_centralized", "are_node"]
-    rows = [[*keys, *(_wide_cell(estimates, column) for column in columns)] for keys, estimates in points]
-    write_csv(sc.get("output", "path"), ["p_e", "snr_db", "snr", *columns], rows)
+    _write_wide(sc, ["p_e", "snr_db", "snr"], columns, points)
 
 
 def figure_change(sc: ScenarioFile, args) -> None:
@@ -472,7 +484,7 @@ def figure_change(sc: ScenarioFile, args) -> None:
     simulated = {keys: estimates for keys, estimates, _ in points}
     rows = []
     for p in theory:
-        row = [p.family, p.gamma, p.rate_accurate, p.rate_large_gamma, p.delay_accurate, p.delay_large_gamma]
+        row = _theory_row(p)
         estimates = simulated.get((p.family, p.gamma))
         if estimates is None:
             rows.append([*row, None, None, None, None, 0, 0])
@@ -482,12 +494,8 @@ def figure_change(sc: ScenarioFile, args) -> None:
             row += [None, None] if est is None else [est.value, est.std_err]
         # truncations of the false-alarm run if there is one, else of the delay run
         rows.append([*row, sc.get("montecarlo", "trials"), next(iter(estimates.values())).truncated_count])
-    write_csv(
-        sc.get("output", "path"),
-        ["family", "gamma", "R_accurate", "R_largegamma", "D_accurate", "D_largegamma",
-         "R_sim", "R_sim_se", "D_sim", "D_sim_se", "n_trials", "n_truncated"],
-        rows,
-    )
+    write_csv(sc.get("output", "path"),
+              [*_THEORY_COLUMNS, "R_sim", "R_sim_se", "D_sim", "D_sim_se", "n_trials", "n_truncated"], rows)
 
 
 REPRODUCE_TAGS: dict[str, list[str]] = {
@@ -513,24 +521,6 @@ FIGURE_RUNNERS = {  # by scenario kind
     "sequential": figure_sequential,
     "change": figure_change,
 }
-
-
-def load_bundled_scenario(resource_name: str) -> ScenarioFile:
-    text = resources.files("runcons").joinpath("scenarios", resource_name).read_text(encoding="utf-8")
-    return scn.parse(text)
-
-
-def run_reproduce(tag: str, args) -> None:
-    if tag not in REPRODUCE_TAGS:
-        raise ScenarioError(
-            f"unknown experiment tag {tag!r}; known tags: {', '.join(sorted(REPRODUCE_TAGS))}"
-        )
-    scenarios = [load_bundled_scenario(name) for name in REPRODUCE_TAGS[tag]]
-    for sc in scenarios:  # every scenario of the tag is checked before the first one writes
-        _apply_overrides(sc, args)
-    _check_outputs(scenarios, args)
-    for sc in scenarios:
-        FIGURE_RUNNERS[sc.kind](sc, args)
 
 
 # ---------------------------------------------------------------------------
@@ -609,18 +599,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Load the subcommand's file or the tag's bundled files, override and check every one, then run each."""
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "reproduce":
-            run_reproduce(args.tag, args)
+            if args.tag not in REPRODUCE_TAGS:
+                raise ScenarioError(
+                    f"unknown experiment tag {args.tag!r}; known tags: {', '.join(sorted(REPRODUCE_TAGS))}")
+            paths = [resources.files("runcons").joinpath("scenarios", name) for name in REPRODUCE_TAGS[args.tag]]
+            runners = FIGURE_RUNNERS
         else:
-            sc = scn.load(args.scenario)
+            paths, runners = [args.scenario], RUNNERS
+        scenarios = [scn.load(path) for path in paths]
+        for sc in scenarios:  # every scenario is checked before the first one writes
             _apply_overrides(sc, args)
-            if sc.kind != args.command:
+            if args.command not in ("reproduce", sc.kind):
                 raise ScenarioError(f"scenario kind '{sc.kind}' does not match subcommand '{args.command}'")
-            _check_outputs([sc], args)
-            RUNNERS[args.command](sc, args)
+        _check_outputs(scenarios, args)
+        for sc in scenarios:
+            runners[sc.kind](sc, args)
     except (ScenarioError, TopologyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -46,13 +46,11 @@ SELECTORS = {"model": "family", "topology": "kind"}  # the key of a section whos
 class Key:
     """One row of the table.
 
-    `reads` maps each kind that reads the key to its default there: a value,
-    REQUIRED, or None where an absent key means "not given" (fss then runs
-    `experiment.v_list` at `topology.v` alone).  `rule` is a (predicate,
-    wording) pair that every value, and every item of a list, must pass; a
-    {kind: pair} dict where the kinds differ.  Every float, and every item of
-    a float list, must also be finite.  `only` limits a key to the
-    values of its section's selector that read it.
+    `reads` maps each kind that reads the key to its default there: a value
+    or REQUIRED.  `rule` is a (predicate, wording) pair that every value, and
+    every item of a list, must pass; a {kind: pair} dict where the kinds
+    differ.  Every float, and every item of a float list, must also be finite.
+    `only` limits a key to the values of its section's selector that read it.
     """
 
     type: str
@@ -83,7 +81,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "label": Key("str", {kind: kind for kind in _DETECTING}),  # the long table's scenario column
         "n_max": Key("int", {"bounds": 200}, _COUNT),
         "n_list": Key("int_list", {"fss": (100,)}, _COUNT),
-        "v_list": Key("int_list", {"fss": None}, _COUNT),  # absent: [topology.v]
+        "v_list": Key("int_list", {"fss": (1,)}, _COUNT),  # fss's gossip counts: it reads no topology.v
         "gamma_scale": Key("float", {"fss": 1.0}),
         "include_new_sample": Key("bool", {"bounds": False}),
         "snr_db_list": Key("float_list", {"sequential": (-20.0,)}),
@@ -104,7 +102,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
                  {**dict.fromkeys(_NETWORKED, _COUNT), "bounds": _PAIR}),
         # k's range (even, 2 <= k < m) is checked by network.k_neighbor_ring
         "k": Key("int", dict.fromkeys(_NETWORKED, REQUIRED), None, ("k_neighbor_ring",)),
-        "v": Key("int", dict.fromkeys(_SIMULATING, 1), _COUNT),
+        "v": Key("int", {kind: 1 for kind in _SIMULATING if kind != "fss"}, _COUNT),
         "allow_disconnected": Key("bool", dict.fromkeys(_NETWORKED, False), None, ("explicit_edges",)),
     },
     "model": {

@@ -139,6 +139,14 @@ class Gaussian:
     def pdf(self, x) -> np.ndarray:
         return np.exp(self.logpdf(x))
 
+    def at(self, theta: float) -> Gaussian:
+        """The same law moved to mean theta."""
+        return Gaussian(theta, self.variance)
+
+    def score(self, x) -> np.ndarray:
+        """d/dtheta log f_theta(x) at the law's own mean."""
+        return (np.asarray(x, dtype=float) - self.mean) / self.variance
+
     @property
     def var(self) -> float:
         return self.variance
@@ -184,44 +192,14 @@ class GaussianMixture:
     def pdf(self, x) -> np.ndarray:
         return np.exp(self.logpdf(x))
 
-    @property
-    def var(self) -> float:
-        return self.weight * self.variance1 + (1.0 - self.weight) * self.variance2
-
-    def quad_hint(self) -> tuple[float, float]:
-        s = math.sqrt(max(self.variance1, self.variance2))
-        return self.mean - 12.0 * s, self.mean + 12.0 * s
-
-
-# ---------------------------------------------------------------------------
-# Location families and hypothesis models
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GaussianLocationFamily:
-    variance: float
-
-    def at(self, theta: float) -> Gaussian:
-        return Gaussian(theta, self.variance)
-
-    def score(self, x, theta0: float) -> np.ndarray:
-        """d/dtheta log f_theta(x) at theta0."""
-        return (np.asarray(x, dtype=float) - theta0) / self.variance
-
-
-@dataclass(frozen=True)
-class MixtureLocationFamily:
-    weight: float
-    variance1: float
-    variance2: float
-
     def at(self, theta: float) -> GaussianMixture:
+        """The same law moved to mean theta."""
         return GaussianMixture(self.weight, theta, self.variance1, self.variance2)
 
-    def score(self, x, theta0: float) -> np.ndarray:
-        # -f'/f for the location mixture; component weights carry the
-        # 1/sigma normalization of each Gaussian density
-        u = np.asarray(x, dtype=float) - theta0
+    def score(self, x) -> np.ndarray:
+        """d/dtheta log f_theta(x) at the law's own mean: -f'/f, each component's
+        weight carrying the 1/sigma normalization of its Gaussian density."""
+        u = np.asarray(x, dtype=float) - self.mean
         s1 = np.sqrt(self.variance1)
         s2 = np.sqrt(self.variance2)
         a1 = -0.5 * u * u / self.variance1
@@ -232,43 +210,55 @@ class MixtureLocationFamily:
         num = w1 / self.variance1 + w2 / self.variance2
         return u * num / (w1 + w2)
 
+    @property
+    def var(self) -> float:
+        return self.weight * self.variance1 + (1.0 - self.weight) * self.variance2
+
+    def quad_hint(self) -> tuple[float, float]:
+        s = math.sqrt(max(self.variance1, self.variance2))
+        return self.mean - 12.0 * s, self.mean + 12.0 * s
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis models
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HypothesisModel:
-    """Pair of sampling laws, optionally backed by a location family."""
+    """Pair of sampling laws; with `location`, the alternative is the null law moved to theta."""
 
     null: Gaussian | GaussianMixture
     alt: Gaussian | GaussianMixture
     theta0: float
     theta: float
-    family: GaussianLocationFamily | MixtureLocationFamily | None = None
+    location: bool = False
 
     def at(self, theta: float):
-        """Sampling law at an arbitrary parameter value (family required)."""
-        if self.family is not None:
-            return self.family.at(theta)
+        """Sampling law at an arbitrary parameter value (a location model required)."""
+        if self.location:
+            return self.null.at(theta)
         if theta == self.theta0:
             return self.null
         if theta == self.theta:
             return self.alt
-        raise ValueError("model has no parametric family; only theta0/theta are available")
+        raise ValueError("model has no location family; only theta0/theta are available")
 
 
 def gaussian_shift_model(variance: float, theta: float, theta0: float = 0.0) -> HypothesisModel:
-    fam = GaussianLocationFamily(variance)
-    return HypothesisModel(fam.at(theta0), fam.at(theta), theta0, theta, fam)
+    null = Gaussian(theta0, variance)
+    return HypothesisModel(null, null.at(theta), theta0, theta, location=True)
 
 
 def mixture_shift_model(
     weight: float, variance1: float, variance2: float, theta: float, theta0: float = 0.0
 ) -> HypothesisModel:
-    fam = MixtureLocationFamily(weight, variance1, variance2)
-    return HypothesisModel(fam.at(theta0), fam.at(theta), theta0, theta, fam)
+    null = GaussianMixture(weight, theta0, variance1, variance2)
+    return HypothesisModel(null, null.at(theta), theta0, theta, location=True)
 
 
 def variance_change_model(variance0: float, variance1: float) -> HypothesisModel:
     """Zero-mean Gaussian pair differing only in variance (change detection)."""
-    return HypothesisModel(Gaussian(0.0, variance0), Gaussian(0.0, variance1), 0.0, 1.0, None)
+    return HypothesisModel(Gaussian(0.0, variance0), Gaussian(0.0, variance1), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +272,12 @@ class Identity:
 
 @dataclass(frozen=True)
 class Score:
-    """Derivative of the log density in the location parameter, at theta0."""
+    """Derivative of the log density in the location parameter, at the null law's mean theta0."""
 
-    family: GaussianLocationFamily | MixtureLocationFamily
-    theta0: float = 0.0
+    null: Gaussian | GaussianMixture
 
     def __call__(self, x) -> np.ndarray:
-        return self.family.score(x, self.theta0)
+        return self.null.score(x)
 
 
 @dataclass(frozen=True)
@@ -301,9 +290,9 @@ class LogLikelihoodRatio:
 
 
 def score_nonlinearity(model: HypothesisModel) -> Score:
-    if model.family is None:
-        raise ValueError("score nonlinearity requires a parametric family")
-    return Score(model.family, model.theta0)
+    if not model.location:
+        raise ValueError("score nonlinearity requires a location family")
+    return Score(model.null)
 
 
 def llr_nonlinearity(model: HypothesisModel) -> LogLikelihoodRatio:
@@ -428,8 +417,8 @@ def moments(model: HypothesisModel, nonlinearity, theta: float) -> MomentSet:
     if isinstance(nonlinearity, Identity):
         return MomentSet(dist.mean, dist.var, 1.0)
 
-    if isinstance(nonlinearity, Score) and isinstance(model.family, GaussianLocationFamily):
-        v = model.family.variance
+    if isinstance(nonlinearity, Score) and model.location and isinstance(model.null, Gaussian):
+        v = model.null.variance
         return MomentSet((theta - model.theta0) / v, 1.0 / v, 1.0 / v)
 
     # quadrature path
@@ -441,8 +430,8 @@ def moments(model: HypothesisModel, nonlinearity, theta: float) -> MomentSet:
     if isinstance(t, Score):
         # slope of the mean at theta0: the score's second moment, just taken if theta is theta0
         mu_prime = second if theta == model.theta0 else fisher_information(model)
-    elif model.family is None:
-        mu_prime = float("nan")  # no parametric family: the slope is undefined
+    elif not model.location:
+        mu_prime = float("nan")  # no location family: the slope is undefined
     else:
         mu_prime = _mu_prime_central_difference(model, t, hint)
 

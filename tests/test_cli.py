@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import re
 from pathlib import Path
@@ -587,6 +588,7 @@ UNREAD = {
     "bounds-allow-disconnected-k-ring": ("fig_bound1_kneighbor.scn", "topology", "allow_disconnected", "true",
                                          "topology.kind 'k_neighbor_ring'"),
     "fss-n_max": ("fig_fss3.scn", "experiment", "n_max", "50", "fss experiments"),
+    "fss-topology-v": ("fig_fss3.scn", "topology", "v", "2", "fss experiments"),  # fss reads experiment.v_list
     "efficiency-m": ("fig_re1.scn", "topology", "m", "3", "efficiency experiments"),
     "sequential-p_e": ("fig_nmed_gauss.scn", "detector", "p_e", "0.3", None),
 }
@@ -771,7 +773,24 @@ def test_matched_row_reports_the_matched_runs_truncations(tmp_path, monkeypatch)
     assert 0 < int(rows["en_matched_centralized"]["n_truncated"]) < 2 * 200
 
 
-def _dense_replay(sc, slots: int, dist, nonlin, stream: int, mode: WeightMode, include: bool):
+def test_sprt_and_matched_rows_carry_their_runs_std_err(tmp_path, monkeypatch):
+    code = run_cli(["sequential", str(SCENARIOS / "fig_are_gauss.scn"), "--trials", "40",
+                    "--set", "experiment.snr_db_list=-20", "--set", "detector.p_e_list=0.1",
+                    "--set", "experiment.include_sprt_baseline=true"], tmp_path, monkeypatch)
+    assert code == 0
+    rows = {row["statistic"]: {field: float(row[field]) for field in ("estimate", "std_err")}
+            for row in _read_rows(tmp_path / "fig_are_gauss.csv")}
+    for name in ("en_snr_sprt", "pe_sprt", "en_matched_centralized", "are_node"):
+        assert rows[name]["std_err"] > 0.0, name
+    # the ratio of two independent runs, by the delta method
+    matched, node, are = rows["en_matched_centralized"], rows["en_node"], rows["are_node"]
+    assert math.isclose(are["estimate"], matched["estimate"] / node["estimate"], rel_tol=1e-9)
+    assert math.isclose(are["std_err"], are["estimate"] * math.hypot(matched["std_err"] / matched["estimate"],
+                                                                     node["std_err"] / node["estimate"]),
+                        rel_tol=1e-9)
+
+
+def _dense_replay(sc, v: int, slots: int, dist, nonlin, stream: int, mode: WeightMode, include: bool):
     """(states, centralized statistics) of the dense recursion fed a dump's draws.
 
     Each slot draws W by the dense oracle's gossip_matrix and then the sample,
@@ -783,7 +802,7 @@ def _dense_replay(sc, slots: int, dist, nonlin, stream: int, mode: WeightMode, i
     run = ConsensusRun(topology.M, mode, include_new_sample_in_exchange=include)
     states, central = [], []
     for _ in range(slots):
-        run.step(gossip_matrix(topology, int(sc.get("topology", "v")), rng),
+        run.step(gossip_matrix(topology, v, rng),
                  nonlin(dist.sample(rng, topology.M)))
         states.append(run.state.copy())
         central.append(run.centralized_state())
@@ -804,11 +823,12 @@ def _scenario(name: str, overrides: list[str]):
 
 
 @pytest.mark.parametrize("command, mode, include", [
-    (["bounds", "fig_bound1_kneighbor.scn", "experiment.n_max=30"], WeightMode.AVERAGING, False),
-    (["fss", "fig_fss3.scn", "experiment.n_list=10,30"], WeightMode.ACCUMULATING, True),
+    (["bounds", "fig_bound1_kneighbor.scn", "experiment.n_max=30", "topology.v=3"], WeightMode.AVERAGING, False),
+    # fss dumps at the first entry of its v_list
+    (["fss", "fig_fss3.scn", "experiment.n_list=10,30", "experiment.v_list=3,1"], WeightMode.ACCUMULATING, True),
 ], ids=["bounds-new-sample-held", "fss-new-sample-exchanged"])
 def test_dump_trajectory_matches_dense_recursion(command, mode, include, tmp_path, monkeypatch):
-    kind, name, *overrides = [*command, "topology.v=3"]
+    kind, name, *overrides = command
     sets = [arg for item in overrides for arg in ("--set", item)]
     code = run_cli([kind, str(SCENARIOS / name), *sets, "--trials", "10", "--dump-trajectory", "traj.csv"],
                    tmp_path, monkeypatch)
@@ -818,7 +838,7 @@ def test_dump_trajectory_matches_dense_recursion(command, mode, include, tmp_pat
     M = topology_from_scenario(sc).M
     dump = np.loadtxt(tmp_path / "traj.csv", delimiter=",", skiprows=1).reshape(-1, M, 5)
     assert dump.shape[0] == 30
-    states, central = _dense_replay(sc, 30, model.null, cli.nonlinearity_from_scenario(sc, model),
+    states, central = _dense_replay(sc, 3, 30, model.null, cli.nonlinearity_from_scenario(sc, model),
                                     10**6, mode, include)
     assert (dump[:, :, 0] == np.arange(1, 31)[:, None]).all() and (dump[:, :, 1] == np.arange(M)).all()
     _assert_close(dump[:, :, 2], states)
@@ -841,7 +861,7 @@ def test_sequential_trajectory_matches_dense_recursion(tmp_path, monkeypatch):
     sc = _scenario("fig_stopping.scn", ["topology.v=3"])
     M, model, nonlin, detector = _stopping_design(sc)
     dump = np.loadtxt(tmp_path / "fig_stopping.csv", delimiter=",", skiprows=1)
-    states, central = _dense_replay(sc, len(dump), model.alt, nonlin, 0, WeightMode.ACCUMULATING, True)
+    states, central = _dense_replay(sc, 3, len(dump), model.alt, nonlin, 0, WeightMode.ACCUMULATING, True)
     shift = np.arange(1, len(dump) + 1) * M * detector.eta_r
     _assert_close(dump[:, 1], central - shift)
     _assert_close(dump[:, 2:], states - shift[:, None])

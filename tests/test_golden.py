@@ -18,6 +18,7 @@ from runcons import cli
 
 HASH_FILE = Path(__file__).with_name("golden_hashes.json")
 SCENARIOS = Path(cli.__file__).with_name("scenarios")
+SPECTRAL = Path(__file__).with_name("spectral_ring_chord.scn")  # absolute, so SCENARIOS / SPECTRAL is itself
 
 # reproduce tags at the sizes of test_cli.test_every_reproduce_tag_runs_end_to_end
 _SEQUENTIAL_SMALL = ["--trials", "40", "--set", "experiment.snr_db_list=-20"]
@@ -38,18 +39,24 @@ REPRODUCE = {
     "fig:RE2": [],
 }
 
-# subcommands on bundled scenario files: the long tables and the extra dumps
+# subcommands on bundled scenario files (spectral on its own, beside this file): the long tables and the dumps
 _MULTI_CHUNK = ["change", "fig_sim1.scn", "--trials", "2600", "--set", "experiment.gamma_list=1.2"]
+_FSS_SMALL = ["fss", "fig_fss3.scn", "--trials", "40", "--set", "experiment.n_list=10,30"]
 SUBCOMMANDS = {
     "bounds": ["bounds", "fig_bound1_kneighbor.scn", "--trials", "40",
                "--set", "experiment.n_max=30", "--dump-trajectory", "trajectory.csv"],
-    "fss": ["fss", "fig_fss3.scn", "--trials", "40", "--set", "experiment.n_list=10,30",
-            "--dump-trajectory", "trajectory.csv"],
+    "fss": [*_FSS_SMALL, "--dump-trajectory", "trajectory.csv"],
+    # the score's closed-form Gaussian moments; the LLR's moments move with theta, its slope by central difference
+    "fss-score": [*_FSS_SMALL, "--set", "model.nonlinearity=score"],
+    "fss-llr": [*_FSS_SMALL, "--set", "model.nonlinearity=llr"],
+    # one node: no pair to gossip
+    "fss-one-node": [*_FSS_SMALL, "--set", "topology.m=1"],
+    # 47 trials: 11 groups of 4 and a ragged group of 3 in the covariance engine
+    "bounds-ragged-group": ["bounds", "fig_bound1_kneighbor.scn", "--trials", "47", "--set", "experiment.n_max=30"],
     # several exchanges per slot in both dump branches: new sample held, exchanged
     "bounds-dump-v3": ["bounds", "fig_bound1_kneighbor.scn", "--trials", "40", "--set", "experiment.n_max=30",
                        "--set", "topology.v=3", "--dump-trajectory", "trajectory.csv"],
-    "fss-dump-v3": ["fss", "fig_fss3.scn", "--trials", "40", "--set", "experiment.n_list=10,30",
-                    "--set", "topology.v=3", "--dump-trajectory", "trajectory.csv"],
+    "fss-dump-v3": [*_FSS_SMALL, "--set", "experiment.v_list=3", "--dump-trajectory", "trajectory.csv"],
     # two nodes: one gossip averages them exactly, so lambda_U = lambda_L = 0 in the bounds
     "bounds-two-nodes-held": ["bounds", "fig_bound1_complete.scn", "--trials", "40", "--set", "experiment.n_max=30",
                               "--set", "topology.m=2"],
@@ -64,6 +71,8 @@ SUBCOMMANDS = {
     "sequential-are": ["sequential", "fig_are_gauss.scn", *_SEQUENTIAL_SMALL,
                        "--set", "detector.p_e_list=0.1"],
     "sequential-sprt": ["sequential", "fig_perr_mixt.scn", *_SEQUENTIAL_SMALL],
+    "sequential-llr-mixture": ["sequential", "fig_nmed_mixt.scn", *_SEQUENTIAL_SMALL,
+                               "--set", "model.nonlinearity=llr"],
     "sequential-trajectory": ["sequential", "fig_stopping.scn"],
     "change-rate": ["change", "fig_sim2.scn", *_CHANGE_SMALL],
     "change-all-families": ["change", "fig_sim1.scn", *_CHANGE_SMALL,
@@ -71,6 +80,8 @@ SUBCOMMANDS = {
                             "--dump-trials", "trials.csv"],
     "change-multi-chunk-threads1": [*_MULTI_CHUNK, "--threads", "1"],
     "change-multi-chunk-threads2": [*_MULTI_CHUNK, "--threads", "2"],
+    "spectral": ["spectral", SPECTRAL],
+    "efficiency": ["efficiency", "fig_re1.scn"],
 }
 
 CASES = {
@@ -113,6 +124,10 @@ def numeric_platform() -> str:
 
 def test_every_reproduce_tag_is_pinned():
     assert set(REPRODUCE) == set(cli.REPRODUCE_TAGS)
+
+
+def test_every_subcommand_is_pinned():
+    assert {args[0] for args in SUBCOMMANDS.values()} == set(cli.RUNNERS)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
