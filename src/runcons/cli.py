@@ -288,10 +288,10 @@ def _sequential_points(sc: ScenarioFile) -> list[tuple]:
             estimates["en_snr_asymptote"] = named(0.5 * (asn[0] + asn[1]) / V)
             if sc.get("experiment", "include_sprt_baseline"):
                 sprt_en, sprt_pe = montecarlo.estimate_sprt_stopping(
-                    model, topology.M, p_e, 1.0 - p_e, trials, seed + 1, max_n=max_n, threads=threads,
+                    model, topology, p_e, 1.0 - p_e, trials, seed + 1, max_n=max_n, threads=threads,
                 ).summary("centralized")
                 estimates["en_snr_sprt"] = named(sprt_en.value * snr, sprt_en.std_err * snr, sprt_en.truncated_count)
-                estimates["pe_sprt"] = named(sprt_pe.value, sprt_pe.std_err)
+                estimates["pe_sprt"] = sprt_pe
             if sc.get("experiment", "measure") == "are":
                 pe_hat = min(max(estimates["pe_node"].value, 1e-6), 0.49)
                 model, nonlin, detector, _, max_n = _sequential_design(sc, topology.M, pe_hat, r, shared_m0)

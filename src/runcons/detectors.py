@@ -28,7 +28,6 @@ def fss_threshold(p_f: float, n: int, moments_at_theta0: MomentSet, M: int) -> f
 
 @dataclass(frozen=True)
 class SequentialDetector:
-    M: int
     eta_r: float
     a_r: float
     b_r: float
@@ -64,4 +63,4 @@ def sequential_design(
     scale = math.sqrt(r * M * m0.sigma2)
     alpha, beta = continuous_time_thresholds(p_f, p_d, d)
     eta_r = 0.5 * (moments_at_theta_r.mu + m0.mu)
-    return SequentialDetector(M=M, eta_r=eta_r, a_r=scale * alpha, b_r=scale * beta)
+    return SequentialDetector(eta_r=eta_r, a_r=scale * alpha, b_r=scale * beta)

@@ -8,10 +8,11 @@ forked children.  Inside a chunk, trials advance in lockstep as numpy arrays,
 every increment from one sampler (`increment_sampler`) and every consensus
 state through one slot step (`_slot`); every stopping experiment runs on one
 engine (`_lockstep`) that takes its per-slot update and stopping rule and
-compacts finished trials away.  The sequential test (`sequential_trials`) and
-its probability-ratio baseline share one two-threshold loop on it; they and the
-fixed-sample test run both laws through one study (`_two_law_study`) into one
-decision record (`DecisionStudy`).
+compacts finished trials away.  Every decision test steps one two-threshold
+core on it (`sequential_trials`): the sequential test, its probability-ratio
+baseline (no gossip, no node column) and the fixed-sample test (a test that
+never stops, read at its horizon).  All three run both laws through one study
+(`_two_law_study`) into one decision record (`DecisionStudy`).
 
 Ratio-type metrics (variance ratios, consensus coefficients) get their
 standard errors from fixed sub-groups of trials; everything that is a plain
@@ -230,8 +231,8 @@ def increment_sampler(dist, statistic, dof: int = 1):
     The log-likelihood ratio of two zero-mean Gaussians, sampled under either,
     admits an exact sufficient form: the summed increment is affine in a
     chi-square draw with dof degrees of freedom, a squared standard normal at
-    dof 1 (about 3x cheaper than chisquare(1)).  Otherwise an increment is the
-    statistic of dof raw draws, summed.
+    dof 1 (about 3x cheaper than chisquare(1)).  Any other statistic has no
+    summed form, so it takes dof 1: an increment is the statistic of one raw draw.
     """
     if isinstance(statistic, LogLikelihoodRatio) and all(
         isinstance(law, Gaussian) and law.mean == 0.0 for law in (dist, statistic.null, statistic.alt)
@@ -252,9 +253,9 @@ def increment_sampler(dist, statistic, dof: int = 1):
             return out
 
         return sampler
-    if dof == 1:
-        return lambda rng, shape: statistic(dist.sample(rng, shape))
-    return lambda rng, shape: statistic(dist.sample(rng, (*shape, dof))).sum(axis=-1)
+    if dof != 1:
+        raise ValueError(f"only the zero-mean Gaussian log-likelihood ratio sums over sensors, got dof {dof}")
+    return lambda rng, shape: statistic(dist.sample(rng, shape))
 
 
 def _slot(rng, topology: NetworkTopology, v: int, states: np.ndarray, sample, n: int,
@@ -443,19 +444,20 @@ def estimate_error_probabilities(
 ) -> DecisionStudy:
     """The fixed-sample test of the centralized and one node's statistic at slot n.
 
-    Every trial stops at n and declares H1 where its statistic is at or above
+    Every trial runs `sequential_trials` with a test that never stops, to
+    slot n, and declares H1 where its statistic is then at or above
     threshold, so declare_h1 is the false-alarm frequency under the null and
     the detection frequency under the alternative.  Within a trial the two
     statistics share the same sample stream; they are coupled by construction.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
+    never = SequentialDetector(eta_r=0.0, a_r=-math.inf, b_r=math.inf)
 
     def run(dist, size: int, rng: np.random.Generator):
-        paths = consensus_paths(rng, topology, v, size, n, increment_sampler(dist, nonlinearity),
-                                WeightMode.ACCUMULATING, True)
-        _, states, csum = deque(paths, maxlen=1)[0]  # the last slot
-        above = np.stack((csum, states[:, node]), axis=1) >= threshold
+        last = deque(maxlen=1)  # the last slot's statistics, every trial still live
+        sequential_trials(dist, nonlinearity, topology, v, never, n, [node], size, rng, record=last.append)
+        above = last[0] >= threshold
         return np.full(above.shape, n), np.where(above, _DEC_H1, _DEC_H0)
 
     return _two_law_study(model, ("centralized", "node"), trials, seed, threads, run)
@@ -465,24 +467,33 @@ def estimate_error_probabilities(
 # Sequential stopping times
 # ---------------------------------------------------------------------------
 
-def _two_threshold_trials(size, max_n, lanes, columns, statistics, lower, upper):
-    """Stopping slots and decisions of one chunk's trials, by column.
+def sequential_trials(dist, statistic, topology: NetworkTopology, v: int, detector: SequentialDetector,
+                      max_n: int, nodes, size: int, rng: np.random.Generator, record=None):
+    """Stopping slots and decisions, by column, of size trials of the sequential test under law dist.
 
-    statistics(slot, lanes) advances the live trials' lanes through one slot,
-    in place or by rebinding lanes[k], and returns their (live, columns)
-    statistics.  A column stops at the first slot where it leaves
-    (lower, upper), declaring H1 above and H0 below; a trial finishes once
-    every column has stopped.  A column still inside at max_n keeps stop and
-    decision 0.
+    The trials share one sample stream.  Column 0 is the centralized
+    statistic, the sum of every increment, and column 1 + k the state of
+    nodes[k], each less the slot's drift n M eta_r.  A column stops at the
+    first slot where it leaves (a_r, b_r), declaring H1 above and H0 below; a
+    trial finishes once every column has stopped.  A column still inside at
+    max_n keeps stop and decision 0.  record(values), if given, sees each
+    slot's (live, columns) statistics.
     """
-    stops = np.zeros((size, columns), dtype=np.int64)
-    decs = np.zeros((size, columns), dtype=np.int8)
+    draw = increment_sampler(dist, statistic)
+    nodes = np.asarray(nodes, dtype=np.intp)  # once, not at every slot's indexing; [] alone would be float
+    stops = np.zeros((size, 1 + nodes.size), dtype=np.int64)
+    decs = np.zeros(stops.shape, dtype=np.int8)
 
     def advance(slot: int, alive: np.ndarray, lanes: list[np.ndarray]) -> np.ndarray | None:
-        values = statistics(slot, lanes)
-        undecided = lanes[-1]
-        above = values >= upper
-        hit = (above | (values <= lower)) & undecided
+        states, t = _slot(rng, topology, v, lanes[0], draw, slot, WeightMode.ACCUMULATING, True)
+        lanes[0] = states
+        lanes[1] += t.sum(axis=1, keepdims=True)
+        values = np.concatenate((lanes[1], states[:, nodes]), axis=1) - slot * topology.M * detector.eta_r
+        if record is not None:
+            record(values)
+        undecided = lanes[2]
+        above = values >= detector.b_r
+        hit = (above | (values <= detector.a_r)) & undecided
         if not hit.any():
             return None
         rows, cols = np.nonzero(hit)
@@ -491,32 +502,8 @@ def _two_threshold_trials(size, max_n, lanes, columns, statistics, lower, upper)
         undecided &= ~hit
         return ~undecided.any(axis=1)
 
-    _lockstep(size, max_n, advance, [*lanes, np.ones((size, columns), dtype=bool)])
+    _lockstep(size, max_n, advance, [np.zeros((size, topology.M)), np.zeros((size, 1)), np.ones(stops.shape, bool)])
     return stops, decs
-
-
-def sequential_trials(dist, statistic, topology: NetworkTopology, v: int, detector: SequentialDetector,
-                      max_n: int, nodes, size: int, rng: np.random.Generator, record=None):
-    """`_two_threshold_trials` of size trials of the sequential test under law dist, on one sample stream.
-
-    Column 0 is the centralized statistic, the sum of every increment, and
-    column 1 + k the state of nodes[k], each less the slot's drift n M eta_r.
-    record(values), if given, sees each slot's (live, columns) statistics.
-    """
-    draw = increment_sampler(dist, statistic)
-    nodes = np.asarray(nodes)  # once, not at every slot's indexing
-
-    def statistics(slot: int, lanes: list[np.ndarray]) -> np.ndarray:
-        states, t = _slot(rng, topology, v, lanes[0], draw, slot, WeightMode.ACCUMULATING, True)
-        lanes[0] = states
-        lanes[1] += t.sum(axis=1, keepdims=True)
-        values = np.concatenate((lanes[1], states[:, nodes]), axis=1) - slot * topology.M * detector.eta_r
-        if record is not None:
-            record(values)
-        return values
-
-    return _two_threshold_trials(size, max_n, [np.zeros((size, topology.M)), np.zeros((size, 1))], 1 + nodes.size,
-                                 statistics, detector.a_r, detector.b_r)
 
 
 def estimate_stopping(
@@ -600,7 +587,7 @@ def page_run_lengths(
 
 def estimate_sprt_stopping(
     model: HypothesisModel,
-    M: int,
+    topology: NetworkTopology,
     p_f: float,
     p_d: float,
     trials: int,
@@ -611,20 +598,12 @@ def estimate_sprt_stopping(
 ) -> DecisionStudy:
     """Exact log-likelihood-ratio test with the classic threshold pair.
 
-    The cumulative ratio over all M per-slot samples is compared against
+    `sequential_trials` without gossip, node columns or drift: the cumulative
+    ratio over all topology.M per-slot samples is compared against
     log(p_d/p_f) above and log((1-p_d)/(1-p_f)) below.  Its one statistic
     source is the fusion center's, "centralized".
     """
-    upper = math.log(p_d / p_f)
-    lower = math.log((1.0 - p_d) / (1.0 - p_f))
-
-    def run(dist, size: int, rng: np.random.Generator):
-        draw = increment_sampler(dist, llr_nonlinearity(model), M)
-
-        def statistics(slot: int, lanes: list[np.ndarray]) -> np.ndarray:
-            lanes[0] += draw(rng, lanes[0].shape)
-            return lanes[0]
-
-        return _two_threshold_trials(size, max_n, [np.zeros((size, 1))], 1, statistics, lower, upper)
-
-    return _two_law_study(model, ("centralized",), trials, seed, threads, run)
+    detector = SequentialDetector(eta_r=0.0, a_r=math.log((1.0 - p_d) / (1.0 - p_f)), b_r=math.log(p_d / p_f))
+    return _two_law_study(model, ("centralized",), trials, seed, threads,
+                          lambda dist, size, rng: sequential_trials(
+                              dist, llr_nonlinearity(model), topology, 0, detector, max_n, [], size, rng))

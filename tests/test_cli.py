@@ -790,6 +790,17 @@ def test_sprt_and_matched_rows_carry_their_runs_std_err(tmp_path, monkeypatch):
                         rel_tol=1e-9)
 
 
+def test_both_sprt_rows_count_the_sprt_runs_truncations(tmp_path, monkeypatch):
+    # a horizon of 0.3 times the asymptotic sample number truncates most SPRT
+    # trials, and pe_sprt counts them as en_snr_sprt and pe_centralized count theirs
+    code = run_cli(["sequential", str(SCENARIOS / "fig_perr_mixt.scn"), "--trials", "200",
+                    "--set", "experiment.snr_db_list=-20", "--set", "detector.p_e_list=0.01",
+                    "--set", "experiment.max_n_factor=0.3"], tmp_path, monkeypatch)
+    assert code == 0
+    truncated = {row["statistic"]: int(row["n_truncated"]) for row in _read_rows(tmp_path / "fig_perr_mixt.csv")}
+    assert truncated["pe_sprt"] == truncated["en_snr_sprt"] == 386
+
+
 def _dense_replay(sc, v: int, slots: int, dist, nonlin, stream: int, mode: WeightMode, include: bool):
     """(states, centralized statistics) of the dense recursion fed a dump's draws.
 

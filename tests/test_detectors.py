@@ -129,16 +129,16 @@ def test_sequential_design_rejects_bad_error_pair():
         _gaussian_detector(0.5, 0.5, 10.0, 2)
 
 
-def _stopping(nonlinearity, detector, max_n, trials=40, seed=5):
+def _stopping(nonlinearity, detector, M, max_n, trials=40, seed=5):
     model = gaussian_shift_model(1.0, theta=0.2)
     return estimate_stopping(
-        model, nonlinearity, full_ring(detector.M), 1, detector, trials, seed, max_n=max_n
+        model, nonlinearity, full_ring(M), 1, detector, trials, seed, max_n=max_n
     )
 
 
 def test_sequential_run_immediate_crossing():
-    det = SequentialDetector(M=1, eta_r=0.0, a_r=-1e-9, b_r=1e-9)
-    study = _stopping(_constant(0.5), det, max_n=10)
+    det = SequentialDetector(eta_r=0.0, a_r=-1e-9, b_r=1e-9)
+    study = _stopping(_constant(0.5), det, 1, max_n=10)
     for outcomes in (study.under_null, study.under_alt):
         for source in ("centralized", "node"):
             assert outcomes[source].mean_n.value == 1.0
@@ -146,8 +146,8 @@ def test_sequential_run_immediate_crossing():
 
 
 def test_sequential_run_truncation_is_a_result():
-    det = SequentialDetector(M=1, eta_r=0.0, a_r=-100.0, b_r=100.0)
-    study = _stopping(_constant(0.0), det, max_n=5, trials=30)
+    det = SequentialDetector(eta_r=0.0, a_r=-100.0, b_r=100.0)
+    study = _stopping(_constant(0.0), det, 1, max_n=5, trials=30)
     for outcomes in (study.under_null, study.under_alt):
         for source in ("centralized", "node"):
             assert outcomes[source].mean_n.count == 0
@@ -158,27 +158,27 @@ def test_sequential_run_truncation_is_a_result():
 def test_sequential_run_translation_invariance():
     # adding c to every t(x) and to eta_r leaves the centered statistics, and
     # so every stopping time and decision, unchanged
-    det = SequentialDetector(M=3, eta_r=0.1, a_r=-5.0, b_r=7.0)
+    det = SequentialDetector(eta_r=0.1, a_r=-5.0, b_r=7.0)
     shift = 0.25
-    det_shifted = SequentialDetector(M=3, eta_r=0.1 + shift, a_r=-5.0, b_r=7.0)
-    base = _stopping(Identity(), det, max_n=5000, trials=300)
-    shifted = _stopping(lambda x: np.asarray(x, dtype=float) + shift, det_shifted, max_n=5000, trials=300)
+    det_shifted = SequentialDetector(eta_r=0.1 + shift, a_r=-5.0, b_r=7.0)
+    base = _stopping(Identity(), det, 3, max_n=5000, trials=300)
+    shifted = _stopping(lambda x: np.asarray(x, dtype=float) + shift, det_shifted, 3, max_n=5000, trials=300)
     assert base.under_null == shifted.under_null
     assert base.under_alt == shifted.under_alt
     assert base.under_alt["node"].mean_n.value > 2.0
 
 
 def test_sequential_run_matches_barrier_signs():
-    det = SequentialDetector(M=2, eta_r=0.5, a_r=-2.0, b_r=2.0)
+    det = SequentialDetector(eta_r=0.5, a_r=-2.0, b_r=2.0)
     # t = 0: the centered path is -n M eta_r = -n, inside at slot 1, on the
     # lower barrier at slot 2
-    study = _stopping(_constant(0.0), det, max_n=10)
+    study = _stopping(_constant(0.0), det, 2, max_n=10)
     for outcomes in (study.under_null, study.under_alt):
         for source in ("centralized", "node"):
             assert outcomes[source].mean_n.value == 2.0
             assert outcomes[source].declare_h1.value == 0.0
     # a horizon of one slot truncates before the crossing
-    assert _stopping(_constant(0.0), det, max_n=1).under_alt["node"].mean_n.truncated_count == 40
+    assert _stopping(_constant(0.0), det, 2, max_n=1).under_alt["node"].mean_n.truncated_count == 40
 
 
 def _sprt_replay(model, M, p_f, p_d, seed, max_n):
@@ -191,10 +191,10 @@ def _sprt_replay(model, M, p_f, p_d, seed, max_n):
     rng = chunk_rng(seed, 0)
     outcomes = []
     for law in (model.null, model.alt):
-        draw = increment_sampler(law, llr_nonlinearity(model), M)
+        draw = increment_sampler(law, llr_nonlinearity(model))
         total, outcome = 0.0, (0, None)
         for slot in range(1, max_n + 1):
-            total += draw(rng, (1,))[0]
+            total += draw(rng, (1, M)).sum()
             if total >= upper or total <= lower:
                 outcome = (slot, "H1" if total >= upper else "H0")
                 break
@@ -212,7 +212,7 @@ def test_sprt_step_rule():
     for model in (gaussian_shift_model(1.0, theta=0.3), mixture_shift_model(0.3, 1.0, 25.0, theta=0.5),
                   variance_change_model(1.0, 1.5)):
         for seed in range(8):
-            study = estimate_sprt_stopping(model, M, p_f, p_d, 1, seed, max_n=max_n)
+            study = estimate_sprt_stopping(model, full_ring(M), p_f, p_d, 1, seed, max_n=max_n)
             replay = _sprt_replay(model, M, p_f, p_d, seed, max_n)
             for outcomes, (slot, decision) in zip((study.under_null, study.under_alt), replay):
                 mean_n, declare_h1 = outcomes["centralized"].mean_n, outcomes["centralized"].declare_h1
@@ -345,24 +345,32 @@ def test_bank_mode_runs_disjoint_streams():
 
 
 def test_negative_drift_under_null_resets_dominate():
-    # pre-change increments have mean -dof * D(f0 || f1), the LLR's mean under
-    # the null (by quadrature here), for the chi-square form of the sampler and
-    # its raw-sample fallback alike, so the statistic keeps touching zero:
+    # pre-change increments summed over dof sensors have mean -dof * D(f0 || f1),
+    # the LLR's mean under the null (by quadrature here), for the chi-square
+    # form of the sampler and its raw-sample fallback alike (whose fusion sum
+    # is a row of dof draws, summed), so the statistic keeps touching zero:
     # across a long run the reset state recurs often
     slots = 20_000
     cases = [
-        (variance_change_model(1.0, 1.065024), 10),  # chi-square form, fusion sum
-        (variance_change_model(1.0, 1.065024), 1),  # chi-square form, one sensor
-        (gaussian_shift_model(1.0, theta=0.5), 4),  # raw-sample fallback
-        (mixture_shift_model(0.3, 1.0, 25.0, theta=0.5), 1),
+        (variance_change_model(1.0, 1.065024), 10, 1),  # chi-square form, fusion sum
+        (variance_change_model(1.0, 1.065024), 1, 1),  # chi-square form, one sensor
+        (gaussian_shift_model(1.0, theta=0.5), 1, 4),  # raw-sample fallback, fusion sum
+        (mixture_shift_model(0.3, 1.0, 25.0, theta=0.5), 1, 1),
     ]
-    for model, dof in cases:
+    for model, dof, row in cases:
         llr = llr_nonlinearity(model)
-        increments = increment_sampler(model.null, llr, dof)(np.random.default_rng(1), (slots, 1))
+        increments = increment_sampler(model.null, llr, dof)(np.random.default_rng(1), (slots, row)).sum(axis=1)
         se = increments.std() / math.sqrt(slots)
-        expected = dof * moments(model, llr, model.theta0).mu
-        assert increments.mean() == pytest.approx(expected, abs=4 * se), dof
+        expected = dof * row * moments(model, llr, model.theta0).mu
+        assert increments.mean() == pytest.approx(expected, abs=4 * se), dof * row
     model = cases[0][0]
     fusion = increment_sampler(model.null, llr_nonlinearity(model), 10)(np.random.default_rng(1), (slots, 1))
     _, resets = _reset_recursion(fusion, math.inf)
     assert resets > 0.08 * slots
+
+
+def test_only_the_chi_square_form_sums_over_sensors():
+    # a raw-sample statistic has no summed form: its fusion sum is a row of draws
+    model = gaussian_shift_model(1.0, theta=0.5)
+    with pytest.raises(ValueError, match="dof 4"):
+        increment_sampler(model.null, llr_nonlinearity(model), 4)

@@ -298,7 +298,7 @@ def _design(p_e, r, M):
 
 def test_degenerate_thresholds_stop_immediately():
     model, _ = _design(0.1, 100.0, 3)
-    detector = SequentialDetector(M=3, eta_r=0.0, a_r=-1e-12, b_r=1e-12)
+    detector = SequentialDetector(eta_r=0.0, a_r=-1e-12, b_r=1e-12)
     study = estimate_stopping(
         model, Identity(), full_ring(3), 1, detector, 400, 13, max_n=50
     )
@@ -324,9 +324,21 @@ def test_sequential_error_rates_near_nominal_centralized():
 
 def test_sprt_baseline_stops_and_reports():
     model, _ = _design(0.1, 50.0, 4)
-    study = estimate_sprt_stopping(model, 4, 0.1, 0.9, 2000, 3, max_n=100_000)
+    study = estimate_sprt_stopping(model, full_ring(4), 0.1, 0.9, 2000, 3, max_n=100_000)
     assert study.under_null["centralized"].mean_n.value > 1.0
     assert 0.02 < study.summary("centralized")[1].value < 0.2
+
+
+@pytest.mark.parametrize("model", [gaussian_shift_model(1.0, theta=0.3), variance_change_model(1.0, 1.5)],
+                         ids=["location", "variance"])
+def test_sprt_baseline_does_not_depend_on_the_network(model):
+    # the fusion center sums every sensor's ratio and never gossips, so two
+    # networks of the same size give the same stops and decisions, chunk by chunk
+    rings = full_ring(6), k_neighbor_ring(6, 2)
+    assert rings[0].pairs != rings[1].pairs
+    studies = [estimate_sprt_stopping(model, ring, 0.1, 0.9, CHUNK_SIZE + 7, 21, max_n=50) for ring in rings]
+    assert studies[0] == studies[1]
+    assert studies[0].under_null["centralized"].mean_n.count > CHUNK_SIZE  # both chunks decide
 
 
 def test_std_err_shrinks_like_root_trials():
@@ -468,7 +480,7 @@ def _engine_runs():
         "estimate_stopping": lambda threads: estimate_stopping(
             shift, Identity(), top, 1, detector, _THREE_CHUNKS, 6, max_n=500, threads=threads),
         "estimate_sprt_stopping": lambda threads: estimate_sprt_stopping(
-            shift, 3, 0.1, 0.9, _THREE_CHUNKS, 8, max_n=500, threads=threads),
+            shift, top, 0.1, 0.9, _THREE_CHUNKS, 8, max_n=500, threads=threads),
         "estimate_error_probabilities": lambda threads: estimate_error_probabilities(
             shift, Identity(), top, 1, 5, 0.5, _THREE_CHUNKS, 9, threads=threads),
         "estimate_covariance": lambda threads: estimate_covariance(top, 1, 5, _THREE_CHUNKS, 11, threads=threads),
