@@ -325,7 +325,7 @@ def _sequential_trajectory(sc: ScenarioFile, args) -> None:
     model, nonlin, detector, _, max_n = _sequential_design(sc, topology.M, sc.get("detector", "p_e_list")[0], r)
     rows = []
     stops, _ = montecarlo.sequential_trials(
-        model.alt, nonlin, topology, sc.get("topology", "v"), detector, max_n, range(topology.M), 1,
+        (model.alt,), nonlin, topology, sc.get("topology", "v"), detector, max_n, range(topology.M), 1,
         montecarlo.chunk_rng(sc.get("montecarlo", "seed"), 0),
         record=lambda values: rows.append([len(rows) + 1, *values[0].tolist()]),
     )

@@ -5,17 +5,21 @@ seeded by (base_seed, c), so reruns are bit-identical no matter how many
 workers execute the chunks or in which order.  `threads` counts worker
 processes: above 1, `_run_chunks` shares the chunks between the caller and
 forked children.  Inside a chunk, trials advance in lockstep as numpy arrays,
-every increment from one sampler (`increment_sampler`) and every consensus
-state through one slot step (`_slot`); every stopping experiment runs on one
-engine (`_lockstep`) that takes its per-slot update and stopping rule and
-compacts finished trials away.  Every decision test steps one two-threshold
-core on it (`sequential_trials`): the sequential test, its probability-ratio
-baseline (no gossip, no node column) and the fixed-sample test (a test that
-never stops, read at its horizon).  All three run both laws through one study
-(`_two_law_study`) into one decision record (`DecisionStudy`).
+every increment from one sampler's two forms (`increment_sampler`, or
+`_lane_sampler` for a batch of laws) and every consensus state through one
+slot step (`_slot`); every stopping experiment runs on one engine
+(`_lockstep`) that takes its per-slot update and stopping rule and compacts
+finished trials away.  Every decision test steps one two-threshold core on it
+(`sequential_trials`): the sequential test, its probability-ratio baseline
+(no gossip, no node column) and the fixed-sample test (a test that never
+stops, read at its horizon).  All three run through one study
+(`_two_law_study`) that steps each chunk's trials of both laws as one batch,
+null rows first, into one decision record (`DecisionStudy`).
 
 Ratio-type metrics (variance ratios, consensus coefficients) get their
-standard errors from fixed sub-groups of trials; everything that is a plain
+standard errors from fixed sub-groups of trials; a ratio of covariances is
+taken from the covariance pooled over every trial, since a mean of per-group
+ratios keeps a bias of order 1/GROUP_SIZE.  Everything that is a plain
 per-trial average gets the exact sample standard error.  Truncated trials are
 counted separately and never folded into means.
 """
@@ -218,10 +222,24 @@ def _gossip_batch(states: np.ndarray, pair_array: np.ndarray, idx: np.ndarray) -
     B, M = states.shape
     flat = states.reshape(-1)
     base = np.arange(0, B * M, M)
-    for i, j in zip(pair_array[:, 0][idx.T] + base, pair_array[:, 1][idx.T] + base):
+    first, second = pair_array.T
+    for col in idx.T:  # exchange by exchange: all (v, B) indices at once fall out of cache on wide batches
+        i = first[col] + base
+        j = second[col] + base
         mean = 0.5 * (flat[i] + flat[j])
         flat[i] = mean
         flat[j] = mean
+
+
+def _chi_square_form(dist, statistic) -> tuple[float, float] | None:
+    """(a, scale) of the zero-mean Gaussian LLR under a zero-mean Gaussian dist, a + scale * chi2(1); else None."""
+    if isinstance(statistic, LogLikelihoodRatio) and all(
+        isinstance(law, Gaussian) and law.mean == 0.0 for law in (dist, statistic.null, statistic.alt)
+    ):
+        null, alt = statistic.null, statistic.alt
+        scale = 0.5 * (1.0 / null.variance - 1.0 / alt.variance) * dist.variance
+        return -0.5 * math.log(alt.variance / null.variance), scale
+    return None
 
 
 def increment_sampler(dist, statistic, dof: int = 1):
@@ -229,17 +247,15 @@ def increment_sampler(dist, statistic, dof: int = 1):
 
     dof is M for the fusion-center sum and 1 for one sensor's own increment.
     The log-likelihood ratio of two zero-mean Gaussians, sampled under either,
-    admits an exact sufficient form: the summed increment is affine in a
-    chi-square draw with dof degrees of freedom, a squared standard normal at
-    dof 1 (about 3x cheaper than chisquare(1)).  Any other statistic has no
-    summed form, so it takes dof 1: an increment is the statistic of one raw draw.
+    admits an exact sufficient form (`_chi_square_form`): the summed increment
+    is affine in a chi-square draw with dof degrees of freedom, a squared
+    standard normal at dof 1 (about 3x cheaper than chisquare(1)).  Any other
+    statistic has no summed form, so it takes dof 1: an increment is the
+    statistic of one raw draw.
     """
-    if isinstance(statistic, LogLikelihoodRatio) and all(
-        isinstance(law, Gaussian) and law.mean == 0.0 for law in (dist, statistic.null, statistic.alt)
-    ):
-        null, alt = statistic.null, statistic.alt
-        a = -0.5 * math.log(alt.variance / null.variance)
-        scale = 0.5 * (1.0 / null.variance - 1.0 / alt.variance) * dist.variance
+    form = _chi_square_form(dist, statistic)
+    if form is not None:
+        a, scale = form
 
         def sampler(rng: np.random.Generator, shape) -> np.ndarray:
             # dof * a + scale * chi2, built in place (bit for bit the same)
@@ -258,6 +274,41 @@ def increment_sampler(dist, statistic, dof: int = 1):
     return lambda rng, shape: statistic(dist.sample(rng, shape))
 
 
+def _lane_sampler(laws, statistic, size: int):
+    """Sampler draw(rng, alive, shape) of one slot's increments for the live rows alive of a batch of laws.
+
+    The batch holds size trials of each law, law k's in rows k * size to
+    (k + 1) * size - 1.  One draw serves every live row, in `increment_sampler`'s
+    forms at dof 1 with a per-row column: in the chi-square form each row takes
+    its own law's scale; otherwise a row's raw draw is the first law's moved by
+    its own law's shift, which needs a location family (else ValueError).
+    """
+    forms = [_chi_square_form(law, statistic) for law in laws]
+    if all(form is not None for form in forms):
+        a = forms[0][0]  # the statistic's alone, the same for every law
+        scale = np.repeat([form[1] for form in forms], size)[:, None]
+
+        def draw(rng: np.random.Generator, alive: np.ndarray, shape) -> np.ndarray:
+            out = rng.standard_normal(shape)
+            np.square(out, out=out)
+            out *= scale[alive]
+            out += a
+            return out
+
+        return draw
+    base = laws[0]
+    if any(law != base.at(law.mean) for law in laws):
+        raise ValueError(f"one batch of raw draws needs its laws to be one location family, got {laws}")
+    shift = np.repeat([law.mean - base.mean for law in laws], size)[:, None]
+
+    def draw(rng: np.random.Generator, alive: np.ndarray, shape) -> np.ndarray:
+        x = base.sample(rng, shape)
+        x += shift[alive]
+        return statistic(x)
+
+    return draw
+
+
 def _slot(rng, topology: NetworkTopology, v: int, states: np.ndarray, sample, n: int,
           mode: WeightMode, include_new_sample: bool) -> tuple[np.ndarray, np.ndarray]:
     """The one lockstep consensus slot for a batch of trials: returns (states, t).
@@ -271,7 +322,10 @@ def _slot(rng, topology: NetworkTopology, v: int, states: np.ndarray, sample, n:
     t = sample(rng, states.shape)
     alpha, beta = step_weights(mode, n, states.shape[1])
     if include_new_sample:
-        states = alpha * states + beta * t
+        # alpha s + beta t bit for bit, in one temporary: wide batches churn the heap less
+        mixed = beta * t
+        mixed += states if alpha == 1.0 else alpha * states
+        states = mixed
     if idx is not None:
         _gossip_batch(states, topology.pair_array, idx)
     return (states if include_new_sample else alpha * states + beta * t), t
@@ -298,7 +352,7 @@ def consensus_paths(rng, topology: NetworkTopology, v: int, lanes: int, n_max: i
 
 @dataclass(frozen=True)
 class CovarianceStudy:
-    """Per-slot gamma and rho over groups of trials with their standard errors, and the pooled covariance."""
+    """Per-slot gamma and rho with their standard errors from groups of trials, and the pooled covariance."""
 
     covariance: np.ndarray  # pooled (n_max, M, M): summed per chunk, then over chunks in chunk order
     gamma_est: np.ndarray
@@ -323,8 +377,11 @@ def estimate_covariance(
     States are centered by the known mean of dist rather than the sample
     mean, which removes a bias term; gamma is scaled by dist's variance.  The
     per-slot summaries average gamma over nodes and rho over admissible pairs.
-    Each chunk reduces a slot as soon as it is stepped, into per-group gamma
-    and rho and the pooled sum, so memory is O(trials / GROUP_SIZE * n_max +
+    gamma is the mean of its per-group values and rho, a ratio, that of the
+    pooled covariance (a mean of per-group ratios keeps a bias of order
+    1/GROUP_SIZE); both take standard errors from the per-group spread.  Each
+    chunk reduces a slot as soon as it is stepped, into per-group gamma and
+    rho and the pooled sum, so memory is O(trials / GROUP_SIZE * n_max +
     n_max * M^2) rather than a full covariance per group and slot.
     """
     if trials < 2:
@@ -364,9 +421,12 @@ def estimate_covariance(
         return groups.mean(axis=0), se
 
     results = _run_chunks(trials, seed, threads, worker)
-    (gamma_est, gamma_se), (rho_est, rho_se) = (summary(np.concatenate([r[k] for r in results])) for k in (0, 1))
-    return CovarianceStudy(covariance=sum(r[2] for r in results) / trials,
-                           gamma_est=gamma_est, gamma_se=gamma_se, rho_est=rho_est, rho_se=rho_se)
+    (gamma_est, gamma_se), (_, rho_se) = (summary(np.concatenate([r[k] for r in results])) for k in (0, 1))
+    covariance = sum(r[2] for r in results) / trials
+    diag = np.diagonal(covariance, axis1=1, axis2=2)
+    rho_est = (2.0 * covariance[:, pi, pj] / (diag[:, pi] + diag[:, pj])).mean(axis=1)
+    return CovarianceStudy(covariance=covariance, gamma_est=gamma_est, gamma_se=gamma_se,
+                           rho_est=rho_est, rho_se=rho_se)
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +473,17 @@ class DecisionStudy:
 
 def _two_law_study(model: HypothesisModel, sources: tuple[str, ...], trials: int, seed: int, threads: int,
                    run) -> DecisionStudy:
-    """Outcomes by source of run(dist, size, rng) -> (stops, decs), under the null law, then the alternative.
+    """Outcomes by source of run(laws, size, rng) -> (stops, decs) under the null and the alternative law.
 
-    Both laws draw from each chunk's one stream, the null's trials first;
+    laws is (model.null, model.alt): each chunk steps size trials of each law
+    as one batch (`sequential_trials`), whose rows are the null law's trials,
+    then the alternative's, so each chunk's rows split in half by law;
     column k of stops and decs belongs to sources[k].
     """
-    results = _run_chunks(
-        trials, seed, threads, lambda index, size, rng: [run(dist, size, rng) for dist in (model.null, model.alt)])
+    results = _run_chunks(trials, seed, threads, lambda index, size, rng: run((model.null, model.alt), size, rng))
 
-    def collect(which: int) -> dict[str, DecisionOutcome]:
-        stops, decs = (np.concatenate([r[which][part] for r in results]) for part in (0, 1))
+    def collect(half: int) -> dict[str, DecisionOutcome]:
+        stops, decs = (np.concatenate([np.split(r[part], 2)[half] for r in results]) for part in (0, 1))
         return {source: DecisionOutcome.from_trials(stops[:, col], decs[:, col])
                 for col, source in enumerate(sources)}
 
@@ -454,9 +515,9 @@ def estimate_error_probabilities(
         raise ValueError(f"sample count must be >= 1, got {n}")
     never = SequentialDetector(eta_r=0.0, a_r=-math.inf, b_r=math.inf)
 
-    def run(dist, size: int, rng: np.random.Generator):
+    def run(laws, size: int, rng: np.random.Generator):
         last = deque(maxlen=1)  # the last slot's statistics, every trial still live
-        sequential_trials(dist, nonlinearity, topology, v, never, n, [node], size, rng, record=last.append)
+        sequential_trials(laws, nonlinearity, topology, v, never, n, [node], size, rng, record=last.append)
         above = last[0] >= threshold
         return np.full(above.shape, n), np.where(above, _DEC_H1, _DEC_H0)
 
@@ -467,11 +528,13 @@ def estimate_error_probabilities(
 # Sequential stopping times
 # ---------------------------------------------------------------------------
 
-def sequential_trials(dist, statistic, topology: NetworkTopology, v: int, detector: SequentialDetector,
+def sequential_trials(laws, statistic, topology: NetworkTopology, v: int, detector: SequentialDetector,
                       max_n: int, nodes, size: int, rng: np.random.Generator, record=None):
-    """Stopping slots and decisions, by column, of size trials of the sequential test under law dist.
+    """Stopping slots and decisions, by row and column, of size trials of the sequential test under each of laws.
 
-    The trials share one sample stream.  Column 0 is the centralized
+    The trials step as one batch on one sample stream: rows k * size to
+    (k + 1) * size - 1 are law k's trials, and each slot makes one draw for
+    every live trial (`_lane_sampler`).  Column 0 is the centralized
     statistic, the sum of every increment, and column 1 + k the state of
     nodes[k], each less the slot's drift n M eta_r.  A column stops at the
     first slot where it leaves (a_r, b_r), declaring H1 above and H0 below; a
@@ -479,13 +542,14 @@ def sequential_trials(dist, statistic, topology: NetworkTopology, v: int, detect
     max_n keeps stop and decision 0.  record(values), if given, sees each
     slot's (live, columns) statistics.
     """
-    draw = increment_sampler(dist, statistic)
+    draw = _lane_sampler(laws, statistic, size)
     nodes = np.asarray(nodes, dtype=np.intp)  # once, not at every slot's indexing; [] alone would be float
-    stops = np.zeros((size, 1 + nodes.size), dtype=np.int64)
+    stops = np.zeros((len(laws) * size, 1 + nodes.size), dtype=np.int64)
     decs = np.zeros(stops.shape, dtype=np.int8)
 
     def advance(slot: int, alive: np.ndarray, lanes: list[np.ndarray]) -> np.ndarray | None:
-        states, t = _slot(rng, topology, v, lanes[0], draw, slot, WeightMode.ACCUMULATING, True)
+        states, t = _slot(rng, topology, v, lanes[0], lambda rng, shape: draw(rng, alive, shape), slot,
+                          WeightMode.ACCUMULATING, True)
         lanes[0] = states
         lanes[1] += t.sum(axis=1, keepdims=True)
         values = np.concatenate((lanes[1], states[:, nodes]), axis=1) - slot * topology.M * detector.eta_r
@@ -502,7 +566,8 @@ def sequential_trials(dist, statistic, topology: NetworkTopology, v: int, detect
         undecided &= ~hit
         return ~undecided.any(axis=1)
 
-    _lockstep(size, max_n, advance, [np.zeros((size, topology.M)), np.zeros((size, 1)), np.ones(stops.shape, bool)])
+    total = len(stops)
+    _lockstep(total, max_n, advance, [np.zeros((total, topology.M)), np.zeros((total, 1)), np.ones(stops.shape, bool)])
     return stops, decs
 
 
@@ -521,8 +586,8 @@ def estimate_stopping(
 ) -> DecisionStudy:
     """Stopping times and decisions of the centralized and one node's sequential test (`sequential_trials`)."""
     return _two_law_study(model, ("centralized", "node"), trials, seed, threads,
-                          lambda dist, size, rng: sequential_trials(
-                              dist, nonlinearity, topology, v, detector, max_n, [node], size, rng))
+                          lambda laws, size, rng: sequential_trials(
+                              laws, nonlinearity, topology, v, detector, max_n, [node], size, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -605,5 +670,5 @@ def estimate_sprt_stopping(
     """
     detector = SequentialDetector(eta_r=0.0, a_r=math.log((1.0 - p_d) / (1.0 - p_f)), b_r=math.log(p_d / p_f))
     return _two_law_study(model, ("centralized",), trials, seed, threads,
-                          lambda dist, size, rng: sequential_trials(
-                              dist, llr_nonlinearity(model), topology, 0, detector, max_n, [], size, rng))
+                          lambda laws, size, rng: sequential_trials(
+                              laws, llr_nonlinearity(model), topology, 0, detector, max_n, [], size, rng))

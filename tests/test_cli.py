@@ -798,7 +798,7 @@ def test_both_sprt_rows_count_the_sprt_runs_truncations(tmp_path, monkeypatch):
                     "--set", "experiment.max_n_factor=0.3"], tmp_path, monkeypatch)
     assert code == 0
     truncated = {row["statistic"]: int(row["n_truncated"]) for row in _read_rows(tmp_path / "fig_perr_mixt.csv")}
-    assert truncated["pe_sprt"] == truncated["en_snr_sprt"] == 386
+    assert truncated["pe_sprt"] == truncated["en_snr_sprt"] == 389
 
 
 def _dense_replay(sc, v: int, slots: int, dist, nonlin, stream: int, mode: WeightMode, include: bool):

@@ -182,31 +182,41 @@ def test_sequential_run_matches_barrier_signs():
 
 
 def _sprt_replay(model, M, p_f, p_d, seed, max_n):
-    """(exit slot, decision) of a one-trial chunk under the null, then the alternative, from the engine's stream.
+    """(exit slot, decision) of the null's, then the alternative's trial of a one-trial chunk, from its stream.
 
-    The decision is "H1" above log(p_d/p_f), "H0" below log((1-p_d)/(1-p_f)),
-    and (0, None) a trial still inside at max_n.
+    The chunk steps both trials as one batch, the null's row first: each slot
+    makes one (live, M) draw for the rows still inside.  A location family
+    draws it under the null law and moves the alternative's row by
+    theta - theta0; the variance change draws standard normals and scales
+    each row by its own law's deviation.  The decision is "H1" above
+    log(p_d/p_f), "H0" below log((1-p_d)/(1-p_f)), and (0, None) a trial still
+    inside at max_n.
     """
     upper, lower = math.log(p_d / p_f), math.log((1.0 - p_d) / (1.0 - p_f))
+    llr, laws = llr_nonlinearity(model), (model.null, model.alt)
     rng = chunk_rng(seed, 0)
-    outcomes = []
-    for law in (model.null, model.alt):
-        draw = increment_sampler(law, llr_nonlinearity(model))
-        total, outcome = 0.0, (0, None)
-        for slot in range(1, max_n + 1):
-            total += draw(rng, (1, M)).sum()
-            if total >= upper or total <= lower:
-                outcome = (slot, "H1" if total >= upper else "H0")
-                break
-        outcomes.append(outcome)
+    totals, outcomes = [0.0, 0.0], [(0, None), (0, None)]
+    for slot in range(1, max_n + 1):
+        live = [row for row in (0, 1) if outcomes[row][1] is None]
+        if not live:
+            break
+        if model.location:
+            x = model.null.sample(rng, (len(live), M))
+            x[[row == 1 for row in live]] += model.theta - model.theta0
+        else:
+            x = rng.standard_normal((len(live), M)) * [[math.sqrt(laws[row].variance)] for row in live]
+        for row, increments in zip(live, llr(x)):
+            totals[row] += increments.sum()
+            if totals[row] >= upper or totals[row] <= lower:
+                outcomes[row] = (slot, "H1" if totals[row] >= upper else "H0")
     return outcomes
 
 
 def test_sprt_step_rule():
-    # one trial per run, replayed from the engine's own stream through a plain
-    # cumulative sum: the exit slot, the decision and the truncation agree
-    # exactly, for location families (raw draws) and a variance change (the
-    # chi-square form)
+    # one trial of each law per run, replayed from the engine's own stream
+    # through a plain cumulative sum: the exit slot, the decision and the
+    # truncation agree exactly, for location families (raw draws) and a
+    # variance change (the chi-square form)
     M, p_f, p_d, max_n = 2, 0.1, 0.9, 20
     seen = set()
     for model in (gaussian_shift_model(1.0, theta=0.3), mixture_shift_model(0.3, 1.0, 25.0, theta=0.5),

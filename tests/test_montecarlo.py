@@ -28,6 +28,7 @@ from runcons.montecarlo import (
     estimate_stopping,
     increment_sampler,
     page_run_lengths,
+    sequential_trials,
 )
 from runcons.network import full_ring, k_neighbor_ring
 from runcons.stats import (
@@ -209,8 +210,9 @@ def test_mean_square_operator_matches_coinciding_bounds_complete_graph(include_n
 def test_covariance_matches_exact_gossip_recursion_on_a_ring(v, include_new_sample, seed):
     # off the complete graph the bounds only bracket gamma and rho; the
     # mean-square gossip operator carries the exact covariance slot by slot.
-    # rho fails at v = 5: rho_est averages per-group ratios over groups of 50
-    # trials, a bias that does not shrink with the trial count (ROADMAP item 4)
+    # rho_est is the ratio of the pooled covariance: a mean of per-group
+    # ratios over groups of 50 trials kept a bias that does not shrink with
+    # the trial count, and met this criterion at only 81% of slots at v = 5
     top = k_neighbor_ring(15, 4)
     n_max = 100
     study = estimate_covariance(top, v, n_max, 4000, seed, include_new_sample=include_new_sample)
@@ -339,6 +341,43 @@ def test_sprt_baseline_does_not_depend_on_the_network(model):
     studies = [estimate_sprt_stopping(model, ring, 0.1, 0.9, CHUNK_SIZE + 7, 21, max_n=50) for ring in rings]
     assert studies[0] == studies[1]
     assert studies[0].under_null["centralized"].mean_n.count > CHUNK_SIZE  # both chunks decide
+
+
+@pytest.mark.parametrize("trials", [40, CHUNK_SIZE + 7], ids=["one-chunk", "two-chunks"])
+@pytest.mark.parametrize("leaving", ["alt", "null"])
+def test_lanes_keep_their_law_through_compaction(leaving, trials):
+    # both laws' trials step in one batch; a shift of 1000 takes one law's
+    # trials out of (a_r, b_r) at slot 1, and the other law's drift down to
+    # a_r over about 20 slots.  A lane handed the leaving law's shift after
+    # compaction, or a row split off into the other law's half, would stop
+    # at once or land in the wrong outcome.
+    theta0, theta = (0.0, 1000.0) if leaving == "alt" else (-1000.0, 0.0)
+    model = gaussian_shift_model(1.0, theta=theta, theta0=theta0)
+    detector = SequentialDetector(eta_r=0.5, a_r=-30.0, b_r=50.0)
+    study = estimate_stopping(model, Identity(), full_ring(3), 1, detector, trials, 19, max_n=10_000)
+    gone, running = (study.under_alt, study.under_null) if leaving == "alt" else (study.under_null, study.under_alt)
+    for source in ("centralized", "node"):
+        assert gone[source].mean_n == Estimate(1.0, 0.0, trials)
+        assert gone[source].declare_h1 == Estimate.from_bernoulli(trials if leaving == "alt" else 0, trials)
+        assert running[source].mean_n.count == trials  # none truncated
+        assert 15.0 < running[source].mean_n.value < 30.0 and running[source].mean_n.std_err > 0.0
+        assert running[source].declare_h1 == Estimate.from_bernoulli(0, trials)
+
+
+def test_raw_draws_need_a_location_family_before_any_draw():
+    # one batch draws under the null law and moves each row by its own law's
+    # shift; a variance change is no shift of its null law, so its raw-form
+    # study raises instead of sampling the null law twice
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"rng.{name} used before the check")
+
+    model = variance_change_model(1.0, 2.0)
+    detector = SequentialDetector(eta_r=0.0, a_r=-1.0, b_r=1.0)
+    with pytest.raises(ValueError, match="location family"):
+        sequential_trials((model.null, model.alt), Identity(), full_ring(3), 1, detector, 10, [0], 5, NoDraws())
+    with pytest.raises(ValueError, match="location family"):
+        estimate_stopping(model, Identity(), full_ring(3), 1, detector, 10, 1, max_n=10)
 
 
 def test_std_err_shrinks_like_root_trials():
