@@ -23,7 +23,6 @@ from importlib import resources
 import numpy as np
 
 from . import analysis, montecarlo, scenario as scn, stats
-from .consensus import WeightMode, centralized_weight
 from .detectors import fss_threshold, sequential_design
 from .network import TopologyError, effective_eigenvalues, expected_gossip_matrix
 from .scenario import ScenarioError, ScenarioFile
@@ -106,20 +105,21 @@ def nonlinearity_from_scenario(sc: ScenarioFile, model: stats.HypothesisModel):
 # Trajectory dump (shared by several subcommands)
 # ---------------------------------------------------------------------------
 
-def dump_trajectory(sc: ScenarioFile, path: str, v: int, n_slots: int, mode: WeightMode,
-                    include_new_sample: bool) -> None:
-    """One trial's states under the null law at v exchanges per slot, every node at every slot."""
+def dump_trajectory(sc: ScenarioFile, path: str, v: int, n_slots: int, include_new_sample: bool = True,
+                    averaging: bool = False) -> None:
+    """One trial's running sums, every node at every slot, under the null law; slot n's over n M if averaging."""
     model = model_from_scenario(sc)
-    nonlin = nonlinearity_from_scenario(sc, model)
     topology = scn.topology_from_scenario(sc)
-    paths = montecarlo.consensus_paths(
-        montecarlo.chunk_rng(sc.get("montecarlo", "seed"), 10**6), topology, v, 1, n_slots,
-        montecarlo.increment_sampler(model.null, nonlin), mode, include_new_sample,
+    sums = []
+    montecarlo.sequential_trials(
+        (model.null,), nonlinearity_from_scenario(sc, model), topology, v, montecarlo.NEVER_STOPS, n_slots,
+        range(topology.M), 1, montecarlo.chunk_rng(sc.get("montecarlo", "seed"), 10**6), record=sums.append,
+        include_new_sample=include_new_sample,
     )
     rows = []
-    for n, states, csum in paths:
-        central = centralized_weight(mode, n, topology.M) * csum[0]
-        rows += [[n, j, state, central, state - central] for j, state in enumerate(states[0])]
+    for n, values in enumerate(sums, 1):
+        central, *states = values[0] / (n * topology.M) if averaging else values[0]
+        rows += [[n, j, state, central, state - central] for j, state in enumerate(states)]
     write_csv(path, ["n", "node", "state", "centralized", "error"], rows)
 
 
@@ -155,7 +155,7 @@ def run_bounds(sc: ScenarioFile, args) -> None:
     }
     write_csv(sc.get("output", "path"), list(columns), list(zip(*columns.values())))
     if args.dump_trajectory:
-        dump_trajectory(sc, args.dump_trajectory, v, min(n_max, 200), WeightMode.AVERAGING, include_new)
+        dump_trajectory(sc, args.dump_trajectory, v, min(n_max, 200), include_new, averaging=True)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def run_fss(sc: ScenarioFile, args) -> None:
     _write_long(sc, ["v", "n", "threshold"], points)
     if args.dump_trajectory:  # at the first gossip count of the grid
         dump_trajectory(sc, args.dump_trajectory, sc.get("experiment", "v_list")[0],
-                        max(keys[1] for keys, *_ in points), WeightMode.ACCUMULATING, True)
+                        max(keys[1] for keys, *_ in points))
 
 
 def _sequential_design(sc: ScenarioFile, M: int, p_e: float, r: float, shared_m0: stats.MomentSet | None = None):
@@ -315,7 +315,7 @@ def run_sequential(sc: ScenarioFile, args) -> None:
         return
     _write_long(sc, ["p_e", "snr_db", "snr"], _sequential_points(sc))
     if args.dump_trajectory:
-        dump_trajectory(sc, args.dump_trajectory, sc.get("topology", "v"), 200, WeightMode.ACCUMULATING, True)
+        dump_trajectory(sc, args.dump_trajectory, sc.get("topology", "v"), 200)
 
 
 def _sequential_trajectory(sc: ScenarioFile, args) -> None:
@@ -339,7 +339,7 @@ def _change_quantities(sc: ScenarioFile):
     """The change model, its two divergences and the LLR variance after the change.
 
     The null and the alternative must differ: two equal variances leave no
-    change to detect.
+    change to detect, nor lie so far apart that the LLR's variance overflows.
     """
     model = model_from_scenario(sc)
     if model.null == model.alt:
@@ -347,7 +347,12 @@ def _change_quantities(sc: ScenarioFile):
     llr = stats.llr_nonlinearity(model)
     d01 = stats.kl_divergence(model.null, model.alt)
     d10 = stats.kl_divergence(model.alt, model.null)
-    var1 = stats.moments(model, llr, model.theta).sigma2
+    try:  # a squared LLR that overflows in the quadrature would make the variance NaN
+        with np.errstate(over="raise", invalid="raise"):
+            var1 = stats.moments(model, llr, model.theta).sigma2
+    except FloatingPointError:
+        raise ScenarioError(f"model.variance0 = {model.null.variance:g} and model.variance1 = "
+                            f"{model.alt.variance:g} are too far apart: their LLR's variance overflows") from None
     return model, d01, d10, var1
 
 

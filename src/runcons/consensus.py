@@ -1,14 +1,14 @@
-"""Running-consensus weight schedules and the centralized weight.
+"""Dense reference of the running-consensus recursion and its two weight schedules.
 
 Each slot mixes neighbor states through a doubly stochastic gossip matrix and
 injects the slot's new measurements, so sensing and communication happen
 simultaneously.  The centralized oracle is the statistic a fusion center with
 every raw sample would hold; the per-node error is the difference between the
 two and is tracked by definition, never through its theoretical product
-expansion.  The engines and the command line run the batched slot of
-:mod:`runcons.montecarlo` on these schedules.  :class:`ConsensusRun` is the
-same recursion with dense matrices; only the tests replay draws through it,
-and it stays here because the benchmark tracer wraps its ``step`` by name.
+expansion.  The engines step only the running sum (:mod:`runcons.montecarlo`),
+the averaging schedule being that sum over n M; these schedules serve
+:class:`ConsensusRun`, the same recursion with dense matrices, which only the
+tests replay draws through and the benchmark tracer wraps by name.
 """
 
 from __future__ import annotations

@@ -7,12 +7,12 @@ processes: above 1, `_run_chunks` shares the chunks between the caller and
 forked children.  Inside a chunk, trials advance in lockstep as numpy arrays,
 every increment from one sampler's two forms (`increment_sampler`, or
 `_lane_sampler` for a batch of laws) and every consensus state through one
-slot step (`_slot`); every stopping experiment runs on one engine
-(`_lockstep`) that takes its per-slot update and stopping rule and compacts
-finished trials away.  Every decision test steps one two-threshold core on it
-(`sequential_trials`): the sequential test, its probability-ratio baseline
-(no gossip, no node column) and the fixed-sample test (a test that never
-stops, read at its horizon).  All three run through one study
+slot step (`_slot`) of one schedule, the running sum; every experiment runs
+on one engine (`_lockstep`) that takes its per-slot update and stopping rule
+and compacts finished trials away.  Every decision test steps one
+two-threshold core on it (`sequential_trials`): the sequential test, its
+probability-ratio baseline (no gossip, no node column) and the fixed-sample
+test (`NEVER_STOPS`, read at its horizon).  All three run through one study
 (`_two_law_study`) that steps each chunk's trials of both laws as one batch,
 null rows first, into one decision record (`DecisionStudy`).
 
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CUSUM_FAMILIES
-from .consensus import WeightMode, step_weights
 from .detectors import SequentialDetector
 from .network import NetworkTopology
 from .stats import Gaussian, HypothesisModel, LogLikelihoodRatio, llr_nonlinearity
@@ -309,41 +308,27 @@ def _lane_sampler(laws, statistic, size: int):
     return draw
 
 
-def _slot(rng, topology: NetworkTopology, v: int, states: np.ndarray, sample, n: int,
-          mode: WeightMode, include_new_sample: bool) -> tuple[np.ndarray, np.ndarray]:
+def _slot(rng, topology: NetworkTopology, v: int, states: np.ndarray, sample,
+          include_new_sample: bool) -> tuple[np.ndarray, np.ndarray]:
     """The one lockstep consensus slot for a batch of trials: returns (states, t).
 
     Draws v admissible pairs per trial, then t = sample(rng, states.shape),
-    then mixes.  With the new sample exchanged the result is
-    W (alpha s + beta t); otherwise alpha W s + beta t, gossiping the given
-    states in place.
+    then steps the running sum: W (s + M t) with the new sample exchanged,
+    otherwise W s + M t, gossiping the given states in place.  From rest the
+    nodes' mean is the fusion center's sum of t; divided by n M after slot
+    n, the states are the averaging schedule's under either form.
     """
     idx = _pair_draws(rng, topology, v, states.shape[0])
     t = sample(rng, states.shape)
-    alpha, beta = step_weights(mode, n, states.shape[1])
+    M = states.shape[1]
     if include_new_sample:
-        # alpha s + beta t bit for bit, in one temporary: wide batches churn the heap less
-        mixed = beta * t
-        mixed += states if alpha == 1.0 else alpha * states
+        # s + M t bit for bit, in one temporary: wide batches churn the heap less
+        mixed = M * t
+        mixed += states
         states = mixed
     if idx is not None:
         _gossip_batch(states, topology.pair_array, idx)
-    return (states if include_new_sample else alpha * states + beta * t), t
-
-
-def consensus_paths(rng, topology: NetworkTopology, v: int, lanes: int, n_max: int, sample,
-                    mode: WeightMode, include_new_sample: bool):
-    """Yield (n, states, csum) after each of slots 1..n_max of lanes trials from rest.
-
-    csum is each trial's running sum of t over nodes and slots, the
-    fusion center's statistic before weighting.
-    """
-    states = np.zeros((lanes, topology.M))
-    csum = np.zeros(lanes)
-    for n in range(1, n_max + 1):
-        states, t = _slot(rng, topology, v, states, sample, n, mode, include_new_sample)
-        csum += t.sum(axis=1)
-        yield n, states, csum
+    return (states if include_new_sample else states + M * t), t
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +339,7 @@ def consensus_paths(rng, topology: NetworkTopology, v: int, lanes: int, n_max: i
 class CovarianceStudy:
     """Per-slot gamma and rho with their standard errors from groups of trials, and the pooled covariance."""
 
-    covariance: np.ndarray  # pooled (n_max, M, M): summed per chunk, then over chunks in chunk order
+    covariance: np.ndarray  # pooled (n_max, M, M) of the averaging state: summed per chunk, then over chunks in order
     gamma_est: np.ndarray
     gamma_se: np.ndarray
     rho_est: np.ndarray
@@ -374,22 +359,22 @@ def estimate_covariance(
 ) -> CovarianceStudy:
     """Sample covariance of the averaging-schedule state across trials at every slot.
 
-    States are centered by the known mean of dist rather than the sample
-    mean, which removes a bias term; gamma is scaled by dist's variance.  The
-    per-slot summaries average gamma over nodes and rho over admissible pairs.
-    gamma is the mean of its per-group values and rho, a ratio, that of the
-    pooled covariance (a mean of per-group ratios keeps a bias of order
-    1/GROUP_SIZE); both take standard errors from the per-group spread.  Each
-    chunk reduces a slot as soon as it is stepped, into per-group gamma and
-    rho and the pooled sum, so memory is O(trials / GROUP_SIZE * n_max +
-    n_max * M^2) rather than a full covariance per group and slot.
+    That state is the running sum (`_slot`) over n M, stepped on `_lockstep`
+    to n_max: the sum is centered by its known mean n M mu rather than the
+    sample mean, which removes a bias term, and gamma is scaled by n M
+    sigma^2.  The per-slot summaries average gamma over nodes and rho over
+    admissible pairs.  gamma is the mean of its per-group values and rho, a
+    ratio, that of the pooled covariance (a mean of per-group ratios keeps a
+    bias of order 1/GROUP_SIZE); both take standard errors from the
+    per-group spread.  Each chunk reduces a slot as soon as it is stepped,
+    into per-group gamma and rho and the pooled sum, so memory is
+    O(trials / GROUP_SIZE * n_max + n_max * M^2).
     """
     if trials < 2:
         raise ValueError(f"covariance estimation needs >= 2 trials, got {trials}")
     dist = dist if dist is not None else Gaussian(0.0, 1.0)
     M = topology.M
-    slots = np.arange(1, n_max + 1, dtype=float)
-    sigma2_n = dist.var / (slots * M)
+    n_m = np.arange(1, n_max + 1, dtype=float) * M  # at each slot, the running sum over the averaging state
     pi, pj = topology.pair_array.T
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
@@ -401,18 +386,21 @@ def estimate_covariance(
         products = np.empty((sizes.size, M, M))
         pooled = np.empty((n_max, M, M))
         gamma, rho = np.empty((2, sizes.size, n_max))
-        paths = consensus_paths(rng, topology, v, size, n_max, dist.sample, WeightMode.AVERAGING, include_new_sample)
-        for n, states, _ in paths:
-            centered = states - dist.mean
+
+        def advance(slot: int, alive: np.ndarray, lanes: list[np.ndarray]) -> None:
+            lanes[0], _ = _slot(rng, topology, v, lanes[0], dist.sample, include_new_sample)
+            centered = lanes[0] - n_m[slot - 1] * dist.mean
             blocks = centered[:full * group].reshape(full, group, M)
             np.matmul(blocks.transpose(0, 2, 1), blocks, out=products[:full])
             if tail:
                 np.matmul(centered[full * group:].T, centered[full * group:], out=products[full])
-            pooled[n - 1] = products.sum(axis=0)
+            pooled[slot - 1] = products.sum(axis=0)
             group_cov = products / sizes
             diag = np.diagonal(group_cov, axis1=1, axis2=2)
-            gamma[:, n - 1] = diag.mean(axis=1) / sigma2_n[n - 1]
-            rho[:, n - 1] = (2.0 * group_cov[:, pi, pj] / (diag[:, pi] + diag[:, pj])).mean(axis=1)
+            gamma[:, slot - 1] = diag.mean(axis=1) / (n_m[slot - 1] * dist.var)
+            rho[:, slot - 1] = (2.0 * group_cov[:, pi, pj] / (diag[:, pi] + diag[:, pj])).mean(axis=1)
+
+        _lockstep(size, n_max, advance, [np.zeros((size, M))])
         return gamma, rho, pooled
 
     def summary(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -422,7 +410,7 @@ def estimate_covariance(
 
     results = _run_chunks(trials, seed, threads, worker)
     (gamma_est, gamma_se), (_, rho_se) = (summary(np.concatenate([r[k] for r in results])) for k in (0, 1))
-    covariance = sum(r[2] for r in results) / trials
+    covariance = sum(r[2] for r in results) / trials / (n_m**2)[:, None, None]
     diag = np.diagonal(covariance, axis1=1, axis2=2)
     rho_est = (2.0 * covariance[:, pi, pj] / (diag[:, pi] + diag[:, pj])).mean(axis=1)
     return CovarianceStudy(covariance=covariance, gamma_est=gamma_est, gamma_se=gamma_se,
@@ -513,11 +501,10 @@ def estimate_error_probabilities(
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    never = SequentialDetector(eta_r=0.0, a_r=-math.inf, b_r=math.inf)
 
     def run(laws, size: int, rng: np.random.Generator):
         last = deque(maxlen=1)  # the last slot's statistics, every trial still live
-        sequential_trials(laws, nonlinearity, topology, v, never, n, [node], size, rng, record=last.append)
+        sequential_trials(laws, nonlinearity, topology, v, NEVER_STOPS, n, [node], size, rng, record=last.append)
         above = last[0] >= threshold
         return np.full(above.shape, n), np.where(above, _DEC_H1, _DEC_H0)
 
@@ -528,8 +515,12 @@ def estimate_error_probabilities(
 # Sequential stopping times
 # ---------------------------------------------------------------------------
 
+NEVER_STOPS = SequentialDetector(eta_r=0.0, a_r=-math.inf, b_r=math.inf)  # no drift: each column is its sum
+
+
 def sequential_trials(laws, statistic, topology: NetworkTopology, v: int, detector: SequentialDetector,
-                      max_n: int, nodes, size: int, rng: np.random.Generator, record=None):
+                      max_n: int, nodes, size: int, rng: np.random.Generator, record=None, *,
+                      include_new_sample: bool = True):
     """Stopping slots and decisions, by row and column, of size trials of the sequential test under each of laws.
 
     The trials step as one batch on one sample stream: rows k * size to
@@ -540,7 +531,8 @@ def sequential_trials(laws, statistic, topology: NetworkTopology, v: int, detect
     first slot where it leaves (a_r, b_r), declaring H1 above and H0 below; a
     trial finishes once every column has stopped.  A column still inside at
     max_n keeps stop and decision 0.  record(values), if given, sees each
-    slot's (live, columns) statistics.
+    slot's (live, columns) statistics.  include_new_sample picks the update
+    form of `_slot`.
     """
     draw = _lane_sampler(laws, statistic, size)
     nodes = np.asarray(nodes, dtype=np.intp)  # once, not at every slot's indexing; [] alone would be float
@@ -548,8 +540,8 @@ def sequential_trials(laws, statistic, topology: NetworkTopology, v: int, detect
     decs = np.zeros(stops.shape, dtype=np.int8)
 
     def advance(slot: int, alive: np.ndarray, lanes: list[np.ndarray]) -> np.ndarray | None:
-        states, t = _slot(rng, topology, v, lanes[0], lambda rng, shape: draw(rng, alive, shape), slot,
-                          WeightMode.ACCUMULATING, True)
+        states, t = _slot(rng, topology, v, lanes[0], lambda rng, shape: draw(rng, alive, shape),
+                          include_new_sample)
         lanes[0] = states
         lanes[1] += t.sum(axis=1, keepdims=True)
         values = np.concatenate((lanes[1], states[:, nodes]), axis=1) - slot * topology.M * detector.eta_r
@@ -629,7 +621,7 @@ def page_run_lengths(
         if mode == "running":  # gossip the updated statistic, then reset
 
             def advance(slot: int, alive: np.ndarray, lanes: list[np.ndarray]) -> np.ndarray | None:
-                states, _ = _slot(rng, topology, v, lanes[0], draw, slot, WeightMode.ACCUMULATING, True)
+                states, _ = _slot(rng, topology, v, lanes[0], draw, True)
                 lanes[0] = np.maximum(0.0, states, out=states)
                 return _finished(states[:, node] >= gamma)
 

@@ -512,6 +512,9 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
      for kind, name in (("change", "fig_sim1.scn"), ("efficiency", "fig_re1.scn"))],
     [(["change", "fig_sim1.scn", "--set", "model.variance1=1"], "model.variance1"),
      (["reproduce", "fig:RE1", "--set", "model.variance1=1"], "model.variance1")],
+    # variances so far apart that the squared LLR overflows in the quadrature of its variance
+    [([kind, name, "--set", "model.variance1=1e-300"], "model.variance0 = 1 and model.variance1 = 1e-300")
+     for kind, name in (("change", "fig_sim2.scn"), ("efficiency", "fig_re1.scn"))],
     [(["change", "fig_sim1.scn", "--set", "model.nonlinearity=score"], "model.nonlinearity"),
      (["efficiency", "fig_re1.scn", "--set", "model.nonlinearity=identity"], "model.nonlinearity")],
     [(["bounds", "fig_bound1_complete.scn", "--set", "montecarlo.trials=abc"],
@@ -547,7 +550,8 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
         "model-parameters", "counts-below-1", "unknown-sequential-measure", "unread-p_d",
         "detector-kind-not-the-runners", "threads-below-1", "unknown-topology-kind", "negative-seed",
         "second-scenario-of-tag", "false-alarm-rate-underflows", "one-node-bounds",
-        "change-on-location-family", "equal-variances", "change-nonlinearity", "unparsable-set-value",
+        "change-on-location-family", "equal-variances", "llr-variance-overflows", "change-nonlinearity",
+        "unparsable-set-value",
         "one-out-for-two-tables", "one-path-for-two-outputs", "non-finite-float", "max-n-factor-not-positive",
         "output-path-not-a-file", "trajectory-one-design-point"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # e.g. an overflowing exp on the way to the message

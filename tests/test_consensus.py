@@ -3,14 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from runcons.consensus import ConsensusRun, WeightMode, centralized_weight, step_weights
-from runcons.montecarlo import consensus_paths
+from runcons.montecarlo import NEVER_STOPS, sequential_trials
 from runcons.network import full_ring
+from runcons.stats import Gaussian, Identity
 
 from dense_oracle import gossip_matrix, pairwise_matrix, phi_product_state
 
 
-def normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape)
+def running_sums(rng: np.random.Generator, topology, v: int, lanes: int, n_max: int, include: bool = True):
+    """Each slot's (lanes, 1 + M) running sums of standard normal draws: the centralized column, then each node's."""
+    sums = []
+    sequential_trials((Gaussian(0.0, 1.0),), Identity(), topology, v, NEVER_STOPS, n_max, range(topology.M), lanes,
+                      rng, record=sums.append, include_new_sample=include)
+    return sums
 
 
 def test_weights_match_schedule():
@@ -80,14 +85,12 @@ def test_full_averaging_every_slot_gives_zero_error():
     n=st.integers(min_value=1, max_value=30),
     v=st.integers(min_value=1, max_value=4),
     include=st.booleans(),
-    mode=st.sampled_from(list(WeightMode)),
     seed=st.integers(min_value=0, max_value=10_000),
 )
-def test_conservation_invariant(M, n, v, include, mode, seed):
+def test_conservation_invariant(M, n, v, include, seed):
     # gossip preserves column sums, so the state mean tracks the oracle exactly
-    paths = consensus_paths(np.random.default_rng(seed), full_ring(M), v, 3, n, normal, mode, include)
-    for slot, states, csum in paths:
-        central = centralized_weight(mode, slot, M) * csum
+    for sums in running_sums(np.random.default_rng(seed), full_ring(M), v, 3, n, include):
+        central, states = sums[:, 0], sums[:, 1:]
         gap = np.abs(states.mean(axis=1) - central) / np.maximum(1.0, np.abs(central))
         assert gap.max() < 1e-10
 
@@ -96,28 +99,26 @@ def test_conservation_invariant(M, n, v, include, mode, seed):
 @given(
     M=st.integers(min_value=2, max_value=4),
     n=st.integers(min_value=1, max_value=5),
-    mode=st.sampled_from(list(WeightMode)),
     seed=st.integers(min_value=0, max_value=10_000),
 )
-def test_recursion_equals_matrix_product_expansion(M, n, mode, seed):
+def test_recursion_equals_matrix_product_expansion(M, n, seed):
     # twin generators give the expansion the engine's draws: the pair index, then the sample
     top = full_ring(M)
     engine_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    *_, (_, states, _) = consensus_paths(engine_rng, top, 1, 1, n, normal, mode, True)
+    *_, last = running_sums(engine_rng, top, 1, 1, n)
+    states = last[:, 1:]
     matrices, t_values = [], []
     for _ in range(n):
         matrices.append(gossip_matrix(top, 1, oracle_rng))
         t_values.append(oracle_rng.standard_normal(M))
-    expected = phi_product_state(matrices, t_values, mode)
+    expected = phi_product_state(matrices, t_values, WeightMode.ACCUMULATING)
     assert np.abs(states[0] - expected).max() < 1e-10
 
 
 def test_error_vector_is_zero_mean_monte_carlo():
     trials, n = 4000, 10
-    paths = consensus_paths(np.random.default_rng(12), full_ring(4), 1, trials, n, normal,
-                            WeightMode.ACCUMULATING, True)
-    *_, (_, states, csum) = paths
-    errors = states - centralized_weight(WeightMode.ACCUMULATING, n, 4) * csum[:, None]
+    *_, last = running_sums(np.random.default_rng(12), full_ring(4), 1, trials, n)
+    errors = last[:, 1:] - last[:, :1]
     mean = errors.mean(axis=0)
     std_err = errors.std(axis=0, ddof=1) / np.sqrt(trials)
     assert (np.abs(mean) <= 3.0 * std_err).all()

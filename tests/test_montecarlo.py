@@ -102,19 +102,33 @@ def test_advance_state_matches_consensus_run():
     # the engine's slot replayed through the dense recursion: twin generators
     # give the oracle the same draws, v pair indices first, then the sample
     top = full_ring(4)
-    for mode in WeightMode:
-        for include in (True, False):
-            engine_rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
-            run = ConsensusRun(4, mode, include_new_sample_in_exchange=include)
-            states = np.zeros((1, 4))
-            for n in range(1, 8):
-                states, t = _slot(engine_rng, top, 2, states, lambda rng, shape: rng.standard_normal(shape),
-                                  n, mode, include)
-                W = gossip_matrix(top, 2, oracle_rng)
-                t_oracle = oracle_rng.standard_normal(4)
-                run.step(W, t_oracle)
-                assert np.array_equal(t[0], t_oracle)
-                assert np.allclose(states[0], run.state, atol=1e-12)
+    for include in (True, False):
+        engine_rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+        run = ConsensusRun(4, WeightMode.ACCUMULATING, include_new_sample_in_exchange=include)
+        states = np.zeros((1, 4))
+        for n in range(1, 8):
+            states, t = _slot(engine_rng, top, 2, states, lambda rng, shape: rng.standard_normal(shape), include)
+            W = gossip_matrix(top, 2, oracle_rng)
+            t_oracle = oracle_rng.standard_normal(4)
+            run.step(W, t_oracle)
+            assert np.array_equal(t[0], t_oracle)
+            assert np.allclose(states[0], run.state, atol=1e-12)
+
+
+@pytest.mark.parametrize("v", [1, 3])
+@pytest.mark.parametrize("include", [True, False], ids=["new-sample-exchanged", "new-sample-held"])
+def test_running_sum_over_n_m_is_the_averaging_schedule(include, v):
+    # the engine steps only the running sum s; the averaging schedule is s / (n M) under either
+    # form, since W((n - 1)/n s/((n - 1) M) + t/n) = W(s + M t)/(n M), and likewise with W s held
+    for M in (2, 5, 12):
+        top = full_ring(M)
+        engine_rng, oracle_rng = np.random.default_rng(M), np.random.default_rng(M)
+        run = ConsensusRun(M, WeightMode.AVERAGING, include_new_sample_in_exchange=include)
+        states = np.zeros((1, M))
+        for n in range(1, 41):
+            states, _ = _slot(engine_rng, top, v, states, lambda rng, shape: rng.standard_normal(shape), include)
+            run.step(gossip_matrix(top, v, oracle_rng), oracle_rng.standard_normal(M))
+            np.testing.assert_allclose(states[0] / (n * M), run.state, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import runcons
 SRC = pathlib.Path(runcons.__file__).parent
 
 ALLOWED = {
-    "consensus.ConsensusRun": "the benchmark tracer (bench/tracing.py) wraps ConsensusRun.step by name",
+    "consensus.ConsensusRun": "the dense oracle the tests replay the engine's draws through, under both weight "
+                              "schedules; the benchmark tracer (bench/tracing.py) wraps ConsensusRun.step by name",
 }
 
 
