@@ -27,7 +27,6 @@ from .stats import QuadratureError, integrate, kl_binary, q_function, q_inverse,
 class BoundSet:
     """Per-slot bounds for gamma_i - 1 and 1 - rho_ij plus large-n forms."""
 
-    include_new_sample: bool
     n: np.ndarray
     psi_U: np.ndarray
     psi_L: np.ndarray
@@ -81,7 +80,6 @@ def theorem_bounds(
         approx_B_U = (M / n) / (1.0 - lambda_U)
         rate = M / (1.0 - lambda_U)
     return BoundSet(
-        include_new_sample=include_new_sample,
         n=n,
         psi_U=psi_U,
         psi_L=psi_L,
@@ -244,10 +242,21 @@ def operating_point(
 
 
 def g_factor(M: int, R: float, delta01: float, delta10: float, var1_of_llr: float) -> float:
-    """Bank speed-up factor at matched false-alarm rate (>= 1)."""
+    """Bank speed-up factor at matched false-alarm rate (>= 1).
+
+    The survival integrand falls from 1 and is still (M/(M+1))^M > 1/e at
+    the Castillo quantile q, so the integral is at least q/e.  A smaller
+    value, zero included, means the Wald shape z has collapsed onto an
+    interval too short for the quadrature to resolve: QuadratureError.
+    """
     gamma = threshold_for_rate_large_gamma(R, M, delta01)
-    delta = delta10 / var1_of_llr
-    return 1.0 / survival_power_integral(gamma * delta, M)
+    z = gamma * (delta10 / var1_of_llr)
+    integral = survival_power_integral(z, M)
+    floor = wald_cdf_inverse(1.0 / (M + 1.0), z) / math.e
+    if not integral >= floor:
+        raise QuadratureError(f"bank survival integral {integral:.3e} below its floor {floor:.3e} "
+                              f"at Wald shape {z:.3e}, M = {M}")
+    return 1.0 / integral
 
 
 @dataclass(frozen=True)

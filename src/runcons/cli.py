@@ -435,15 +435,19 @@ def run_change(sc: ScenarioFile, args) -> None:
 
 def run_efficiency(sc: ScenarioFile, args) -> None:
     rate_list = sc.get("experiment", "rate_list")
-    _, d01, d10, var1 = _change_quantities(sc)
+    model, d01, d10, var1 = _change_quantities(sc)
     if max(rate_list) >= d01:
         raise ScenarioError(
             f"experiment.rate_list entries must be below delta01 = {d01:.6g}, got {max(rate_list):g}")
-    rows = [
-        [M, p.R, p.eta_cr, p.eta_sr, p.eta_br, p.eta_bs]
-        for M in sc.get("experiment", "m_list")
-        for p in analysis.relative_efficiencies_large_gamma(rate_list, M, d01, d10, var1)
-    ]
+    try:  # the bank factor's Wald shape gamma d10 / var1 shrinks like 1 / model.variance1 as it grows
+        rows = [
+            [M, p.R, p.eta_cr, p.eta_sr, p.eta_br, p.eta_bs]
+            for M in sc.get("experiment", "m_list")
+            for p in analysis.relative_efficiencies_large_gamma(rate_list, M, d01, d10, var1)
+        ]
+    except QuadratureError as exc:
+        raise ScenarioError(f"model.variance0 = {model.null.variance:g} and model.variance1 = "
+                            f"{model.alt.variance:g} are too far apart for the bank factor: {exc}") from None
     write_csv(sc.get("output", "path"), ["M", "R", "eta_cr", "eta_sr", "eta_br", "eta_bs"], rows)
 
 

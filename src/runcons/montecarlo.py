@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CUSUM_FAMILIES
-from .detectors import SequentialDetector
+from .detectors import SequentialDetector, continuous_time_thresholds
 from .network import NetworkTopology
 from .stats import Gaussian, HypothesisModel, LogLikelihoodRatio, llr_nonlinearity
 
@@ -657,10 +657,11 @@ def estimate_sprt_stopping(
 
     `sequential_trials` without gossip, node columns or drift: the cumulative
     ratio over all topology.M per-slot samples is compared against
-    log(p_d/p_f) above and log((1-p_d)/(1-p_f)) below.  Its one statistic
-    source is the fusion center's, "centralized".
+    log(p_d/p_f) above and log((1-p_d)/(1-p_f)) below, the Wiener limit's
+    exit levels at unit efficacy.  Its one statistic source is the fusion
+    center's, "centralized".
     """
-    detector = SequentialDetector(eta_r=0.0, a_r=math.log((1.0 - p_d) / (1.0 - p_f)), b_r=math.log(p_d / p_f))
+    detector = SequentialDetector(0.0, *continuous_time_thresholds(p_f, p_d, 1.0))
     return _two_law_study(model, ("centralized",), trials, seed, threads,
                           lambda laws, size, rng: sequential_trials(
                               laws, llr_nonlinearity(model), topology, 0, detector, max_n, [], size, rng))

@@ -4,8 +4,11 @@ Everything here is pure and immutable after construction.  Closed forms are
 used where they exist; otherwise adaptive quadrature over the real line at
 relative tolerance 1e-8, by the package's own Gauss-Kronrod rule
 (:func:`integrate`), which calls each integrand on 21 abscissae at a time.
-The divergence between two sampling laws is needed only for the change
-model's Gaussian pair, so it exists in closed form only.
+The slope mu'(theta0) of a statistic's mean is E_theta0[t s], s the null
+law's location score: a closed form where one exists, one quadrature
+otherwise, and nan for a model with no location family.  The divergence
+between two sampling laws is needed only for the change model's Gaussian
+pair, so it exists in closed form only.
 """
 
 from __future__ import annotations
@@ -411,7 +414,10 @@ def moments(model: HypothesisModel, nonlinearity, theta: float) -> MomentSet:
     """Moments of t(x) under the sampling law at parameter theta.
 
     Closed forms cover the identity and the score on Gaussian data; the rest
-    runs through quadrature.
+    runs through quadrature.  The slope of the mean at theta0 is
+    mu'(theta0) = E_theta0[t s] for every statistic t, with s the null law's
+    location score: differentiate mu(theta) = int t f_theta under the
+    integral sign.  A model with no location family has no slope (nan).
     """
     dist = model.at(theta)
     if isinstance(nonlinearity, Identity):
@@ -426,25 +432,12 @@ def moments(model: HypothesisModel, nonlinearity, theta: float) -> MomentSet:
     t = nonlinearity
     mu = integrate_real_line(lambda x: t(x) * dist.pdf(x), hint)
     second = integrate_real_line(lambda x: t(x) ** 2 * dist.pdf(x), hint)
-
-    if isinstance(t, Score):
-        # slope of the mean at theta0: the score's second moment, just taken if theta is theta0
-        mu_prime = second if theta == model.theta0 else fisher_information(model)
-    elif not model.location:
-        mu_prime = float("nan")  # no location family: the slope is undefined
+    if model.location:
+        null = model.null
+        mu_prime = integrate_real_line(lambda x: t(x) * null.score(x) * null.pdf(x), null.quad_hint())
     else:
-        mu_prime = _mu_prime_central_difference(model, t, hint)
-
+        mu_prime = float("nan")  # no location family: the slope is undefined
     return MomentSet(mu, second - mu * mu, mu_prime)
-
-
-def _mu_prime_central_difference(model: HypothesisModel, t, hint) -> float:
-    h = 1e-5 * max(1.0, abs(model.theta0))
-    lo = model.at(model.theta0 - h)
-    hi = model.at(model.theta0 + h)
-    mu_lo = integrate_real_line(lambda x: t(x) * lo.pdf(x), hint)
-    mu_hi = integrate_real_line(lambda x: t(x) * hi.pdf(x), hint)
-    return (mu_hi - mu_lo) / (2.0 * h)
 
 
 def efficacy(moments_at_theta0: MomentSet, M: int) -> float:
@@ -453,13 +446,6 @@ def efficacy(moments_at_theta0: MomentSet, M: int) -> float:
     if m.mu_prime_at_theta0 == 0.0:
         raise ValueError("efficacy undefined: mu'(theta0) is zero")
     return math.sqrt(M) * m.mu_prime_at_theta0 / math.sqrt(m.sigma2)
-
-
-def fisher_information(model: HypothesisModel) -> float:
-    """Second moment of the score under the null, by quadrature."""
-    score = score_nonlinearity(model)
-    null = model.at(model.theta0)
-    return integrate_real_line(lambda x: score(x) ** 2 * null.pdf(x), null.quad_hint())
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from runcons.analysis import (
     theorem_bounds,
     threshold_for_rate_large_gamma,
 )
-from runcons.stats import kl_binary, q_function, q_inverse, wald_cdf
+from runcons.stats import QuadratureError, kl_binary, q_function, q_inverse, wald_cdf
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,20 @@ def test_g_factor_at_least_one():
     for M in (1, 2, 10, 100, 300):
         for R in (1e-4, 1e-5, 1e-6):
             assert g_factor(M, R, d01, d10, var1) >= 1.0 - 1e-9
+
+
+def test_g_factor_raises_where_the_survival_collapses_past_the_quadrature():
+    # M = 500 sensors: at Wald shape z = 0.02 the survival integral resolves and matches scipy on a
+    # log scale; at z = 0.015 its bulk lies short of the rule's first abscissa on [0, 2], and the
+    # quadrature reads about 5e-17 against a true 1.47e-3
+    M, R, d01 = 500, 1e-4, 1.0
+    gamma = threshold_for_rate_large_gamma(R, M, d01)
+    z = 0.02
+    oracle, _ = si.quad(lambda s: (1.0 - wald_cdf(math.exp(s), z)) ** M * math.exp(s),
+                        math.log(z) - 40.0, math.log(50.0), points=[math.log(z)], limit=500)
+    assert 1.0 / g_factor(M, R, d01, z / gamma, 1.0) == pytest.approx(oracle, rel=1e-8)
+    with pytest.raises(QuadratureError, match="below its floor"):
+        g_factor(M, R, d01, 0.015 / gamma, 1.0)
 
 
 def test_relative_efficiencies_structure():

@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -515,6 +516,9 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
     # variances so far apart that the squared LLR overflows in the quadrature of its variance
     [([kind, name, "--set", "model.variance1=1e-300"], "model.variance0 = 1 and model.variance1 = 1e-300")
      for kind, name in (("change", "fig_sim2.scn"), ("efficiency", "fig_re1.scn"))],
+    # so far apart that the bank factor's Wald shape collapses: its survival integral is zero or unresolved
+    [(["efficiency", "fig_re1.scn", "--set", f"model.variance1={value}"],
+      f"model.variance0 = 1 and model.variance1 = {value}") for value in ("1e+100", "1e+07", "1000")],
     [(["change", "fig_sim1.scn", "--set", "model.nonlinearity=score"], "model.nonlinearity"),
      (["efficiency", "fig_re1.scn", "--set", "model.nonlinearity=identity"], "model.nonlinearity")],
     [(["bounds", "fig_bound1_complete.scn", "--set", "montecarlo.trials=abc"],
@@ -550,8 +554,8 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
         "model-parameters", "counts-below-1", "unknown-sequential-measure", "unread-p_d",
         "detector-kind-not-the-runners", "threads-below-1", "unknown-topology-kind", "negative-seed",
         "second-scenario-of-tag", "false-alarm-rate-underflows", "one-node-bounds",
-        "change-on-location-family", "equal-variances", "llr-variance-overflows", "change-nonlinearity",
-        "unparsable-set-value",
+        "change-on-location-family", "equal-variances", "llr-variance-overflows", "bank-survival-collapses",
+        "change-nonlinearity", "unparsable-set-value",
         "one-out-for-two-tables", "one-path-for-two-outputs", "non-finite-float", "max-n-factor-not-positive",
         "output-path-not-a-file", "trajectory-one-design-point"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # e.g. an overflowing exp on the way to the message
@@ -564,6 +568,18 @@ def test_range_errors_exit_2_before_any_output(runs, tmp_path, monkeypatch, caps
         assert code == 2, command
         assert message in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponent=st.floats(-300.0, 300.0))
+def test_efficiency_at_any_variance_ratio_writes_its_table_or_exits_2(exponent):
+    # a range error the check path cannot see ends before any output, never as exit 1 or a traceback
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as monkeypatch:
+        variance = f"model.variance1={10.0 ** exponent!r}"
+        code = run_cli(["efficiency", str(SCENARIOS / "fig_re1.scn"), "--set", variance], out, monkeypatch)
+        assert code in (0, 2)
+        if code == 2:
+            assert os.listdir(out) == []
 
 
 def _exits_2_naming(command, message, out, monkeypatch, capsys) -> None:

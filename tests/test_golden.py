@@ -46,7 +46,7 @@ SUBCOMMANDS = {
     "bounds": ["bounds", "fig_bound1_kneighbor.scn", "--trials", "40",
                "--set", "experiment.n_max=30", "--dump-trajectory", "trajectory.csv"],
     "fss": [*_FSS_SMALL, "--dump-trajectory", "trajectory.csv"],
-    # the score's closed-form Gaussian moments; the LLR's moments move with theta, its slope by central difference
+    # the score's closed-form Gaussian moments; the LLR's moments move with theta, its slope is E_theta0[t s]
     "fss-score": [*_FSS_SMALL, "--set", "model.nonlinearity=score"],
     "fss-llr": [*_FSS_SMALL, "--set", "model.nonlinearity=llr"],
     # one node: no pair to gossip

@@ -15,7 +15,6 @@ from runcons.stats import (
     Identity,
     MomentSet,
     efficacy,
-    fisher_information,
     gaussian_shift_model,
     integrate_real_line,
     kl_binary,
@@ -437,13 +436,19 @@ def test_moments_closed_form_agrees_with_quadrature():
     assert closed.sigma2 == pytest.approx(second - mu * mu, abs=1e-6)
 
 
+def _fisher_information(model, rel_tol=1e-8) -> float:
+    """I(theta0): the squared score integrated under the null law."""
+    score = score_nonlinearity(model)
+    return integrate_real_line(lambda x: score(x) ** 2 * model.null.pdf(x), model.null.quad_hint(), rel_tol)
+
+
 def test_score_gaussian_variance_is_fisher_information():
     model = gaussian_shift_model(2.5, theta=0.3)
     score = score_nonlinearity(model)
     m0 = moments(model, score, 0.0)
     assert m0.mu == pytest.approx(0.0, abs=1e-12)
     assert m0.sigma2 == pytest.approx(1 / 2.5, rel=1e-12)
-    assert fisher_information(model) == pytest.approx(1 / 2.5, rel=1e-8)
+    assert _fisher_information(model) == pytest.approx(1 / 2.5, rel=1e-8)
 
 
 def test_score_integrates_to_zero_under_null():
@@ -456,12 +461,8 @@ def test_score_integrates_to_zero_under_null():
 
 def test_mixture_score_fisher_information_stable():
     model = mixture_shift_model(0.3, 1.0, 25.0, theta=0.1)
-    i0_a = fisher_information(model)
-    i0_b = integrate_real_line(
-        lambda x: score_nonlinearity(model)(x) ** 2 * model.null.pdf(x),
-        model.null.quad_hint(),
-        rel_tol=1e-10,
-    )
+    i0_a = moments(model, score_nonlinearity(model), 0.0).mu_prime_at_theta0
+    i0_b = _fisher_information(model, rel_tol=1e-10)
     assert i0_a > 0.0
     assert i0_a == pytest.approx(i0_b, abs=1e-6)
 
@@ -477,6 +478,26 @@ def test_mixture_score_mu_prime_matches_central_difference():
         mu.append(integrate_real_line(lambda x: score(x) * dist.pdf(x), dist.quad_hint()))
     slope = (mu[1] - mu[0]) / (2 * h)
     assert m0.mu_prime_at_theta0 == pytest.approx(slope, rel=1e-4)
+
+
+def test_llr_slope_is_the_null_expectation_of_llr_times_score():
+    # mu'(theta0) = E_theta0[t s] depends on the null law alone, so the slope is
+    # the same whichever theta the moments are taken at
+    model = gaussian_shift_model(2.0, theta=0.3)
+    llr = llr_nonlinearity(model)
+    slopes = [moments(model, llr, theta).mu_prime_at_theta0 for theta in (model.theta0, model.theta)]
+    assert slopes[0] == slopes[1]
+    assert slopes[0] == pytest.approx((model.theta - model.theta0) / 2.0, rel=1e-12)
+
+    mixture = mixture_shift_model(0.3, 1.0, 25.0, theta=0.1)
+    llr = llr_nonlinearity(mixture)
+    h = 1e-4
+    mu = []
+    for theta in (-h, h):
+        dist = mixture.at(theta)
+        mu.append(integrate_real_line(lambda x: llr(x) * dist.pdf(x), dist.quad_hint()))
+    slope = (mu[1] - mu[0]) / (2 * h)
+    assert moments(mixture, llr, 0.0).mu_prime_at_theta0 == pytest.approx(slope, rel=1e-6)
 
 
 def test_mixture_score_moments_match_monte_carlo():
@@ -499,7 +520,7 @@ def test_efficacy_gaussian_shift():
 def test_efficacy_mixture_score_attains_fisher_bound():
     model = mixture_shift_model(0.3, 1.0, 25.0, theta=0.1)
     m0 = moments(model, score_nonlinearity(model), 0.0)
-    i0 = fisher_information(model)
+    i0 = _fisher_information(model)
     assert efficacy(m0, 10) == pytest.approx(math.sqrt(10 * i0), rel=1e-6)
 
 
