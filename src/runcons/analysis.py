@@ -174,6 +174,20 @@ def survival_power_integral(z: float, M: int) -> float:
     return float(value)
 
 
+def _bank_survival(z: float, M: int) -> tuple[float, float]:
+    """(survival integral, Castillo quantile q) of M filters at Wald shape z; QuadratureError below q/e.
+
+    The integrand falls from 1 and is still (M/(M+1))^M > 1/e at q, so a smaller value, zero included,
+    means z has collapsed onto an interval too short for the quadrature to resolve.
+    """
+    integral = survival_power_integral(z, M)
+    q = wald_cdf_inverse(1.0 / (M + 1.0), z)
+    if not integral >= q / math.e:
+        raise QuadratureError(f"bank survival integral {integral:.3e} below its floor {q / math.e:.3e} "
+                              f"at Wald shape {z:.3e}, M = {M}")
+    return integral, q
+
+
 @dataclass(frozen=True)
 class BankDelay:
     integral: float
@@ -185,16 +199,15 @@ def bank_delay(gamma: float, M: int, delta10: float, var1_of_llr: float) -> Bank
 
     The main route integrates the M-th power of the Wald survival; the
     companion value replaces the minimum's expectation with the 1/(M+1)
-    quantile, a shortcut that works for moderately large M.
+    quantile, a shortcut that works for moderately large M; QuadratureError as `_bank_survival`.
     """
     if gamma <= 0.0 or delta10 <= 0.0 or var1_of_llr <= 0.0 or M < 1:
         raise ValueError("bank_delay needs positive gamma, delta10, var1 and M >= 1")
     delta = delta10 / var1_of_llr
     z = gamma * delta
     base = (gamma + math.exp(-gamma) - 1.0) / delta10
-    integral = base * survival_power_integral(z, M)
-    castillo = (gamma / delta10) * wald_cdf_inverse(1.0 / (M + 1.0), z)
-    return BankDelay(integral=integral, castillo=castillo)
+    integral, q = _bank_survival(z, M)
+    return BankDelay(integral=base * integral, castillo=(gamma / delta10) * q)
 
 
 CUSUM_FAMILIES = ("centralized", "running", "bank", "single")
@@ -242,20 +255,9 @@ def operating_point(
 
 
 def g_factor(M: int, R: float, delta01: float, delta10: float, var1_of_llr: float) -> float:
-    """Bank speed-up factor at matched false-alarm rate (>= 1).
-
-    The survival integrand falls from 1 and is still (M/(M+1))^M > 1/e at
-    the Castillo quantile q, so the integral is at least q/e.  A smaller
-    value, zero included, means the Wald shape z has collapsed onto an
-    interval too short for the quadrature to resolve: QuadratureError.
-    """
+    """Bank speed-up factor at matched false-alarm rate (>= 1); QuadratureError as `_bank_survival`."""
     gamma = threshold_for_rate_large_gamma(R, M, delta01)
-    z = gamma * (delta10 / var1_of_llr)
-    integral = survival_power_integral(z, M)
-    floor = wald_cdf_inverse(1.0 / (M + 1.0), z) / math.e
-    if not integral >= floor:
-        raise QuadratureError(f"bank survival integral {integral:.3e} below its floor {floor:.3e} "
-                              f"at Wald shape {z:.3e}, M = {M}")
+    integral, _ = _bank_survival(gamma * (delta10 / var1_of_llr), M)
     return 1.0 / integral
 
 

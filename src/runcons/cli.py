@@ -338,8 +338,8 @@ def _sequential_trajectory(sc: ScenarioFile, args) -> None:
 def _change_quantities(sc: ScenarioFile):
     """The change model, its two divergences and the LLR variance after the change.
 
-    The null and the alternative must differ: two equal variances leave no
-    change to detect, nor lie so far apart that the LLR's variance overflows.
+    The null and the alternative must differ: neither equal (no change to detect) nor so close that the
+    divergences round to zero or below, nor so far apart that the LLR's variance overflows.
     """
     model = model_from_scenario(sc)
     if model.null == model.alt:
@@ -347,6 +347,9 @@ def _change_quantities(sc: ScenarioFile):
     llr = stats.llr_nonlinearity(model)
     d01 = stats.kl_divergence(model.null, model.alt)
     d10 = stats.kl_divergence(model.alt, model.null)
+    if not (d01 > 0.0 and d10 > 0.0):  # the closed form cancels to nothing a few ulps from equal variances
+        raise ScenarioError(f"model.variance0 = {model.null.variance:g} and model.variance1 = {model.alt.variance:g} "
+                            f"are too close: their divergences round to {d01:.3g} and {d10:.3g}")
     try:  # a squared LLR that overflows in the quadrature would make the variance NaN
         with np.errstate(over="raise", invalid="raise"):
             var1 = stats.moments(model, llr, model.theta).sigma2
@@ -365,22 +368,26 @@ def _change_points(sc: ScenarioFile):
     experiment.measure "rate" simulates false alarms under the null law
     (false_alarm_rate, mean_run_length_null), "delay" detection delays under
     the alternative (mean_delay), "both" both.  Horizons are 100 predicted
-    mean run lengths, from the family's own accurate rate or delay.
+    mean run lengths, from the family's own accurate rate or delay.  Each
+    family makes one run per law over the whole threshold grid, to its
+    largest horizon (montecarlo.page_run_lengths); a crossing after its own
+    threshold's horizon counts as truncated, and equal thresholds share a run.
     """
     topology = scn.topology_from_scenario(sc)
     M, measure, seed = topology.M, sc.get("experiment", "measure"), sc.get("montecarlo", "seed")
     gamma_list = sc.get("experiment", "gamma_list")
     model, d01, d10, var1 = _change_quantities(sc)
-    theory = [
-        analysis.operating_point(family, gamma, M, d01, d10, var1)
-        for family in analysis.CUSUM_FAMILIES
-        for gamma in gamma_list
-    ]
+    try:  # the bank's Wald shape gamma d10 / var1 shrinks like 1 / model.variance1 as it grows
+        theory = [analysis.operating_point(family, gamma, M, d01, d10, var1)
+                  for family in analysis.CUSUM_FAMILIES for gamma in gamma_list]
+    except QuadratureError as exc:
+        raise ScenarioError(f"model.variance0 = {model.null.variance:g} and model.variance1 = "
+                            f"{model.alt.variance:g} are too far apart for the bank delay: {exc}") from None
     operating = {(p.family, p.gamma): p for p in theory}
-    simulated = [operating[family, gamma] for family in sc.get("experiment", "families") for gamma in gamma_list]
+    families = sc.get("experiment", "families")
     plan = []
     if measure in ("rate", "both"):
-        for p in simulated:
+        for p in (operating[family, gamma] for family in families for gamma in gamma_list):
             if p.rate_accurate * sys.float_info.max < 100.0:  # 100 / rate overflows
                 raise ScenarioError(
                     f"experiment.gamma_list entry {p.gamma:g} predicts a {p.family} false-alarm rate of "
@@ -388,27 +395,30 @@ def _change_points(sc: ScenarioFile):
         plan.append(("false_alarm", "null", seed))
     if measure in ("delay", "both"):
         plan.append(("detection", "alt", seed + 1))
-    points = []
-    for p in simulated:
-        estimates, runs = {}, []
+    grid = sorted(set(gamma_list))
+    simulated = {(family, gamma): ({}, []) for family in families for gamma in grid}
+    for family in families:
+        points = [operating[family, gamma] for gamma in grid]
         for decision, under, run_seed in plan:
-            horizon = 100.0 / p.rate_accurate if under == "null" else 100.0 * max(p.delay_accurate, 10.0)
-            max_n = int(math.ceil(horizon))
+            horizons = [int(math.ceil(100.0 / p.rate_accurate if under == "null"
+                                      else 100.0 * max(p.delay_accurate, 10.0))) for p in points]
             stops = montecarlo.page_run_lengths(
-                model, p.family, p.gamma + sc.get("detector", "gamma_offset"), M, sc.get("montecarlo", "trials"),
-                run_seed, under=under, max_n=max_n, topology=topology, v=sc.get("topology", "v"),
+                model, family, np.add(grid, sc.get("detector", "gamma_offset")), M, sc.get("montecarlo", "trials"),
+                run_seed, under=under, max_n=max(horizons), topology=topology, v=sc.get("topology", "v"),
                 node=sc.get("detector", "node"), threads=sc.get("montecarlo", "threads"),
             )
-            est = montecarlo.Estimate.from_run_lengths(stops)
-            if under == "null":
-                estimates["false_alarm_rate"] = montecarlo.Estimate(
-                    1.0 / est.value, est.std_err / est.value**2, est.count, est.truncated_count)
-                estimates["mean_run_length_null"] = est
-            else:
-                estimates["mean_delay"] = est
-            runs.append((decision, stops, max_n))
-        points.append(((p.family, p.gamma), estimates, runs))
-    return theory, points
+            for p, first, max_n in zip(points, stops.reshape(len(grid), -1), horizons):
+                own = np.where(first > max_n, 0, first)
+                estimates, runs = simulated[family, p.gamma]
+                est = montecarlo.Estimate.from_run_lengths(own)
+                if under == "null":
+                    estimates["false_alarm_rate"] = montecarlo.Estimate(
+                        1.0 / est.value, est.std_err / est.value**2, est.count, est.truncated_count)
+                    estimates["mean_run_length_null"] = est
+                else:
+                    estimates["mean_delay"] = est
+                runs.append((decision, own, max_n))
+    return theory, [((family, gamma), *simulated[family, gamma]) for family in families for gamma in gamma_list]
 
 
 _THEORY_COLUMNS = ["family", "gamma", "R_accurate", "R_largegamma", "D_accurate", "D_largegamma"]

@@ -14,7 +14,8 @@ two-threshold core on it (`sequential_trials`): the sequential test, its
 probability-ratio baseline (no gossip, no node column) and the fixed-sample
 test (`NEVER_STOPS`, read at its horizon).  All three run through one study
 (`_two_law_study`) that steps each chunk's trials of both laws as one batch,
-null rows first, into one decision record (`DecisionStudy`).
+null rows first, into one decision record (`DecisionStudy`).  One CUSUM run
+serves a whole threshold grid (`page_run_lengths`).
 
 Ratio-type metrics (variance ratios, consensus coefficients) get their
 standard errors from fixed sub-groups of trials; a ratio of covariances is
@@ -192,13 +193,6 @@ def _lockstep(size: int, max_n: int, advance, lanes: list[np.ndarray]) -> np.nda
             alive = alive.take(rows)
             lanes[:] = [lane.take(rows, axis=0) for lane in lanes]
     return stop
-
-
-def _finished(hit: np.ndarray) -> np.ndarray | None:
-    """Per-trial crossing mask of a (trials,) or (trials, k) test; None if nothing crossed."""
-    if not hit.any():  # most slots have no crossing, and this is far cheaper than any(axis=1)
-        return None
-    return hit if hit.ndim == 1 else hit.any(axis=1)
 
 
 def _pair_draws(rng: np.random.Generator, topology: NetworkTopology, v: int, lanes: int):
@@ -589,7 +583,7 @@ def estimate_stopping(
 def page_run_lengths(
     model: HypothesisModel,
     mode: str,
-    gamma: float,
+    gammas,
     M: int,
     trials: int,
     seed: int,
@@ -601,41 +595,65 @@ def page_run_lengths(
     node: int = 0,
     threads: int = 1,
 ) -> np.ndarray:
-    """Per-trial first-crossing slots of the reset-at-zero statistic.
+    """Level-major first-crossing slots (K * trials,) of the reset-at-zero statistic at K ascending thresholds.
 
+    Level k's per-trial slots are entries k * trials onward, so one level gives
+    one per-trial array (the form `bench/tracing.py` counts lane-slots from).
     mode names one of the CUSUM_FAMILIES.  False-alarm experiments run
     entirely under the pre-change law (under="null"); detection-delay
-    experiments start the statistic at zero at the change (under="alt").  A
-    zero entry marks a trial truncated at max_n.
+    experiments start the statistic at zero at the change (under="alt").  Each
+    lane carries its next uncrossed level and finishes past the largest, whose
+    slots are thus bit for bit a one-level run's; only the lanes that cross in
+    a slot look up how many levels they passed (a bank lane by its largest
+    sensor).  A zero entry marks a level not crossed by max_n.
     """
     if mode not in CUSUM_FAMILIES:
         raise ValueError(f"unknown run-length mode: {mode}")
     if mode == "running" and topology is None:
         raise ValueError("running mode needs a topology")
+    levels = np.asarray(gammas, dtype=float)
+    if levels.ndim != 1 or not levels.size or np.any(np.diff(levels) < 0.0):
+        raise ValueError(f"thresholds must be a nonempty ascending grid, got {gammas}")
     if mode == "running":
         M = topology.M
+    K, gamma, lower = levels.size, float(levels[0]), np.arange(levels.size - 1)
     dist = model.null if under == "null" else model.alt
     draw = increment_sampler(dist, llr_nonlinearity(model), M if mode == "centralized" else 1)
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
-        if mode == "running":  # gossip the updated statistic, then reset
-
-            def advance(slot: int, alive: np.ndarray, lanes: list[np.ndarray]) -> np.ndarray | None:
-                states, _ = _slot(rng, topology, v, lanes[0], draw, True)
-                lanes[0] = np.maximum(0.0, states, out=states)
-                return _finished(states[:, node] >= gamma)
-
-            return _lockstep(size, max_n, advance, [np.zeros((size, M))])
+        below = np.zeros((K - 1, size), dtype=np.int64)  # the crossing slots of every level but the largest
 
         def advance(slot: int, alive: np.ndarray, lanes: list[np.ndarray]) -> np.ndarray | None:
-            block = lanes[0]
-            block += draw(rng, block.shape)
-            np.maximum(0.0, block, out=block)
-            return _finished(block >= gamma)
+            if mode == "running":  # gossip the updated statistic, then reset
+                states, _ = _slot(rng, topology, v, lanes[0], draw, True)
+                lanes[0] = np.maximum(0.0, states, out=states)
+                stat = states[:, node]
+            else:
+                stat = lanes[0]  # (live,), or (live, M) for the bank
+                stat += draw(rng, stat.shape)
+                np.maximum(0.0, stat, out=stat)
+            level = gamma if K == 1 else lanes[1]  # one level: a compare against one scalar, no level lane
+            hit = stat >= (level if stat.ndim == 1 or K == 1 else level[:, None])
+            if not hit.any():  # most slots have no crossing, and this is far cheaper than any(axis=1)
+                return None
+            crossed = hit if hit.ndim == 1 else hit.any(axis=1)
+            if K == 1:
+                return crossed
+            rows = np.flatnonzero(crossed)
+            past = np.searchsorted(levels, stat[rows] if stat.ndim == 1 else stat[rows].max(axis=1), side="right")
+            first = np.searchsorted(levels, level[rows])
+            row, col = np.nonzero((first[:, None] <= lower) & (lower < past[:, None]))
+            below[col, alive[rows[row]]] = slot
+            level[rows] = levels[np.minimum(past, K - 1)]
+            crossed[rows[past < K]] = False  # only a lane past the largest level finishes
+            return crossed if crossed.any() else None
 
-        return _lockstep(size, max_n, advance, [np.zeros((size, M) if mode == "bank" else size)])
+        lanes = [np.zeros((size, M) if mode in ("running", "bank") else size)]
+        if K > 1:
+            lanes.append(np.full(size, gamma))
+        return np.vstack((below, _lockstep(size, max_n, advance, lanes)))
 
-    return np.concatenate(_run_chunks(trials, seed, threads, worker))
+    return np.concatenate(_run_chunks(trials, seed, threads, worker), axis=1).ravel()
 
 
 # ---------------------------------------------------------------------------

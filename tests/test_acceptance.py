@@ -330,7 +330,7 @@ def test_c09_page_false_alarm_law():
     for gamma in (1.2, 2.6, 4.0):
         predicted = float(analysis.false_alarm_rate_accurate(gamma, M, d01))
         est = mc.Estimate.from_run_lengths(mc.page_run_lengths(
-            model, "centralized", gamma, M, trials, 91, under="null",
+            model, "centralized", [gamma], M, trials, 91, under="null",
             max_n=int(math.ceil(100.0 / predicted)), threads=THREADS,
         ))
         simulated = 1.0 / est.value
@@ -348,7 +348,7 @@ def test_c09_page_false_alarm_law():
     gamma = 3.4  # the shared-law claim is a large-threshold statement
     predicted = float(analysis.false_alarm_rate_accurate(gamma, M, d01))  # bank uses the same law
     est = mc.Estimate.from_run_lengths(mc.page_run_lengths(
-        model, "bank", gamma, M, trials, 92, under="null",
+        model, "bank", [gamma], M, trials, 92, under="null",
         max_n=int(math.ceil(100.0 / predicted)), threads=THREADS,
     ))
     simulated = 1.0 / est.value
@@ -375,11 +375,11 @@ def _accurate_threshold(R, M, d01):
 
 def _oc_point(model, family, gamma, M, top, v, trials, seed, d01, d10):
     fa = mc.Estimate.from_run_lengths(mc.page_run_lengths(
-        model, family, gamma, M, trials, seed, under="null",
+        model, family, [gamma], M, trials, seed, under="null",
         max_n=5_000_000, topology=top, v=v, threads=THREADS,
     ))
     delay = mc.Estimate.from_run_lengths(mc.page_run_lengths(
-        model, family, gamma, M, trials, seed + 1, under="alt",
+        model, family, [gamma], M, trials, seed + 1, under="alt",
         max_n=500_000, topology=top, v=v, threads=THREADS,
     ))
     r_hat = 1.0 / fa.value
@@ -441,7 +441,7 @@ def test_c11_bank_delay_integral():
     for M in (5, 10, 30):
         predicted = analysis.bank_delay(gamma, M, d10, var1)
         est = mc.Estimate.from_run_lengths(mc.page_run_lengths(
-            model, "bank", gamma, M, 10_000, 111, under="alt", max_n=10**7, threads=THREADS,
+            model, "bank", [gamma], M, 10_000, 111, under="alt", max_n=10**7, threads=THREADS,
         ))
         ratio = est.value / predicted.integral
         report("C11", f"M={M}: D_sim={est.value:.0f}+-{est.std_err:.0f} "

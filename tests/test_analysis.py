@@ -247,6 +247,13 @@ def test_g_factor_raises_where_the_survival_collapses_past_the_quadrature():
         g_factor(M, R, d01, 0.015 / gamma, 1.0)
 
 
+def test_bank_delay_raises_where_its_survival_collapses():
+    # the change run's bank delay keeps the g-factor's floor: at Wald shape 1.2e-7 (fig_sim1.scn at
+    # model.variance1 = 1e7) the quadrature reads 1.97e-26 against a floor q/e of 1.5e-8
+    with pytest.raises(QuadratureError, match="below its floor"):
+        bank_delay(1.2, 10, 1e-7, 1.0)
+
+
 def test_relative_efficiencies_structure():
     d01, d10, var1 = 9.7166e-4, 1.0133e-3, 2.1141e-3
     M = 10

@@ -518,7 +518,12 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
      for kind, name in (("change", "fig_sim2.scn"), ("efficiency", "fig_re1.scn"))],
     # so far apart that the bank factor's Wald shape collapses: its survival integral is zero or unresolved
     [(["efficiency", "fig_re1.scn", "--set", f"model.variance1={value}"],
-      f"model.variance0 = 1 and model.variance1 = {value}") for value in ("1e+100", "1e+07", "1000")],
+      f"model.variance0 = 1 and model.variance1 = {value}") for value in ("1e+100", "1e+07", "1000")]
+    + [(["change", "fig_sim1.scn", "--set", "model.variance1=1e7"], "model.variance0 = 1 and model.variance1 = 1e+07")],
+    # so close that the closed-form divergences cancel to zero or below
+    [([kind, name, "--set", "model.variance1=1.0000000000023"],
+      "model.variance0 = 1 and model.variance1 = 1 are too close")
+     for kind, name in (("change", "fig_sim1.scn"), ("efficiency", "fig_re1.scn"))],
     [(["change", "fig_sim1.scn", "--set", "model.nonlinearity=score"], "model.nonlinearity"),
      (["efficiency", "fig_re1.scn", "--set", "model.nonlinearity=identity"], "model.nonlinearity")],
     [(["bounds", "fig_bound1_complete.scn", "--set", "montecarlo.trials=abc"],
@@ -555,7 +560,7 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
         "detector-kind-not-the-runners", "threads-below-1", "unknown-topology-kind", "negative-seed",
         "second-scenario-of-tag", "false-alarm-rate-underflows", "one-node-bounds",
         "change-on-location-family", "equal-variances", "llr-variance-overflows", "bank-survival-collapses",
-        "change-nonlinearity", "unparsable-set-value",
+        "variances-too-close", "change-nonlinearity", "unparsable-set-value",
         "one-out-for-two-tables", "one-path-for-two-outputs", "non-finite-float", "max-n-factor-not-positive",
         "output-path-not-a-file", "trajectory-one-design-point"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # e.g. an overflowing exp on the way to the message
@@ -580,6 +585,29 @@ def test_efficiency_at_any_variance_ratio_writes_its_table_or_exits_2(exponent):
         assert code in (0, 2)
         if code == 2:
             assert os.listdir(out) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponent=st.floats(-300.0, 300.0))
+def test_change_at_any_variance_ratio_writes_its_tables_or_exits_2(exponent):
+    # a written bank delay keeps its floor: the survival integral is at least q/e, q the Castillo
+    # quantile, so D_accurate / D_largegamma >= (gamma + exp(-gamma) - 1) / (gamma e).  Runs stop
+    # at slot 50: near-equal variances put 100 mean run lengths at 1e11 slots and more
+    engine = cli.montecarlo.page_run_lengths
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cli.montecarlo, "page_run_lengths",
+                            lambda *args, max_n, **kwargs: engine(*args, max_n=min(max_n, 50), **kwargs))
+        variance = f"model.variance1={10.0 ** exponent!r}"
+        code = run_cli(["change", str(SCENARIOS / "fig_sim1.scn"), "--trials", "2",
+                        "--set", "experiment.gamma_list=1.2", "--set", variance], out, monkeypatch)
+        assert code in (0, 2)
+        if code == 2:
+            assert os.listdir(out) == []
+            return
+        for row in _read_rows(Path(out) / "fig_sim1_theory.csv"):
+            gamma = float(row["gamma"])
+            floor = (gamma + math.exp(-gamma) - 1.0) / (gamma * math.e)
+            assert float(row["D_accurate"]) >= floor * float(row["D_largegamma"]), row
 
 
 def _exits_2_naming(command, message, out, monkeypatch, capsys) -> None:
@@ -745,6 +773,52 @@ def _long_field(column: str) -> tuple[str, str]:
     if column.endswith("_se"):
         return column[:-len("_se")], "std_err"
     return column, "estimate"
+
+
+def test_change_rows_follow_the_scenarios_threshold_order(tmp_path, monkeypatch):
+    # one run per family and law serves the whole grid: the list's order and repeats only lay out the rows
+    base = ["change", str(SCENARIOS / "fig_sim1.scn"), "--trials", "25",
+            "--set", "experiment.families=centralized,bank"]
+    for name, gammas in (("sorted", "1.2,1.8"), ("unsorted", "1.8,1.2"), ("repeated", "1.8,1.2,1.8")):
+        code = run_cli([*base, "--set", f"experiment.gamma_list={gammas}", "--out", f"{name}.csv"],
+                       tmp_path, monkeypatch)
+        assert code == 0
+    cells = {(r["family"], r["gamma"], r["statistic"]): r for r in _read_rows(tmp_path / "sorted.csv")}
+    for name, order in (("unsorted", ["1.8", "1.2"]), ("repeated", ["1.8", "1.2", "1.8"])):
+        rows = _read_rows(tmp_path / f"{name}.csv")
+        assert [r["gamma"] for r in rows[::3]] == order * 2  # three statistics a point
+        assert [r["family"] for r in rows] == ["centralized"] * 3 * len(order) + ["bank"] * 3 * len(order)
+        for row in rows:  # a repeated threshold's rows are the sorted run's, cell for cell
+            assert row == cells[row["family"], row["gamma"], row["statistic"]]
+        theory = [(r["family"], r["gamma"]) for r in _read_rows(tmp_path / f"{name}_theory.csv")]
+        assert theory == [(family, gamma) for family in ("centralized", "running", "bank", "single") for gamma in order]
+
+
+def test_a_crossing_after_its_own_thresholds_horizon_counts_as_truncated(tmp_path, monkeypatch):
+    # the grid runs to the largest horizon, the largest threshold's; a smaller threshold's crossing
+    # after its own horizon is no alarm
+    calls = []
+
+    def every_lane_at_the_last_slot(model, mode, gammas, M, trials, seed, *, max_n, **kwargs):
+        calls.append((mode, list(gammas), max_n))
+        return np.full(len(gammas) * trials, max_n, dtype=np.int64)
+
+    monkeypatch.setattr(cli.montecarlo, "page_run_lengths", every_lane_at_the_last_slot)
+    code = run_cli(["change", str(SCENARIOS / "fig_sim1.scn"), "--trials", "5",
+                    "--set", "experiment.gamma_list=1.8,1.2", "--set", "experiment.families=centralized",
+                    "--set", "experiment.measure=rate", "--dump-trials", "trials.csv"], tmp_path, monkeypatch)
+    assert code == 0
+    [(mode, gammas, max_n)] = calls  # one run for the family's one law
+    assert mode == "centralized" and gammas == [1.2, 1.8]
+    theory = {r["gamma"]: float(r["R_accurate"]) for r in _read_rows(tmp_path / "fig_sim1_theory.csv")
+              if r["family"] == "centralized"}
+    own = {gamma: math.ceil(100.0 / rate) for gamma, rate in theory.items()}
+    assert own["1.8"] == max_n > own["1.2"]
+    dump = _read_rows(tmp_path / "trials.csv")
+    assert {(r["gamma"], r["alarm_time"], r["decision"]) for r in dump} == {
+        ("1.8", str(max_n), "false_alarm"), ("1.2", str(own["1.2"]), "truncated")}
+    truncated = {r["gamma"]: r["n_truncated"] for r in _read_rows(tmp_path / "fig_sim1.csv")}
+    assert truncated == {"1.8": "0", "1.2": "5"}
 
 
 @pytest.mark.parametrize("command, scenario, extra, keys, exempt, statistics", [

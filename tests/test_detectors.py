@@ -267,12 +267,28 @@ def test_page_step_reset_rule():
     M, gamma, total_resets = 3, 2.5, 0
     for family in ("centralized", "single", "bank"):
         for seed in range(6):
-            stop = page_run_lengths(model, family, gamma, M, 1, seed, max_n=5000)
+            stop = page_run_lengths(model, family, [gamma], M, 1, seed, max_n=5000)
             increments = _replayed_increments(model, family, M, "null", seed, int(stop[0]))
             first, resets = _reset_recursion(increments, gamma)
             assert stop[0] > 0 and stop[0] == first[first > 0].min()
             total_resets += resets
     assert total_resets > 0
+
+
+def test_page_grid_records_the_slot_of_every_level_passed():
+    # levels closer than one slot's increment, so a lane often passes several at once: each level's
+    # slot is that of the reset-at-zero recursion on the engine's own stream, replayed as above
+    model = variance_change_model(1.0, 1.5)
+    M, gammas, jumps = 3, [0.2, 0.25, 0.3, 0.35, 0.4, 2.5], 0
+    for family in ("centralized", "single", "bank"):
+        for seed in range(6):
+            stops = page_run_lengths(model, family, gammas, M, 1, seed, max_n=5000)  # one slot per level
+            increments = _replayed_increments(model, family, M, "null", seed, int(stops[-1]))
+            for stop, gamma in zip(stops, gammas):
+                first, _ = _reset_recursion(increments, gamma)
+                assert stop > 0 and stop == first[first > 0].min()
+            jumps += int((np.diff(stops) == 0).sum())
+    assert jumps > 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -286,7 +302,7 @@ def test_page_cusum_never_negative(family, gamma, seed, under):
     # a statistic reset at zero is never below a threshold gamma <= 0
     model = variance_change_model(1.0, 1.5)
     stops = page_run_lengths(
-        model, family, gamma, 4, 20, seed, under=under, max_n=10, topology=full_ring(4), v=2
+        model, family, [gamma], 4, 20, seed, under=under, max_n=10, topology=full_ring(4), v=2
     )
     assert (stops == 1).all()
 
@@ -295,22 +311,22 @@ def test_page_bank_minimum_semantics():
     # a one-sensor bank is the single-sensor detector, trial by trial
     model = variance_change_model(1.0, 1.3)
     for under in ("null", "alt"):
-        bank = page_run_lengths(model, "bank", 2.0, 1, 300, 8, under=under, max_n=10**5)
-        single = page_run_lengths(model, "single", 2.0, 1, 300, 8, under=under, max_n=10**5)
+        bank = page_run_lengths(model, "bank", [2.0], 1, 300, 8, under=under, max_n=10**5)
+        single = page_run_lengths(model, "single", [2.0], 1, 300, 8, under=under, max_n=10**5)
         assert np.array_equal(bank, single) and bank.min() > 0
 
 
 def test_zero_threshold_alarms_immediately():
     model = variance_change_model(1.0, 2.0)
     for family in FAMILIES:
-        stops = page_run_lengths(model, family, 0.0, 3, 50, 0, max_n=100, topology=full_ring(3))
+        stops = page_run_lengths(model, family, [0.0], 3, 50, 0, max_n=100, topology=full_ring(3))
         assert (stops == 1).all(), family
 
 
 def test_change_detection_truncation_reported():
     model = variance_change_model(1.0, 1.0001)
     for family in FAMILIES:
-        stops = page_run_lengths(model, family, 1e6, 2, 40, 0, max_n=50, topology=full_ring(2))
+        stops = page_run_lengths(model, family, [1e6], 2, 40, 0, max_n=50, topology=full_ring(2))
         assert (stops == 0).all(), family
         est = Estimate.from_run_lengths(stops)
         assert est.count == 0 and est.truncated_count == 40
@@ -318,8 +334,8 @@ def test_change_detection_truncation_reported():
 
 def test_single_node_running_equals_centralized_trial_by_trial():
     model = variance_change_model(1.0, 1.3)
-    a = page_run_lengths(model, "centralized", 3.0, 1, 300, 9, max_n=10_000)
-    b = page_run_lengths(model, "running", 3.0, 1, 300, 9, max_n=10_000, topology=full_ring(1), v=3)
+    a = page_run_lengths(model, "centralized", [3.0], 1, 300, 9, max_n=10_000)
+    b = page_run_lengths(model, "running", [3.0], 1, 300, 9, max_n=10_000, topology=full_ring(1), v=3)
     assert np.array_equal(a, b) and a.min() > 0
 
 
@@ -328,8 +344,8 @@ def test_two_node_full_averaging_keeps_states_identical():
     # statistics coincide and either node alarms at the same slot
     model = variance_change_model(1.0, 1.5)
     top = full_ring(2)
-    a = page_run_lengths(model, "running", 4.0, 2, 200, 5, max_n=10**5, topology=top, v=1, node=0)
-    b = page_run_lengths(model, "running", 4.0, 2, 200, 5, max_n=10**5, topology=top, v=1, node=1)
+    a = page_run_lengths(model, "running", [4.0], 2, 200, 5, max_n=10**5, topology=top, v=1, node=0)
+    b = page_run_lengths(model, "running", [4.0], 2, 200, 5, max_n=10**5, topology=top, v=1, node=1)
     assert np.array_equal(a, b) and a.min() > 0
 
 
@@ -337,8 +353,8 @@ def test_change_time_splits_false_alarms_from_detections():
     # under="null" runs pre-change data only (false alarms), under="alt"
     # starts at the change (detections): the delay is far shorter
     model = variance_change_model(1.0, 4.0)
-    false_alarm = page_run_lengths(model, "centralized", 5.0, 4, 400, 123, under="null", max_n=10**6)
-    delay = page_run_lengths(model, "centralized", 5.0, 4, 400, 123, under="alt", max_n=10**6)
+    false_alarm = page_run_lengths(model, "centralized", [5.0], 4, 400, 123, under="null", max_n=10**6)
+    delay = page_run_lengths(model, "centralized", [5.0], 4, 400, 123, under="alt", max_n=10**6)
     assert false_alarm.min() > 0 and delay.min() > 0
     assert delay.mean() < 0.1 * false_alarm.mean()
 
@@ -348,8 +364,8 @@ def test_bank_mode_runs_disjoint_streams():
     # M independent single-sensor crossings, so it comes sooner than one
     # sensor's alone
     model = variance_change_model(1.0, 2.0)
-    bank = page_run_lengths(model, "bank", 3.0, 5, 2000, 77, under="alt", max_n=100_000)
-    single = page_run_lengths(model, "single", 3.0, 5, 2000, 78, under="alt", max_n=100_000)
+    bank = page_run_lengths(model, "bank", [3.0], 5, 2000, 77, under="alt", max_n=100_000)
+    single = page_run_lengths(model, "single", [3.0], 5, 2000, 78, under="alt", max_n=100_000)
     assert bank.min() > 0 and single.min() > 0
     assert bank.mean() < single.mean()
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, ks_2samp, kstest
 
-from runcons.analysis import false_alarm_rate_accurate, theorem_bounds
+from runcons.analysis import CUSUM_FAMILIES, false_alarm_rate_accurate, theorem_bounds
 from runcons.consensus import ConsensusRun, WeightMode
 from runcons.detectors import SequentialDetector, sequential_design
 from runcons.montecarlo import (
@@ -138,16 +138,16 @@ def test_running_sum_over_n_m_is_the_averaging_schedule(include, v):
 def test_run_length_estimates_are_bit_identical_across_runs_and_threads():
     model = variance_change_model(1.0, 1.3)
     kwargs = dict(under="null", max_n=50_000)
-    a = Estimate.from_run_lengths(page_run_lengths(model, "centralized", 3.0, 5, 6000, 42, threads=1, **kwargs))
-    b = Estimate.from_run_lengths(page_run_lengths(model, "centralized", 3.0, 5, 6000, 42, threads=1, **kwargs))
-    c = Estimate.from_run_lengths(page_run_lengths(model, "centralized", 3.0, 5, 6000, 42, threads=3, **kwargs))
+    a = Estimate.from_run_lengths(page_run_lengths(model, "centralized", [3.0], 5, 6000, 42, threads=1, **kwargs))
+    b = Estimate.from_run_lengths(page_run_lengths(model, "centralized", [3.0], 5, 6000, 42, threads=1, **kwargs))
+    c = Estimate.from_run_lengths(page_run_lengths(model, "centralized", [3.0], 5, 6000, 42, threads=3, **kwargs))
     assert a == b == c
 
 
 def test_seed_changes_output():
     model = variance_change_model(1.0, 1.3)
-    a = Estimate.from_run_lengths(page_run_lengths(model, "centralized", 3.0, 5, 2000, 1, under="null", max_n=50_000))
-    b = Estimate.from_run_lengths(page_run_lengths(model, "centralized", 3.0, 5, 2000, 2, under="null", max_n=50_000))
+    a = Estimate.from_run_lengths(page_run_lengths(model, "centralized", [3.0], 5, 2000, 1, under="null", max_n=50_000))
+    b = Estimate.from_run_lengths(page_run_lengths(model, "centralized", [3.0], 5, 2000, 2, under="null", max_n=50_000))
     assert a.value != b.value
 
 
@@ -397,22 +397,22 @@ def test_raw_draws_need_a_location_family_before_any_draw():
 def test_std_err_shrinks_like_root_trials():
     model = variance_change_model(1.0, 1.5)
     kwargs = dict(under="null", max_n=100_000)
-    small = Estimate.from_run_lengths(page_run_lengths(model, "centralized", 2.0, 4, 2000, 11, **kwargs))
-    large = Estimate.from_run_lengths(page_run_lengths(model, "centralized", 2.0, 4, 8000, 11, **kwargs))
+    small = Estimate.from_run_lengths(page_run_lengths(model, "centralized", [2.0], 4, 2000, 11, **kwargs))
+    large = Estimate.from_run_lengths(page_run_lengths(model, "centralized", [2.0], 4, 8000, 11, **kwargs))
     ratio = small.std_err / large.std_err
     assert ratio == pytest.approx(2.0, rel=0.15)
 
 
 def test_no_nan_in_estimates():
     model = variance_change_model(1.0, 1.3)
-    est = Estimate.from_run_lengths(page_run_lengths(model, "bank", 2.5, 4, 1000, 19, under="alt", max_n=100_000))
+    est = Estimate.from_run_lengths(page_run_lengths(model, "bank", [2.5], 4, 1000, 19, under="alt", max_n=100_000))
     assert np.isfinite(est.value) and np.isfinite(est.std_err)
     assert est.truncated_count == 0
 
 
 def test_truncation_excluded_from_mean():
     model = variance_change_model(1.0, 1.0001)  # nearly indistinguishable laws
-    est = Estimate.from_run_lengths(page_run_lengths(model, "single", 50.0, 1, 50, 2, under="null", max_n=100))
+    est = Estimate.from_run_lengths(page_run_lengths(model, "single", [50.0], 1, 50, 2, under="null", max_n=100))
     assert est.truncated_count > 0
     assert est.count + est.truncated_count == 50
 
@@ -430,7 +430,7 @@ def test_page_false_alarm_interval_tracks_rate_formula():
     for gamma in (2.0, 3.0):
         pred = float(false_alarm_rate_accurate(gamma, M, d01))
         est = Estimate.from_run_lengths(page_run_lengths(
-            model, "centralized", gamma, M, 3000, 47, under="null",
+            model, "centralized", [gamma], M, 3000, 47, under="null",
             max_n=int(100 / pred),
         ))
         simulated = 1.0 / est.value
@@ -448,7 +448,7 @@ def test_running_consensus_run_lengths_match_scalar_trial(family, under):
     top, v, trials = full_ring(4), 2, 1500
     gamma = {"centralized": 2.0, "running": 3.0, "bank": 2.0, "single": 1.5}[family]
     engine = page_run_lengths(
-        model, family, gamma, top.M, trials, 61, under=under,
+        model, family, [gamma], top.M, trials, 61, under=under,
         max_n=10**6, topology=top, v=v,
     )
     rng = np.random.default_rng(62)
@@ -512,6 +512,69 @@ def test_slot_by_slot_pairs_and_samples_differ_from_all_pairs_then_all_samples()
 
 
 # ---------------------------------------------------------------------------
+# CUSUM threshold grids: one run, every level's first crossing
+# ---------------------------------------------------------------------------
+
+_GRID_MODEL = variance_change_model(1.0, 1.5)
+_GRID_TOP = full_ring(4)
+
+
+def _grid_run(family, gammas, trials, seed, under, max_n=10**5, threads=1):
+    """(K, trials) first-crossing slots, level by level."""
+    return page_run_lengths(_GRID_MODEL, family, gammas, _GRID_TOP.M, trials, seed, under=under, max_n=max_n,
+                            topology=_GRID_TOP, v=2, threads=threads).reshape(-1, trials)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("under", ["null", "alt"])
+@pytest.mark.parametrize("family", CUSUM_FAMILIES)
+def test_largest_level_of_a_grid_is_the_one_level_run(family, under, threads):
+    # lanes finish only past the largest level, so they compact, and draw, as in a one-level run;
+    # the result is level-major, so a one-level grid is one per-trial array
+    trials = CHUNK_SIZE + 100
+    grid = _grid_run(family, [0.5, 1.0, 1.0, 2.0, 3.0], trials, 5, under, max_n=3000, threads=threads)
+    one = _grid_run(family, [3.0], trials, 5, under, max_n=3000, threads=threads)
+    assert grid.shape == (5, trials) and one.shape == (1, trials)
+    np.testing.assert_array_equal(grid[-1], one[0])
+    np.testing.assert_array_equal(grid[1], grid[2])  # equal levels, one row each
+
+
+@pytest.mark.parametrize("under", ["null", "alt"])
+@pytest.mark.parametrize("family", CUSUM_FAMILIES)
+def test_lower_levels_of_a_grid_agree_in_law_with_one_level_runs(family, under):
+    # a lower column rides on the largest level's stream, so it is compared with an independent run
+    trials = 1500
+    grid = _grid_run(family, [1.0, 2.0, 3.0], trials, 41, under)
+    for col, gamma in enumerate((1.0, 2.0)):
+        own = _grid_run(family, [gamma], trials, 42, under)[0]
+        lower = grid[col]
+        assert lower.min() > 0 and own.min() > 0
+        se = math.hypot(lower.std(ddof=1), own.std(ddof=1)) / math.sqrt(trials)
+        assert abs(lower.mean() - own.mean()) < 3.0 * se, (gamma, lower.mean(), own.mean(), se)
+        assert ks_2samp(lower, own).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("family", CUSUM_FAMILIES)
+def test_a_grid_at_or_below_zero_stops_every_lane_at_slot_1(family):
+    for gammas in ([-1.0, 0.0], [-3.0, -2.0, -2.0, 0.0]):
+        assert (_grid_run(family, gammas, 30, 3, "null", max_n=10) == 1).all()
+
+
+def test_a_level_not_crossed_by_max_n_reads_0_and_counts_as_truncated():
+    stops = _grid_run("single", [0.5, 50.0], 200, 4, "null", max_n=40)
+    assert (stops <= 40).all() and (stops[0] > 0).any() and (stops[1] == 0).all()
+    for level in stops:
+        est = Estimate.from_run_lengths(level)
+        assert est.truncated_count == int((level == 0).sum()) and est.count + est.truncated_count == 200
+
+
+@pytest.mark.parametrize("gammas", [[], [2.0, 1.0], [[1.0, 2.0]], 2.0])
+def test_a_grid_must_be_one_nonempty_ascending_list(gammas):
+    with pytest.raises(ValueError, match="ascending grid"):
+        _grid_run("centralized", gammas, 10, 0, "null")
+
+
+# ---------------------------------------------------------------------------
 # Worker counts: every engine, byte for byte
 # ---------------------------------------------------------------------------
 
@@ -524,12 +587,12 @@ def _engine_runs():
     shift, detector = _design(0.1, 20.0, 3)
     top = full_ring(3)
 
-    def run_lengths(family):
-        return lambda threads: page_run_lengths(
-            change, family, 2.0, top.M, _THREE_CHUNKS, 5, under="alt", max_n=200, topology=top, v=2, threads=threads)
+    def run_lengths(family):  # a three-level grid: lanes record the lower crossings as they go
+        return lambda threads: page_run_lengths(change, family, [1.0, 1.5, 2.0], top.M, _THREE_CHUNKS, 5, under="alt",
+                                                max_n=200, topology=top, v=2, threads=threads)
 
     return {
-        **{f"page_run_lengths-{family}": run_lengths(family) for family in ("centralized", "running", "bank", "single")},
+        **{f"page_run_lengths-{family}": run_lengths(family) for family in CUSUM_FAMILIES},
         "estimate_stopping": lambda threads: estimate_stopping(
             shift, Identity(), top, 1, detector, _THREE_CHUNKS, 6, max_n=500, threads=threads),
         "estimate_sprt_stopping": lambda threads: estimate_sprt_stopping(
