@@ -377,13 +377,21 @@ def _change_points(sc: ScenarioFile):
     M, measure, seed = topology.M, sc.get("experiment", "measure"), sc.get("montecarlo", "seed")
     gamma_list = sc.get("experiment", "gamma_list")
     model, d01, d10, var1 = _change_quantities(sc)
-    try:  # the bank's Wald shape gamma d10 / var1 shrinks like 1 / model.variance1 as it grows
-        theory = [analysis.operating_point(family, gamma, M, d01, d10, var1)
-                  for family in analysis.CUSUM_FAMILIES for gamma in gamma_list]
-    except QuadratureError as exc:
-        raise ScenarioError(f"model.variance0 = {model.null.variance:g} and model.variance1 = "
-                            f"{model.alt.variance:g} are too far apart for the bank delay: {exc}") from None
-    operating = {(p.family, p.gamma): p for p in theory}
+
+    def point(family: str, gamma: float) -> analysis.OperatingPoint:
+        try:  # the bank's Wald shape gamma d10 / var1 shrinks with gamma, and like 1 / model.variance1 as it grows
+            return analysis.operating_point(family, gamma, M, d01, d10, var1)
+        except QuadratureError as exc:
+            raise ScenarioError(f"the bank delay's Wald shape gamma d10 / var1 is too small at experiment.gamma_list "
+                                f"entry {gamma:g} with model.variance0 = {model.null.variance:g} and "
+                                f"model.variance1 = {model.alt.variance:g}: {exc}") from None
+
+    # the bank first: below a gamma of about 1e-8, where every family's e^gamma - gamma - 1 rounds to 0
+    # (a division by zero in the rate), its delay has already collapsed
+    operating = {(family, gamma): point(family, gamma)
+                 for family in sorted(analysis.CUSUM_FAMILIES, key=lambda family: family != "bank")
+                 for gamma in gamma_list}
+    theory = [operating[family, gamma] for family in analysis.CUSUM_FAMILIES for gamma in gamma_list]
     families = sc.get("experiment", "families")
     plan = []
     if measure in ("rate", "both"):
@@ -449,15 +457,19 @@ def run_efficiency(sc: ScenarioFile, args) -> None:
     if max(rate_list) >= d01:
         raise ScenarioError(
             f"experiment.rate_list entries must be below delta01 = {d01:.6g}, got {max(rate_list):g}")
-    try:  # the bank factor's Wald shape gamma d10 / var1 shrinks like 1 / model.variance1 as it grows
-        rows = [
-            [M, p.R, p.eta_cr, p.eta_sr, p.eta_br, p.eta_bs]
-            for M in sc.get("experiment", "m_list")
-            for p in analysis.relative_efficiencies_large_gamma(rate_list, M, d01, d10, var1)
-        ]
-    except QuadratureError as exc:
-        raise ScenarioError(f"model.variance0 = {model.null.variance:g} and model.variance1 = "
-                            f"{model.alt.variance:g} are too far apart for the bank factor: {exc}") from None
+    rows = []
+    for M in sc.get("experiment", "m_list"):
+        for R in rate_list:
+            try:  # the bank factor's Wald shape gamma d10 / var1 shrinks with gamma = log(M d01 / R), and
+                # like 1 / model.variance1 as it grows
+                p, = analysis.relative_efficiencies_large_gamma([R], M, d01, d10, var1)
+            except QuadratureError as exc:
+                gamma = analysis.threshold_for_rate_large_gamma(R, M, d01)
+                raise ScenarioError(
+                    f"the bank factor's Wald shape gamma d10 / var1 is too small at experiment.rate_list entry "
+                    f"{R:g} and experiment.m_list entry {M} (gamma = {gamma:g}) with model.variance0 = "
+                    f"{model.null.variance:g} and model.variance1 = {model.alt.variance:g}: {exc}") from None
+            rows.append([M, p.R, p.eta_cr, p.eta_sr, p.eta_br, p.eta_bs])
     write_csv(sc.get("output", "path"), ["M", "R", "eta_cr", "eta_sr", "eta_br", "eta_bs"], rows)
 
 

@@ -5,17 +5,18 @@ seeded by (base_seed, c), so reruns are bit-identical no matter how many
 workers execute the chunks or in which order.  `threads` counts worker
 processes: above 1, `_run_chunks` shares the chunks between the caller and
 forked children.  Inside a chunk, trials advance in lockstep as numpy arrays,
-every increment from one sampler's two forms (`increment_sampler`, or
-`_lane_sampler` for a batch of laws) and every consensus state through one
-slot step (`_slot`) of one schedule, the running sum; every experiment runs
-on one engine (`_lockstep`) that takes its per-slot update and stopping rule
-and compacts finished trials away.  Every decision test steps one
-two-threshold core on it (`sequential_trials`): the sequential test, its
-probability-ratio baseline (no gossip, no node column) and the fixed-sample
-test (`NEVER_STOPS`, read at its horizon).  All three run through one study
-(`_two_law_study`) that steps each chunk's trials of both laws as one batch,
-null rows first, into one decision record (`DecisionStudy`).  One CUSUM run
-serves a whole threshold grid (`page_run_lengths`).
+every increment from one sampler's two forms (`increment_sampler`, one law's
+or a batch's, whose per-law scale or shift rides as a lane) and every
+consensus state through one slot step (`_slot`) of one schedule, the running
+sum; every experiment runs on one engine (`_lockstep`) that takes its
+per-slot update and stopping rule and compacts finished trials away.  Every
+decision test steps one two-threshold core on it (`sequential_trials`): the
+sequential test, its probability-ratio baseline (no gossip, no node column)
+and the fixed-sample test (`NEVER_STOPS`, read at its horizon).  All three
+run through one study (`_two_law_study`) that steps each chunk's trials of
+both laws as one batch, null rows first, into one decision record
+(`DecisionStudy`).  One CUSUM run serves a whole threshold grid
+(`page_run_lengths`).
 
 Ratio-type metrics (variance ratios, consensus coefficients) get their
 standard errors from fixed sub-groups of trials; a ratio of covariances is
@@ -224,82 +225,51 @@ def _gossip_batch(states: np.ndarray, pair_array: np.ndarray, idx: np.ndarray) -
         flat[j] = mean
 
 
-def _chi_square_form(dist, statistic) -> tuple[float, float] | None:
-    """(a, scale) of the zero-mean Gaussian LLR under a zero-mean Gaussian dist, a + scale * chi2(1); else None."""
-    if isinstance(statistic, LogLikelihoodRatio) and all(
-        isinstance(law, Gaussian) and law.mean == 0.0 for law in (dist, statistic.null, statistic.alt)
-    ):
-        null, alt = statistic.null, statistic.alt
-        scale = 0.5 * (1.0 / null.variance - 1.0 / alt.variance) * dist.variance
-        return -0.5 * math.log(alt.variance / null.variance), scale
-    return None
+def increment_sampler(laws, statistic, dof: int = 1):
+    """Sampler (draw, per_law) of statistic increments under each of laws, each summed over dof sensors.
 
-
-def increment_sampler(dist, statistic, dof: int = 1):
-    """Sampler of statistic increments under law dist, each summed over dof sensors.
-
-    dof is M for the fusion-center sum and 1 for one sensor's own increment.
-    The log-likelihood ratio of two zero-mean Gaussians, sampled under either,
-    admits an exact sufficient form (`_chi_square_form`): the summed increment
-    is affine in a chi-square draw with dof degrees of freedom, a squared
-    standard normal at dof 1 (about 3x cheaper than chisquare(1)).  Any other
-    statistic has no summed form, so it takes dof 1: an increment is the
-    statistic of one raw draw.
+    draw(rng, shape, p) makes one slot's increments under the law whose
+    entry of per_law is p; a batch of laws passes a (rows, 1) lane p of
+    its rows' entries instead.  dof is M for the fusion-center sum and 1 for
+    one sensor's own increment.  The log-likelihood ratio of two zero-mean
+    Gaussians, sampled under one, admits an exact sufficient form: the
+    summed increment is dof a + p chi2(dof), p the law's scale, a squared
+    standard normal at dof 1 (about 3x cheaper than chisquare(1)).  Any
+    other statistic has no summed form, so it takes dof 1: an increment is
+    the statistic of the first law's raw draw moved by p, the law's shift
+    from it, which needs the laws to be one location family.  Both checks
+    raise ValueError here, before any draw.
     """
-    form = _chi_square_form(dist, statistic)
-    if form is not None:
-        a, scale = form
+    pair = (statistic.null, statistic.alt) if isinstance(statistic, LogLikelihoodRatio) else ()
+    if pair and all(isinstance(law, Gaussian) and law.mean == 0.0 for law in (*pair, *laws)):
+        null, alt = pair
+        a = -0.5 * math.log(alt.variance / null.variance)  # the statistic's alone, the same for every law
+        per_law = np.array([0.5 * (1.0 / null.variance - 1.0 / alt.variance) * law.variance for law in laws])
 
-        def sampler(rng: np.random.Generator, shape) -> np.ndarray:
-            # dof * a + scale * chi2, built in place (bit for bit the same)
+        def draw(rng: np.random.Generator, shape, p) -> np.ndarray:
+            # dof * a + p * chi2, built in place (bit for bit the same)
             if dof == 1:
                 out = rng.standard_normal(shape)
                 np.square(out, out=out)
             else:
                 out = rng.chisquare(float(dof), shape)
-            out *= scale
+            out *= p
             out += dof * a
             return out
 
-        return sampler
+        return draw, per_law
     if dof != 1:
         raise ValueError(f"only the zero-mean Gaussian log-likelihood ratio sums over sensors, got dof {dof}")
-    return lambda rng, shape: statistic(dist.sample(rng, shape))
-
-
-def _lane_sampler(laws, statistic, size: int):
-    """Sampler draw(rng, alive, shape) of one slot's increments for the live rows alive of a batch of laws.
-
-    The batch holds size trials of each law, law k's in rows k * size to
-    (k + 1) * size - 1.  One draw serves every live row, in `increment_sampler`'s
-    forms at dof 1 with a per-row column: in the chi-square form each row takes
-    its own law's scale; otherwise a row's raw draw is the first law's moved by
-    its own law's shift, which needs a location family (else ValueError).
-    """
-    forms = [_chi_square_form(law, statistic) for law in laws]
-    if all(form is not None for form in forms):
-        a = forms[0][0]  # the statistic's alone, the same for every law
-        scale = np.repeat([form[1] for form in forms], size)[:, None]
-
-        def draw(rng: np.random.Generator, alive: np.ndarray, shape) -> np.ndarray:
-            out = rng.standard_normal(shape)
-            np.square(out, out=out)
-            out *= scale[alive]
-            out += a
-            return out
-
-        return draw
     base = laws[0]
     if any(law != base.at(law.mean) for law in laws):
         raise ValueError(f"one batch of raw draws needs its laws to be one location family, got {laws}")
-    shift = np.repeat([law.mean - base.mean for law in laws], size)[:, None]
 
-    def draw(rng: np.random.Generator, alive: np.ndarray, shape) -> np.ndarray:
+    def draw(rng: np.random.Generator, shape, p) -> np.ndarray:
         x = base.sample(rng, shape)
-        x += shift[alive]
+        x += p
         return statistic(x)
 
-    return draw
+    return draw, np.array([law.mean - base.mean for law in laws])
 
 
 def _slot(rng, topology: NetworkTopology, v: int, states: np.ndarray, sample,
@@ -415,7 +385,7 @@ def estimate_covariance(
 # Decisions under both laws: the fixed-sample and the sequential tests
 # ---------------------------------------------------------------------------
 
-_DEC_NONE, _DEC_H0, _DEC_H1 = 0, 1, 2
+_DEC_H0, _DEC_H1 = 1, 2  # 0: no decision by the horizon
 
 
 @dataclass(frozen=True)
@@ -427,12 +397,10 @@ class DecisionOutcome:
 
     @staticmethod
     def from_trials(stop: np.ndarray, dec: np.ndarray) -> "DecisionOutcome":
-        ok = dec != _DEC_NONE
-        truncated = int((~ok).sum())
-        return DecisionOutcome(
-            mean_n=Estimate.from_samples(stop[ok], truncated=truncated),
-            declare_h1=Estimate.from_bernoulli(int((dec == _DEC_H1).sum()), int(ok.sum()), truncated),
-        )
+        """Stop 0 marks a truncated trial, exactly where its decision is 0."""
+        mean_n = Estimate.from_run_lengths(stop)
+        h1 = int((dec == _DEC_H1).sum())
+        return DecisionOutcome(mean_n, Estimate.from_bernoulli(h1, mean_n.count, mean_n.truncated_count))
 
 
 @dataclass(frozen=True)
@@ -519,7 +487,8 @@ def sequential_trials(laws, statistic, topology: NetworkTopology, v: int, detect
 
     The trials step as one batch on one sample stream: rows k * size to
     (k + 1) * size - 1 are law k's trials, and each slot makes one draw for
-    every live trial (`_lane_sampler`).  Column 0 is the centralized
+    every live trial (`increment_sampler`), each row's scale or shift a lane
+    compacted with the others.  Column 0 is the centralized
     statistic, the sum of every increment, and column 1 + k the state of
     nodes[k], each less the slot's drift n M eta_r.  A column stops at the
     first slot where it leaves (a_r, b_r), declaring H1 above and H0 below; a
@@ -528,13 +497,13 @@ def sequential_trials(laws, statistic, topology: NetworkTopology, v: int, detect
     slot's (live, columns) statistics.  include_new_sample picks the update
     form of `_slot`.
     """
-    draw = _lane_sampler(laws, statistic, size)
+    draw, per_law = increment_sampler(laws, statistic)
     nodes = np.asarray(nodes, dtype=np.intp)  # once, not at every slot's indexing; [] alone would be float
     stops = np.zeros((len(laws) * size, 1 + nodes.size), dtype=np.int64)
     decs = np.zeros(stops.shape, dtype=np.int8)
 
     def advance(slot: int, alive: np.ndarray, lanes: list[np.ndarray]) -> np.ndarray | None:
-        states, t = _slot(rng, topology, v, lanes[0], lambda rng, shape: draw(rng, alive, shape),
+        states, t = _slot(rng, topology, v, lanes[0], lambda rng, shape: draw(rng, shape, lanes[3]),
                           include_new_sample)
         lanes[0] = states
         lanes[1] += t.sum(axis=1, keepdims=True)
@@ -553,7 +522,8 @@ def sequential_trials(laws, statistic, topology: NetworkTopology, v: int, detect
         return ~undecided.any(axis=1)
 
     total = len(stops)
-    _lockstep(total, max_n, advance, [np.zeros((total, topology.M)), np.zeros((total, 1)), np.ones(stops.shape, bool)])
+    _lockstep(total, max_n, advance, [np.zeros((total, topology.M)), np.zeros((total, 1)), np.ones(stops.shape, bool),
+                                      np.repeat(per_law, size)[:, None]])
     return stops, decs
 
 
@@ -618,19 +588,19 @@ def page_run_lengths(
         M = topology.M
     K, gamma, lower = levels.size, float(levels[0]), np.arange(levels.size - 1)
     dist = model.null if under == "null" else model.alt
-    draw = increment_sampler(dist, llr_nonlinearity(model), M if mode == "centralized" else 1)
+    draw, (p,) = increment_sampler((dist,), llr_nonlinearity(model), M if mode == "centralized" else 1)
 
     def worker(chunk_index: int, size: int, rng: np.random.Generator):
         below = np.zeros((K - 1, size), dtype=np.int64)  # the crossing slots of every level but the largest
 
         def advance(slot: int, alive: np.ndarray, lanes: list[np.ndarray]) -> np.ndarray | None:
             if mode == "running":  # gossip the updated statistic, then reset
-                states, _ = _slot(rng, topology, v, lanes[0], draw, True)
+                states, _ = _slot(rng, topology, v, lanes[0], lambda rng, shape: draw(rng, shape, p), True)
                 lanes[0] = np.maximum(0.0, states, out=states)
                 stat = states[:, node]
             else:
                 stat = lanes[0]  # (live,), or (live, M) for the bank
-                stat += draw(rng, stat.shape)
+                stat += draw(rng, stat.shape, p)
                 np.maximum(0.0, stat, out=stat)
             level = gamma if K == 1 else lanes[1]  # one level: a compare against one scalar, no level lane
             hit = stat >= (level if stat.ndim == 1 or K == 1 else level[:, None])

@@ -27,3 +27,13 @@ def test_every_record_names_its_revision_and_holds_every_workload():
             assert {"environment", "passes"} <= set(run["environment"]), (path.name, name)
             assert "metrics" in run["result"] and "attempted" in run["result"], (path.name, name)
         assert record["tier1"]["seconds"] > 0, path.name
+
+
+def test_line_counts_where_recorded_are_per_module():
+    # records from before the field carry no src_lines
+    for path in RECORDS:
+        lines = json.loads(path.read_text(encoding="utf-8")).get("src_lines")
+        if lines is not None:
+            assert "montecarlo.py" in lines, path.name
+            for name, count in lines.items():
+                assert re.fullmatch(r"\w+\.py", name) and isinstance(count, int) and count >= 0, (path.name, name)

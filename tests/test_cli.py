@@ -519,7 +519,15 @@ def test_efficiency_rejects_non_positive_rate(tmp_path, monkeypatch, capsys):
     # so far apart that the bank factor's Wald shape collapses: its survival integral is zero or unresolved
     [(["efficiency", "fig_re1.scn", "--set", f"model.variance1={value}"],
       f"model.variance0 = 1 and model.variance1 = {value}") for value in ("1e+100", "1e+07", "1000")]
-    + [(["change", "fig_sim1.scn", "--set", "model.variance1=1e7"], "model.variance0 = 1 and model.variance1 = 1e+07")],
+    + [(["change", "fig_sim1.scn", "--set", "model.variance1=1e7"], "model.variance0 = 1 and model.variance1 = 1e+07")]
+    # or the threshold so small that it collapses, named beside the variances; from gamma = 1e-9 on,
+    # e^gamma - gamma - 1 rounds to 0 in the rate, which must not warn on the way to the message
+    + [(["reproduce", "fig:sim1", "--set", f"experiment.gamma_list={gamma}"],
+        f"experiment.gamma_list entry {gamma} with model.variance0 = 1 and model.variance1 = 1.06502")
+       for gamma in ("1e-06", "1e-09")]
+    + [(["reproduce", "fig:RE1", "--set", "experiment.m_list=1", "--set", "experiment.rate_list=0.0009716554605386208"],
+        "experiment.rate_list entry 0.000971655 and experiment.m_list entry 1 (gamma = 1e-09) with model.variance0 = 1 "
+        "and model.variance1 = 1.06502")],
     # so close that the closed-form divergences cancel to zero or below
     [([kind, name, "--set", "model.variance1=1.0000000000023"],
       "model.variance0 = 1 and model.variance1 = 1 are too close")

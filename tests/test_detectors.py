@@ -254,9 +254,9 @@ def _reset_recursion(increments, gamma):
 def _replayed_increments(model, family, M, under, seed, slots):
     """The increments a one-trial chunk of the engine draws, slot by slot."""
     dof, width = {"centralized": (M, 1), "single": (1, 1), "bank": (1, M)}[family]
-    draw = increment_sampler(model.null if under == "null" else model.alt, llr_nonlinearity(model), dof)
+    draw, (p,) = increment_sampler((model.null if under == "null" else model.alt,), llr_nonlinearity(model), dof)
     rng = chunk_rng(seed, 0)
-    return np.array([draw(rng, (1, width))[0] for _ in range(slots)])
+    return np.array([draw(rng, (1, width), p)[0] for _ in range(slots)])
 
 
 def test_page_step_reset_rule():
@@ -385,12 +385,14 @@ def test_negative_drift_under_null_resets_dominate():
     ]
     for model, dof, row in cases:
         llr = llr_nonlinearity(model)
-        increments = increment_sampler(model.null, llr, dof)(np.random.default_rng(1), (slots, row)).sum(axis=1)
+        draw, (p,) = increment_sampler((model.null,), llr, dof)
+        increments = draw(np.random.default_rng(1), (slots, row), p).sum(axis=1)
         se = increments.std() / math.sqrt(slots)
         expected = dof * row * moments(model, llr, model.theta0).mu
         assert increments.mean() == pytest.approx(expected, abs=4 * se), dof * row
     model = cases[0][0]
-    fusion = increment_sampler(model.null, llr_nonlinearity(model), 10)(np.random.default_rng(1), (slots, 1))
+    draw, (p,) = increment_sampler((model.null,), llr_nonlinearity(model), 10)
+    fusion = draw(np.random.default_rng(1), (slots, 1), p)
     _, resets = _reset_recursion(fusion, math.inf)
     assert resets > 0.08 * slots
 
@@ -399,4 +401,4 @@ def test_only_the_chi_square_form_sums_over_sensors():
     # a raw-sample statistic has no summed form: its fusion sum is a row of draws
     model = gaussian_shift_model(1.0, theta=0.5)
     with pytest.raises(ValueError, match="dof 4"):
-        increment_sampler(model.null, llr_nonlinearity(model), 4)
+        increment_sampler((model.null,), llr_nonlinearity(model), 4)

@@ -357,18 +357,16 @@ def test_sprt_baseline_does_not_depend_on_the_network(model):
     assert studies[0].under_null["centralized"].mean_n.count > CHUNK_SIZE  # both chunks decide
 
 
-@pytest.mark.parametrize("trials", [40, CHUNK_SIZE + 7], ids=["one-chunk", "two-chunks"])
-@pytest.mark.parametrize("leaving", ["alt", "null"])
-def test_lanes_keep_their_law_through_compaction(leaving, trials):
-    # both laws' trials step in one batch; a shift of 1000 takes one law's
-    # trials out of (a_r, b_r) at slot 1, and the other law's drift down to
-    # a_r over about 20 slots.  A lane handed the leaving law's shift after
-    # compaction, or a row split off into the other law's half, would stop
-    # at once or land in the wrong outcome.
-    theta0, theta = (0.0, 1000.0) if leaving == "alt" else (-1000.0, 0.0)
-    model = gaussian_shift_model(1.0, theta=theta, theta0=theta0)
-    detector = SequentialDetector(eta_r=0.5, a_r=-30.0, b_r=50.0)
-    study = estimate_stopping(model, Identity(), full_ring(3), 1, detector, trials, 19, max_n=10_000)
+def _one_law_leaves_at_slot_1(model, statistic, eta_r: float, leaving: str, trials: int) -> None:
+    """Both laws' trials step in one batch, the leaving law's out of (a_r, b_r) at slot 1.
+
+    The other law's drift down to a_r over about 20 slots at eta_r.  A lane
+    handed the leaving law's scale or shift after compaction, or a row split
+    off into the other law's half, would stop at once or land in the wrong
+    outcome.
+    """
+    detector = SequentialDetector(eta_r=eta_r, a_r=-30.0, b_r=50.0)
+    study = estimate_stopping(model, statistic, full_ring(3), 1, detector, trials, 19, max_n=10_000)
     gone, running = (study.under_alt, study.under_null) if leaving == "alt" else (study.under_null, study.under_alt)
     for source in ("centralized", "node"):
         assert gone[source].mean_n == Estimate(1.0, 0.0, trials)
@@ -376,6 +374,26 @@ def test_lanes_keep_their_law_through_compaction(leaving, trials):
         assert running[source].mean_n.count == trials  # none truncated
         assert 15.0 < running[source].mean_n.value < 30.0 and running[source].mean_n.std_err > 0.0
         assert running[source].declare_h1 == Estimate.from_bernoulli(0, trials)
+
+
+@pytest.mark.parametrize("trials", [40, CHUNK_SIZE + 7], ids=["one-chunk", "two-chunks"])
+@pytest.mark.parametrize("leaving", ["alt", "null"])
+def test_lanes_keep_their_law_through_compaction(leaving, trials):
+    # raw form: a shift of 1000 moves the leaving law's mean
+    theta0, theta = (0.0, 1000.0) if leaving == "alt" else (-1000.0, 0.0)
+    _one_law_leaves_at_slot_1(gaussian_shift_model(1.0, theta=theta, theta0=theta0), Identity(), 0.5, leaving, trials)
+
+
+@pytest.mark.parametrize("trials", [40, CHUNK_SIZE + 7], ids=["one-chunk", "two-chunks"])
+@pytest.mark.parametrize("leaving", ["alt", "null"])
+def test_chi_square_lanes_keep_their_scale_through_compaction(leaving, trials):
+    # chi-square form: a variance of 1e20 gives the leaving law's increments
+    # a + scale chi2 a scale of about -+5e19, the running law's about +-0.5;
+    # eta_r sits 0.5 above the running law's mean a + scale
+    v0, v1 = (1.0, 1e20) if leaving == "alt" else (1e20, 1.0)
+    model = variance_change_model(v0, v1)
+    a, scale = -0.5 * math.log(v1 / v0), 0.5 * (1.0 / v0 - 1.0 / v1) * min(v0, v1)
+    _one_law_leaves_at_slot_1(model, llr_nonlinearity(model), a + scale + 0.5, leaving, trials)
 
 
 def test_raw_draws_need_a_location_family_before_any_draw():
@@ -473,7 +491,8 @@ def test_llr_sampler_draws_the_affine_chi_square_law(under, dof):
     n = 100_000
     model = variance_change_model(v0, v1)
     law = model.null if under == "null" else model.alt
-    draws = increment_sampler(law, llr_nonlinearity(model), dof)(np.random.default_rng(17), (n,))
+    draw, (p,) = increment_sampler((law,), llr_nonlinearity(model), dof)
+    draws = draw(np.random.default_rng(17), (n,), p)
     assert kstest(draws, lambda x: chi2.cdf((x - dof * a) / scale, dof)).pvalue > 1e-3
     mean, se = dof * a + scale * dof, scale * math.sqrt(2.0 * dof / n)
     assert abs(draws.mean() - mean) < 4.0 * se

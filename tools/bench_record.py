@@ -8,6 +8,7 @@ For each checkout this runs its `bench/run.py` on every workload of
 repository that holds this script, with:
 
 - the checkout's git revision and whether its tracked files differ from it;
+- the line count of each `src/runcons/*.py` module, as `wc -l` gives it;
 - the Python and numpy versions and the usable core count;
 - each workload's two JSON lines as `bench/run.py` printed them (the
   environment with the passes, then the result);
@@ -43,6 +44,11 @@ COUNT = re.compile(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)")
 
 def git(checkout: Path, *args: str) -> str:
     return subprocess.run(["git", "-C", str(checkout), *args], check=True, capture_output=True, text=True).stdout
+
+
+def src_lines(checkout: Path) -> dict[str, int]:
+    """Newline count of each src/runcons/*.py module of the checkout, by file name."""
+    return {path.name: path.read_bytes().count(b"\n") for path in sorted((checkout / "src" / "runcons").glob("*.py"))}
 
 
 def run_workload(checkout: Path, workload: str, seconds: float) -> dict:
@@ -91,6 +97,7 @@ def main(argv: list[str] | None = None) -> int:
             "label": label,
             "revision": git(path, "rev-parse", "HEAD").strip(),
             "dirty": bool(git(path, "status", "--porcelain", "--untracked-files=no").strip()),
+            "src_lines": src_lines(path),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cores": len(os.sched_getaffinity(0)),
